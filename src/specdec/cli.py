@@ -40,10 +40,11 @@ class CliError(Exception):
 
 
 def _default_seed() -> int:
+    raw = os.environ.get("SPECDEC_SEED", "0")
     try:
-        return int(os.environ.get("SPECDEC_SEED", "0"))
+        return int(raw)
     except ValueError:
-        return 0
+        raise CliError(f"SPECDEC_SEED must be an integer, got {raw!r}") from None
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -587,7 +588,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     # Two-phase parse so a config file can pre-set subcommand defaults
     # while explicit flags still win.

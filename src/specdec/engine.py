@@ -165,6 +165,14 @@ def _check_vocab(target: LanguageModel, draft: LanguageModel) -> None:
         )
 
 
+def _tail(prefix: Sequence[int], window: int | None) -> list[int]:
+    """The trailing ``window`` tokens of ``prefix`` as a new list (all of it
+    for ``None``); a window of 0 gives ``[]``, not ``prefix[-0:]``."""
+    if window is None:
+        return list(prefix)
+    return list(prefix[-window:]) if window else []
+
+
 def argmax_lenient_accept(p: Distribution, draft: int, lenience: float) -> bool:
     """Lenient acceptance for argmax decoding, applied before standardizing.
 
@@ -204,7 +212,9 @@ def speculative_step(
     # (before the argmax collapse); the exact ratio test applies otherwise.
     argmax_lenient = policy.is_argmax and lenience < 1.0
 
-    base = list(prefix)
+    # Each model sees only the tail of the prefix it declares it reads, so
+    # the per-step cost does not grow with the prefix for windowed models.
+    base = _tail(prefix, draft.context_window)
     drafts: list[int] = []
     q_dists: list[Distribution] = []
     for _ in range(gamma):
@@ -214,8 +224,8 @@ def speculative_step(
         q_dists.append(qd)
         base.append(x)
 
-    prefix_list = list(prefix)
-    candidates = [prefix_list + drafts[:i] for i in range(gamma + 1)]
+    target_base = _tail(prefix, target.context_window)
+    candidates = [target_base + drafts[:i] for i in range(gamma + 1)]
     # The single designated concurrency point: one batched target call
     # covering all gamma+1 candidate prefixes, results in prefix order.
     raw_dists: list[Distribution] | None = None

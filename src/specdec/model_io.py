@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from itertools import chain
 
 from .models import NGramModel
 
@@ -100,16 +101,22 @@ def deserialize_model(data: bytes) -> NGramModel:
             ctx = struct.unpack_from(f"<{ctx_len}I", body, off) if ctx_len else ()
             off += 4 * ctx_len
             n_entries, = struct.unpack_from("<I", body, off); off += 4
-            table: dict[int, int] = {}
-            for _ in range(n_entries):
-                tok, count = struct.unpack_from("<IQ", body, off); off += 12
-                table[tok] = count
+            entries = body[off : off + 12 * n_entries]
+            if len(entries) != 12 * n_entries:
+                raise struct.error("entries run past the payload")
+            off += len(entries)
+            table: dict[int, int] = dict(struct.iter_unpack("<IQ", entries))
             counts[ctx] = table
     except struct.error as exc:
         # CRC passed but the structure ran past the payload: writer bug.
         raise ModelFormatError(f"malformed record structure: {exc}") from exc
     if off != len(body):
         raise ModelFormatError(f"{len(body) - off} trailing bytes after records")
+    # Ids are unsigned, so the largest context or next-token id bounds them all.
+    ids = chain(chain.from_iterable(counts), chain.from_iterable(counts.values()))
+    top = max(ids, default=0)
+    if top >= vocab_size:
+        raise ModelFormatError(f"token id {top} outside vocab of {vocab_size}")
     return NGramModel(order, vocab_size, smoothing_k, counts=counts)
 
 

@@ -40,9 +40,17 @@ class LanguageModel(ABC):
     or logits, so callers know how to standardize. Batching is strictly a
     performance contract: ``evaluate_batch(prefixes)[i]`` must be elementwise
     identical to ``evaluate(prefixes[i])``, and evaluation is deterministic.
+
+    ``context_window`` is another performance contract: the number of
+    trailing prefix tokens that ``evaluate`` reads. A model declaring ``w``
+    must return bitwise-identical scores for ``prefix`` and for its last
+    ``w`` tokens (all of it when shorter), so callers may pass just that
+    tail; ``0`` means the prefix is ignored. ``None`` means the whole prefix
+    may matter and callers must pass it all.
     """
 
     score_kind: str = "probs"  # or "logits"
+    context_window: int | None = None
 
     @property
     @abstractmethod
@@ -74,6 +82,8 @@ class StatelessModel(LanguageModel):
     probability is a constant, which makes the i.i.d. analysis of the
     decoding loop exact rather than approximate.
     """
+
+    context_window = 0
 
     def __init__(self, probs: np.ndarray):
         self._dist = Distribution(np.asarray(probs, dtype=np.float64))
@@ -122,6 +132,7 @@ class NGramModel(LanguageModel):
         if smoothing_k <= 0:
             raise ValueError("smoothing_k must be positive")
         self.order = order
+        self.context_window = order - 1
         self.smoothing_k = float(smoothing_k)
         self._vocab_size = vocab_size
         self.counts: dict[tuple[int, ...], dict[int, int]] = counts if counts is not None else {}
@@ -188,7 +199,9 @@ class CopyModel(LanguageModel):
     earlier in the prefix, the token that followed the most recent earlier
     occurrence gets ``copy_mass`` and the remainder is spread uniformly;
     otherwise the prediction is uniform. Parameter-free apart from the two
-    knobs, so it costs nothing to deploy next to any target model.
+    knobs, so it costs nothing to deploy next to any target model. One
+    ``evaluate`` costs O(n) in the prefix length n (see :func:`copy_predict`),
+    and it may read the whole prefix, so ``context_window`` stays ``None``.
     """
 
     def __init__(self, vocab_size: int, min_match: int = 2, copy_mass: float = 0.9):
@@ -209,24 +222,44 @@ class CopyModel(LanguageModel):
 
 
 def copy_predict(model: CopyModel, prefix: Sequence[int]) -> np.ndarray:
-    """Copy-heuristic distribution for one prefix.
+    """Copy-heuristic distribution for one prefix, in O(n) time.
 
-    Longest qualifying suffix wins; among equal-length matches the most
-    recent earlier occurrence wins. An occurrence may overlap the suffix,
-    it just has to start earlier.
+    The longest suffix of length at least ``min_match`` that also occurs
+    earlier in the prefix wins; among equal-length matches the most recent
+    earlier occurrence wins. An occurrence may overlap the suffix, it just
+    has to start earlier. The copied token is the one right after that
+    occurrence.
+
+    One pass of the Z-function over the reversed prefix ``r`` finds it:
+    ``z[i]``, the longest common prefix of ``r`` and ``r[i:]``, is the
+    longest common suffix of ``prefix[:n-i]`` and ``prefix``, i.e. the
+    length of the match that ends just before ``prefix[n-i] == r[i-1]``.
+    The largest ``z[i]`` over ``i >= 1`` is the longest match, and the
+    smallest such ``i`` its most recent occurrence.
     """
     v = model.vocab_size
-    n = len(prefix)
-    base = (1.0 - model.copy_mass) / v
-    seq = list(prefix)
-    for m in range(n - 1, model.min_match - 1, -1):
-        suffix = seq[n - m :]
-        for start in range(n - m - 1, -1, -1):
-            if seq[start : start + m] == suffix:
-                out = np.full(v, base)
-                out[seq[start + m]] += model.copy_mass
-                return out
-    return np.full(v, 1.0 / v)
+    r = list(prefix)
+    r.reverse()
+    n = len(r)
+    z = [0] * n
+    best, at = 0, 0
+    lo = hi = 0  # rightmost window [lo, hi) with r[lo:hi] == r[:hi-lo]
+    for i in range(1, n):
+        if n - i <= best:
+            break  # z[i] <= n - i, so no later start can match longer
+        zi = min(hi - i, z[i - lo]) if i < hi else 0
+        while i + zi < n and r[zi] == r[i + zi]:
+            zi += 1
+        z[i] = zi
+        if i + zi > hi:
+            lo, hi = i, i + zi
+        if zi > best:
+            best, at = zi, i
+    if best < model.min_match:
+        return np.full(v, 1.0 / v)
+    out = np.full(v, (1.0 - model.copy_mass) / v)
+    out[r[at - 1]] += model.copy_mass
+    return out
 
 
 def random_model(vocab_size: int) -> StatelessModel:

@@ -294,3 +294,10 @@ class TestConfigFileAndEnv:
                                     "--max-tokens", "4", "--json"])
         assert code == EXIT_OK
         assert json.loads(out)["config"]["seed"] == 321
+
+    def test_non_integer_env_seed_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("SPECDEC_SEED", "12x")
+        code, out, err = run(capsys, ["sweep", "--table1"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "SPECDEC_SEED" in err and "'12x'" in err

@@ -13,13 +13,14 @@ from specdec.model_io import (
     ChecksumMismatchError,
     FORMAT_VERSION,
     MAGIC,
+    ModelFormatError,
     VersionMismatchError,
     deserialize_model,
     load_model,
     save_model,
     serialize_model,
 )
-from specdec.models import StatelessModel, train_ngram
+from specdec.models import NGramModel, StatelessModel, train_ngram
 
 
 @pytest.fixture
@@ -70,6 +71,21 @@ def test_version_mismatch(model):
     struct.pack_into("<H", blob, len(MAGIC), FORMAT_VERSION + 1)
     with pytest.raises(VersionMismatchError):
         deserialize_model(bytes(blob))
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        {(0, 1): {2: 3, 7: 1}},  # next-token id past the vocabulary
+        {(0, 1): {2: 3}, (4, 1): {0: 1}},  # context id equal to vocab_size
+    ],
+    ids=["token", "context"],
+)
+def test_out_of_vocab_ids_rejected(counts):
+    # The writer does not validate, so this blob carries a valid CRC.
+    blob = serialize_model(NGramModel(3, 4, 0.05, counts=counts))
+    with pytest.raises(ModelFormatError, match="outside vocab of 4"):
+        deserialize_model(blob)
 
 
 def test_missing_file_is_os_error(tmp_path):

@@ -118,6 +118,88 @@ class TestCopyModel:
             Distribution(model.evaluate(prefix))
 
 
+def scan_copy_predict(model: CopyModel, prefix) -> np.ndarray:
+    """Oracle: the original quadratic-per-length scan behind ``copy_predict``."""
+    v = model.vocab_size
+    n = len(prefix)
+    base = (1.0 - model.copy_mass) / v
+    seq = list(prefix)
+    for m in range(n - 1, model.min_match - 1, -1):
+        suffix = seq[n - m :]
+        for start in range(n - m - 1, -1, -1):
+            if seq[start : start + m] == suffix:
+                out = np.full(v, base)
+                out[seq[start + m]] += model.copy_mass
+                return out
+    return np.full(v, 1.0 / v)
+
+
+def _scan_oldest_on_ties(model: CopyModel, prefix) -> np.ndarray:
+    """Broken oracle variant: among equal-length matches the oldest wins."""
+    v, n, seq = model.vocab_size, len(prefix), list(prefix)
+    for m in range(n - 1, model.min_match - 1, -1):
+        for start in range(n - m):
+            if seq[start : start + m] == seq[n - m :]:
+                out = np.full(v, (1.0 - model.copy_mass) / v)
+                out[seq[start + m]] += model.copy_mass
+                return out
+    return np.full(v, 1.0 / v)
+
+
+def _scan_no_overlap(model: CopyModel, prefix) -> np.ndarray:
+    """Broken oracle variant: an occurrence may not overlap the suffix."""
+    v, n, seq = model.vocab_size, len(prefix), list(prefix)
+    for m in range(n - 1, model.min_match - 1, -1):
+        for start in range(n - 2 * m, -1, -1):
+            if seq[start : start + m] == seq[n - m :]:
+                out = np.full(v, (1.0 - model.copy_mass) / v)
+                out[seq[start + m]] += model.copy_mass
+                return out
+    return np.full(v, 1.0 / v)
+
+
+# Small vocabularies force repeats, overlapping occurrences and ties.
+copy_cases = st.tuples(
+    st.integers(2, 4).flatmap(
+        lambda v: st.tuples(st.just(v), st.lists(st.integers(0, v - 1), max_size=80))
+    ),
+    st.integers(1, 4),
+    st.sampled_from([0.05, 0.5, 0.9, 0.999]),
+)
+
+
+def _assert_matches_scan(impl, case) -> None:
+    (vocab, prefix), min_match, copy_mass = case
+    model = CopyModel(vocab, min_match=min_match, copy_mass=copy_mass)
+    assert impl(model, prefix).tobytes() == scan_copy_predict(model, prefix).tobytes()
+
+
+class TestCopyOracle:
+    @given(copy_cases)
+    @settings(max_examples=500, deadline=None)
+    def test_matches_scan_bitwise(self, case):
+        _assert_matches_scan(copy_predict, case)
+
+    @pytest.mark.parametrize("broken", [_scan_oldest_on_ties, _scan_no_overlap],
+                             ids=["oldest-on-ties", "no-overlap"])
+    def test_oracle_check_catches_broken_variant(self, broken):
+        @given(copy_cases)
+        @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+        def check(case):
+            _assert_matches_scan(broken, case)
+
+        with pytest.raises(AssertionError):
+            check()
+
+    def test_long_prefix_matches_scan(self):
+        rng = RandomStream(5)
+        model = CopyModel(vocab_size=8, min_match=2)
+        prefix = [int(u * 8) for u in rng.uniform_block(300)]
+        for n in range(0, 301, 25):
+            assert copy_predict(model, prefix[:n]).tobytes() == scan_copy_predict(
+                model, prefix[:n]).tobytes()
+
+
 class TestStatelessAndUniform:
     def test_random_model_uniform(self):
         m = random_model(5)
