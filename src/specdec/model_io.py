@@ -105,8 +105,7 @@ def deserialize_model(data: bytes) -> NGramModel:
             if len(entries) != 12 * n_entries:
                 raise struct.error("entries run past the payload")
             off += len(entries)
-            table: dict[int, int] = dict(struct.iter_unpack("<IQ", entries))
-            counts[ctx] = table
+            counts[ctx] = dict(struct.iter_unpack("<IQ", entries))
     except struct.error as exc:
         # CRC passed but the structure ran past the payload: writer bug.
         raise ModelFormatError(f"malformed record structure: {exc}") from exc

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -86,6 +87,14 @@ def test_out_of_vocab_ids_rejected(counts):
     blob = serialize_model(NGramModel(3, 4, 0.05, counts=counts))
     with pytest.raises(ModelFormatError, match="outside vocab of 4"):
         deserialize_model(blob)
+
+
+def test_record_running_past_payload_rejected():
+    # One record claims two entries but holds one; the CRC is valid.
+    body = b"".join([MAGIC, struct.pack("<HIdIQ", FORMAT_VERSION, 2, 0.05, 4, 1),
+                     struct.pack("<II", 0, 2), struct.pack("<IQ", 1, 3)])
+    with pytest.raises(ModelFormatError, match="malformed record structure"):
+        deserialize_model(body + struct.pack("<I", zlib.crc32(body)))
 
 
 def test_missing_file_is_os_error(tmp_path):
