@@ -1,84 +1,4 @@
 """Desk-scale speculative decoding: exact draft-verify sampling, model zoo,
 latency analysis, and a verification harness."""
 
-from .analysis import (
-    AlphaEstimate,
-    CostModel,
-    DomainError,
-    GammaChoice,
-    beta,
-    estimate_alpha,
-    estimate_lenient_alpha,
-    expected_tokens,
-    improvement_condition,
-    lenient_alpha,
-    memory_access_factor,
-    ops_factor,
-    optimal_gamma,
-    oracle_gamma_bound,
-    sweep,
-    trace_accept_rate,
-    walltime_factor,
-    write_sweep_csv,
-)
-from .beam import Beam, BeamStats, speculative_beam_search, standard_beam_search
-from .distmath import (
-    AllZeroError,
-    Distribution,
-    IDENTITY_POLICY,
-    NegativeEntryError,
-    NonFiniteError,
-    PolicyConflictError,
-    SamplingPolicy,
-    VocabMismatchError,
-    dlk,
-    normalize,
-    residual,
-    sample,
-    sample_many,
-    standardize,
-)
-from .engine import (
-    DecodeResult,
-    DecodeTotals,
-    DraftedToken,
-    SpecConfig,
-    StepTrace,
-    argmax_lenient_accept,
-    decode,
-    rejection_baseline_step,
-    speculative_step,
-    standard_decode,
-)
-from .harness import (
-    EquivalenceReport,
-    SimReport,
-    equivalence_test,
-    exact_step_distribution,
-    geometric_fit_test,
-    rejection_comparison,
-    simulate_walltime,
-)
-from .model_io import (
-    BadMagicError,
-    ChecksumMismatchError,
-    ModelFormatError,
-    VersionMismatchError,
-    load_model,
-    save_model,
-)
-from .models import (
-    CopyModel,
-    CorpusTooShortError,
-    LanguageModel,
-    NGramModel,
-    StatelessModel,
-    copy_predict,
-    random_model,
-    stateless_pair,
-    train_ngram,
-)
-from .rng import RandomStream
-from .tokenizers import ByteTokenizer, WordTokenizer
-
 __version__ = "0.1.0"

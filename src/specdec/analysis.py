@@ -28,9 +28,7 @@ __all__ = [
     "DomainError",
     "GammaChoice",
     "beta",
-    "lenient_alpha",
     "estimate_alpha",
-    "estimate_lenient_alpha",
     "expected_tokens",
     "walltime_factor",
     "improvement_condition",
@@ -100,39 +98,47 @@ def _check_alpha(alpha: float, *, allow_one: bool) -> None:
         raise DomainError(f"alpha={alpha!r} outside [0, {hi}")
 
 
-def beta(p: Distribution, q: Distribution) -> float:
-    """Acceptance probability for one position: sum(min(p, q))."""
-    if p.vocab_size != q.vocab_size:
-        raise DomainError("beta requires equal vocab sizes")
-    return float(np.minimum(p.probs, q.probs).sum())
+def beta(p: Distribution, q: Distribution, lenience: float = 1.0) -> float:
+    """Acceptance probability for one position: sum(min(p / l, q)).
 
-
-def lenient_alpha(p: Distribution, q: Distribution, lenience: float) -> float:
-    """Acceptance probability with lenience l: sum(min(p / l, q))."""
+    At the default lenience 1 this is the overlap sum(min(p, q)) exactly,
+    since p / 1.0 == p in floating point; one minus it is the min-overlap
+    divergence between p and q.
+    """
     if not (0.0 < lenience <= 1.0):
         raise DomainError("lenience must lie in (0, 1]")
     if p.vocab_size != q.vocab_size:
-        raise DomainError("lenient_alpha requires equal vocab sizes")
+        raise DomainError("beta requires equal vocab sizes")
     return float(np.minimum(p.probs / lenience, q.probs).sum())
 
 
-def _walk_positions(
+def estimate_alpha(
     target: LanguageModel,
     draft: LanguageModel,
     prompts: Sequence[Sequence[int]],
     n_tokens: int,
-    policy: SamplingPolicy,
-    seed: int,
-    corpus: Sequence[int] | None,
-    score,
+    policy: SamplingPolicy = IDENTITY_POLICY,
+    seed: int = 0,
+    corpus: Sequence[int] | None = None,
+    lenience: float = 1.0,
 ) -> AlphaEstimate:
+    """Mean per-position acceptance probability over target-generated text.
+
+    Generates ``n_tokens`` tokens autoregressively from the target (split
+    across the prompts, sampled from one ``RandomStream(seed)``) and
+    averages ``beta(p, q, lenience)`` of the standardized distributions at
+    every position. Pass ``corpus`` to score positions of held-out text
+    instead of generated text.
+    """
+    if n_tokens < 1:
+        raise ValueError("n_tokens must be >= 1")
     values: list[float] = []
     if corpus is not None:
         # Corpus-scored variant: walk real text instead of generated text.
         for t in range(1, min(len(corpus), n_tokens + 1)):
             ctx = list(corpus[:t])
-            values.append(score(target.next_distribution(ctx, policy),
-                                draft.next_distribution(ctx, policy)))
+            values.append(beta(target.next_distribution(ctx, policy),
+                               draft.next_distribution(ctx, policy), lenience))
     else:
         if not prompts:
             raise ValueError("need at least one prompt")
@@ -147,7 +153,7 @@ def _walk_positions(
                     break
                 pd = target.next_distribution(ctx, policy)
                 qd = draft.next_distribution(ctx, policy)
-                values.append(score(pd, qd))
+                values.append(beta(pd, qd, lenience))
                 ctx.append(sample(pd, rng))
     n = len(values)
     mean = math.fsum(values) / n
@@ -157,46 +163,6 @@ def _walk_positions(
     else:
         se = 0.0
     return AlphaEstimate(alpha=mean, n_tokens=n, std_error=se)
-
-
-def estimate_alpha(
-    target: LanguageModel,
-    draft: LanguageModel,
-    prompts: Sequence[Sequence[int]],
-    n_tokens: int,
-    policy: SamplingPolicy = IDENTITY_POLICY,
-    seed: int = 0,
-    corpus: Sequence[int] | None = None,
-) -> AlphaEstimate:
-    """Mean per-position acceptance probability over target-generated text.
-
-    Generates ``n_tokens`` tokens autoregressively from the target (split
-    across the prompts) and averages ``beta`` of the standardized
-    distributions at every position. Pass ``corpus`` to score positions of
-    held-out text instead of generated text.
-    """
-    if n_tokens < 1:
-        raise ValueError("n_tokens must be >= 1")
-    return _walk_positions(target, draft, prompts, n_tokens, policy, seed, corpus, beta)
-
-
-def estimate_lenient_alpha(
-    target: LanguageModel,
-    draft: LanguageModel,
-    prompts: Sequence[Sequence[int]],
-    n_tokens: int,
-    lenience: float,
-    policy: SamplingPolicy = IDENTITY_POLICY,
-    seed: int = 0,
-    corpus: Sequence[int] | None = None,
-) -> AlphaEstimate:
-    """Corpus-level version of :func:`lenient_alpha`."""
-    if n_tokens < 1:
-        raise ValueError("n_tokens must be >= 1")
-    return _walk_positions(
-        target, draft, prompts, n_tokens, policy, seed, corpus,
-        lambda p, q: lenient_alpha(p, q, lenience),
-    )
 
 
 def expected_tokens(alpha: float, gamma: int) -> float:

@@ -81,11 +81,30 @@ def _apply_config_defaults(subparser: argparse.ArgumentParser, file_values: dict
         raw = file_values[key]
         if action.nargs == 0:  # store_true flags
             converted[action.dest] = raw.lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            converted[action.dest] = action.type(raw)
-        else:
-            converted[action.dest] = raw
+            continue
+        try:
+            value = raw if action.type is None else action.type(raw)
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(raw)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            raise CliError(f"config key {key!r} has invalid value {raw!r}") from None
+        converted[action.dest] = value
     subparser.set_defaults(**converted)
+
+
+def _apply_config_file(parser: argparse.ArgumentParser, command: str, path: str) -> None:
+    """Pre-set ``command``'s defaults from a config file. A key that no
+    subcommand defines is an error; one defined only by another subcommand
+    is ignored, so one file can serve several subcommands."""
+    file_values = _load_config_file(path)
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    known = {a.dest.replace("_", "-") for sub in subparsers.values() for a in sub._actions}
+    unknown = sorted(set(file_values) - known)
+    if unknown:
+        raise CliError(f"{path}: unknown config key(s): {', '.join(unknown)}")
+    _apply_config_defaults(subparsers[command], file_values)
 
 
 def _resolved_config(args: argparse.Namespace) -> dict:
@@ -425,8 +444,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     _print_header(args, sys.stdout)
     row = report.row(task)
-    ops = analysis.ops_factor(min(report.alpha_hat, 1 - 1e-15), args.gamma, args.c_hat)
-    mem = analysis.memory_access_factor(min(report.alpha_hat, 1 - 1e-15), args.gamma)
+    ops = analysis.ops_factor(report.alpha_hat, args.gamma, args.c_hat)
+    mem = analysis.memory_access_factor(report.alpha_hat, args.gamma)
     row["ops_factor"] = ops
     row["memory_access_factor"] = mem
     print(f"{'task':<24} {'gamma':>5} {'alpha':>7} {'c':>6} {'Exp':>6} {'Emp':>6} {'gap%':>7}")
@@ -599,15 +618,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     probe, _ = parser.parse_known_args(argv)
     if probe.config:
         try:
-            file_values = _load_config_file(probe.config)
+            _apply_config_file(parser, probe.command, probe.config)
         except CliError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        subparsers_action = next(
-            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-        )
-        if probe.command in subparsers_action.choices:
-            _apply_config_defaults(subparsers_action.choices[probe.command], file_values)
 
     args = parser.parse_args(argv)
     try:

@@ -6,9 +6,8 @@ decoders, analysis) trades in these two currencies.
 
 The functions here cover: normalization of raw non-negative scores,
 casting any sampling policy (argmax / temperature / top-k / top-p) into
-plain sampling from an adjusted distribution, inverse-CDF sampling,
-residual distributions for the accept/reject correction step, and the
-min-overlap divergence that governs acceptance rates.
+plain sampling from an adjusted distribution, inverse-CDF sampling, and
+residual distributions for the accept/reject correction step.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ __all__ = [
     "sample_many",
     "inverse_cdf",
     "residual",
-    "dlk",
 ]
 
 # Construction re-normalizes within this slack and rejects beyond it:
@@ -285,15 +283,3 @@ def residual(p: Distribution, q: Distribution, lenience: float = 1.0) -> Distrib
     if total <= 0.0:
         raise AllZeroError("residual has no mass: p <= lenience*q everywhere")
     return Distribution(raw / total)
-
-
-def dlk(p: Distribution, q: Distribution) -> float:
-    """Min-overlap divergence: 1 - sum(min(p, q)).
-
-    Symmetric, in [0, 1]; zero iff p == q, one iff supports are disjoint.
-    One minus this value is the per-position acceptance probability of
-    speculative sampling.
-    """
-    if p.vocab_size != q.vocab_size:
-        raise VocabMismatchError("dlk requires equal vocab sizes")
-    return 1.0 - float(np.minimum(p.probs, q.probs).sum())

@@ -44,7 +44,6 @@ __all__ = [
     "decode",
     "standard_decode",
     "argmax_lenient_accept",
-    "rejection_baseline_step",
 ]
 
 # Valid test-only fault injections for speculative_step.
@@ -173,6 +172,17 @@ def _tail(prefix: Sequence[int], window: int | None) -> list[int]:
     return list(prefix[-window:]) if window else []
 
 
+def _start_sequence(prompt: Sequence[int], bos_token: int | None) -> list[int]:
+    """A fresh copy of the prompt to grow in place, or ``[bos_token]`` when
+    the prompt is empty."""
+    seq = list(prompt)
+    if not seq:
+        if bos_token is None:
+            raise ValueError("empty prompt and no bos_token to inject")
+        seq = [bos_token]
+    return seq
+
+
 def argmax_lenient_accept(p: Distribution, draft: int, lenience: float) -> bool:
     """Lenient acceptance for argmax decoding, applied before standardizing.
 
@@ -251,7 +261,8 @@ def speculative_step(
         else:
             q_x = float(q_dists[i].probs[x])
             # A drafted token always has positive draft probability.
-            assert q_x > 0.0, "drafted token with zero draft probability"
+            if not q_x > 0.0:
+                raise RuntimeError("drafted token with zero draft probability")
             ratio = float(p_dists[i].probs[x]) / (lenience * q_x)
             accepted = not (rs[i] > ratio)
         if not accepted:
@@ -319,14 +330,9 @@ def decode(
     never exceeds the number of tokens kept.
     """
     _check_vocab(target, draft)
-    ctx = list(prompt)
-    if not ctx:
-        if bos_token is None:
-            raise ValueError("empty prompt and no bos_token to inject")
-        ctx = [bos_token]
     rng = RandomStream(config.seed)
 
-    seq = list(ctx)  # prompt plus kept tokens, grown in place
+    seq = _start_sequence(prompt, bos_token)  # prompt plus kept tokens, grown in place
     tokens: list[int] = []
     traces: list[StepTrace] = []
     totals = DecodeTotals()
@@ -348,7 +354,8 @@ def decode(
         if stopped:
             break
     totals.tokens_emitted = len(tokens)
-    assert totals.target_calls <= totals.tokens_emitted, "worst-case call guarantee violated"
+    if totals.target_calls > totals.tokens_emitted:
+        raise RuntimeError("worst-case call guarantee violated")
     return DecodeResult(tokens=tokens, traces=traces, totals=totals)
 
 
@@ -362,14 +369,9 @@ def standard_decode(
 ) -> DecodeResult:
     """Plain autoregressive baseline: one target call per token, same
     standardize-then-sample path as the speculative engine."""
-    ctx = list(prompt)
-    if not ctx:
-        if bos_token is None:
-            raise ValueError("empty prompt and no bos_token to inject")
-        ctx = [bos_token]
     rng = RandomStream(config.seed)
 
-    seq = list(ctx)
+    seq = _start_sequence(prompt, bos_token)
     tokens: list[int] = []
     traces: list[StepTrace] = []
     totals = DecodeTotals()
@@ -388,30 +390,3 @@ def standard_decode(
             break
     totals.tokens_emitted = len(tokens)
     return DecodeResult(tokens=tokens, traces=traces, totals=totals)
-
-
-def rejection_baseline_step(
-    target: LanguageModel,
-    draft: LanguageModel,
-    prefix: Sequence[int],
-    rng: RandomStream,
-    policy: SamplingPolicy = IDENTITY_POLICY,
-) -> int:
-    """Non-iterative rejection sampling baseline: exact, but accepts less.
-
-    Draws x ~ q and accepts with probability p(x) / (M q(x)) where M is the
-    worst-case ratio over q's support; otherwise falls back to sampling the
-    unmodified target distribution. The output is distributed exactly as p,
-    but the acceptance probability is 1/M (over q's support), never above
-    the overlap sum(min(p, q)) that speculative sampling achieves.
-    """
-    _check_vocab(target, draft)
-    p = target.next_distribution(prefix, policy)
-    q = draft.next_distribution(prefix, policy)
-    support = q.probs > 0.0
-    m = float((p.probs[support] / q.probs[support]).max())
-    x = sample(q, rng)
-    r = rng.uniform()
-    if m > 0.0 and r < float(p.probs[x]) / (m * float(q.probs[x])):
-        return x
-    return sample(p, rng)

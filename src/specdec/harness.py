@@ -6,20 +6,20 @@ bit-for-bit (to 1e-12) at lenience 1. Around it sit statistical equivalence
 tests against the sampled engine (with deliberate engine mutations to prove
 the tests have teeth), a goodness-of-fit check of the tokens-per-step law,
 a cost-model walltime simulation reporting expected-vs-empirical speedups,
-and the rejection-sampling comparison.
+and the rejection-sampling baseline with its comparison.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 from scipy import stats as scipy_stats
 
-from .analysis import CostModel, beta, walltime_factor
-from .distmath import Distribution, IDENTITY_POLICY, SamplingPolicy, sample_many
-from .engine import SpecConfig, speculative_step
+from .analysis import CostModel, beta, expected_tokens, trace_accept_rate, walltime_factor
+from .distmath import Distribution, IDENTITY_POLICY, SamplingPolicy, sample, sample_many
+from .engine import DecodeResult, SpecConfig, StepTrace, _check_vocab, decode, speculative_step
 from .models import LanguageModel, stateless_pair
 from .rng import RandomStream
 
@@ -34,6 +34,7 @@ __all__ = [
     "simulate_walltime",
     "rejection_comparison",
     "rejection_accept_probability",
+    "rejection_baseline_step",
 ]
 
 # Enumeration guard for the analytic oracle.
@@ -221,10 +222,7 @@ def geometric_fit_test(
     tv = 0.5 * float(np.abs(counts / n_steps - probs).sum())
 
     mean_tokens = float((counts * np.arange(1, gamma + 2)).sum() / n_steps)
-    if abs(1.0 - alpha) < 1e-12:
-        expected_mean = float(gamma + 1)
-    else:
-        expected_mean = (1.0 - alpha ** (gamma + 1)) / (1.0 - alpha)
+    expected_mean = expected_tokens(alpha, gamma)
     rel_gap = abs(mean_tokens - expected_mean) / expected_mean
     return EquivalenceReport(
         per_context=[ContextResult(float(stat), dof, float(p_value), tv)],
@@ -302,45 +300,40 @@ def simulate_walltime(
 ) -> SimReport:
     """Charge unit costs to a speculative decode and compare with theory.
 
-    Each batched target call costs ``T * (1 + batch_penalty * gamma)``
-    (penalty defaults to 0: the gamma+1 evaluations ride along in parallel)
-    and each draft call costs ``T * c``. The standard-decoding arm pays
-    ``T`` per token on an identical token budget. Run ``n_runs`` times on
-    split RNG streams; acceptance is estimated from the traces and fed to
-    the closed-form prediction.
+    Each run is one :func:`decode` of exactly ``n_tokens`` tokens (the last
+    step is truncated to fit; the stop token is ignored), and run ``i``
+    decodes with seed ``config.seed + i``. Each batched target call costs
+    ``T * (1 + batch_penalty * gamma)`` (penalty defaults to 0: the gamma+1
+    evaluations ride along in parallel) and each draft call costs
+    ``T * c``. The standard-decoding arm pays ``T`` per token on an
+    identical token budget. Acceptance is estimated from the traces of all
+    runs and fed to the closed-form prediction.
     """
     if n_tokens < 1:
         raise ValueError("n_tokens must be >= 1")
     t_unit = cost.unit_target_cost
     runs: list[RunStats] = []
     first_step_tokens: list[int] = []
-    accepted_total = 0
-    judged_total = 0
-    base_rng = RandomStream(config.seed)
+    traces: list[StepTrace] = []
     for run_idx in range(n_runs):
-        rng = base_rng.split(run_idx) if n_runs > 1 else base_rng
-        ctx = list(prompt)
-        emitted = 0
-        steps = 0
+        run_config = replace(config, seed=config.seed + run_idx,
+                             max_new_tokens=n_tokens, stop_token=None)
+        result = decode(target, draft, prompt, run_config)
         run_cost = 0.0
-        while emitted < n_tokens:
-            tokens, trace = speculative_step(target, draft, ctx, config, rng)
-            ctx.extend(tokens)
-            emitted += len(tokens)
-            steps += 1
+        for trace in result.traces:
             run_cost += t_unit * (1.0 + batch_penalty * config.gamma)
             run_cost += t_unit * cost.c * trace.draft_calls
-            accepted_total += trace.accepted_n
-            judged_total += min(trace.accepted_n + 1, config.gamma)
-            if run_idx == 0 and steps <= _TIMELINE_STEPS:
-                first_step_tokens.append(len(tokens))
-        runs.append(RunStats(tokens=emitted, steps=steps, cost=run_cost,
+        emitted = len(result.tokens)
+        runs.append(RunStats(tokens=emitted, steps=len(result.traces), cost=run_cost,
                              speedup=(emitted * t_unit) / run_cost))
+        if run_idx == 0:
+            first_step_tokens = [trace.emitted for trace in result.traces[:_TIMELINE_STEPS]]
+        traces.extend(result.traces)
     total_tokens = sum(r.tokens for r in runs)
     total_cost = sum(r.cost for r in runs)
     empirical = (total_tokens * t_unit) / total_cost
-    alpha_hat = accepted_total / judged_total if judged_total else 0.0
-    expected = walltime_factor(min(alpha_hat, 1.0 - 1e-15), config.gamma, cost.c)
+    alpha_hat = trace_accept_rate(DecodeResult(tokens=[], traces=traces)).alpha
+    expected = walltime_factor(alpha_hat, config.gamma, cost.c)
     return SimReport(
         runs=runs,
         gamma=config.gamma,
@@ -352,16 +345,47 @@ def simulate_walltime(
     )
 
 
-def rejection_accept_probability(p: Distribution, q: Distribution) -> float:
-    """Acceptance probability of non-iterative rejection sampling:
-    sum over q's support of p(x) / M with M the worst-case p/q ratio."""
+def _rejection_bound(p: Distribution, q: Distribution) -> float:
+    """M, the worst-case ratio p(x) / q(x) over q's support."""
     support = q.probs > 0.0
     if not support.any():
         raise ValueError("q has empty support")
-    m = float((p.probs[support] / q.probs[support]).max())
+    return float((p.probs[support] / q.probs[support]).max())
+
+
+def rejection_accept_probability(p: Distribution, q: Distribution) -> float:
+    """Acceptance probability of non-iterative rejection sampling:
+    sum over q's support of p(x) / M with M the worst-case p/q ratio."""
+    m = _rejection_bound(p, q)
     if m == 0.0:
         return 0.0
-    return float(p.probs[support].sum()) / m
+    return float(p.probs[q.probs > 0.0].sum()) / m
+
+
+def rejection_baseline_step(
+    target: LanguageModel,
+    draft: LanguageModel,
+    prefix: Sequence[int],
+    rng: RandomStream,
+    policy: SamplingPolicy = IDENTITY_POLICY,
+) -> int:
+    """Non-iterative rejection sampling baseline: exact, but accepts less.
+
+    Draws x ~ q and accepts with probability p(x) / (M q(x)) where M is the
+    worst-case ratio over q's support; otherwise falls back to sampling the
+    unmodified target distribution. The output is distributed exactly as p,
+    but the acceptance probability is 1/M (over q's support), never above
+    the overlap sum(min(p, q)) that speculative sampling achieves.
+    """
+    _check_vocab(target, draft)
+    p = target.next_distribution(prefix, policy)
+    q = draft.next_distribution(prefix, policy)
+    m = _rejection_bound(p, q)
+    x = sample(q, rng)
+    r = rng.uniform()
+    if m > 0.0 and r < float(p.probs[x]) / (m * float(q.probs[x])):
+        return x
+    return sample(p, rng)
 
 
 def rejection_comparison(
@@ -372,8 +396,8 @@ def rejection_comparison(
 ) -> list[dict]:
     """Per-context speculative acceptance (beta) vs rejection-sampling acceptance.
 
-    Asserts the paper-level ordering: rejection sampling never accepts more
-    often than speculative sampling does.
+    Raises ``RuntimeError`` if the paper-level ordering fails: rejection
+    sampling never accepts more often than speculative sampling does.
     """
     rows = []
     for context in contexts:
@@ -381,6 +405,7 @@ def rejection_comparison(
         q = draft.next_distribution(list(context), policy)
         b = beta(p, q)
         r = rejection_accept_probability(p, q)
-        assert r <= b + 1e-12, f"rejection acceptance {r} exceeds speculative {b}"
+        if r > b + 1e-12:
+            raise RuntimeError(f"rejection acceptance {r} exceeds speculative {b}")
         rows.append({"context": list(context), "speculative_alpha": b, "rejection_accept": r})
     return rows

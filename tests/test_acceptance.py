@@ -35,7 +35,7 @@ import pytest
 from specdec.analysis import (
     CostModel,
     beta,
-    lenient_alpha,
+    beta as lenient_alpha,
     ops_factor,
     walltime_factor,
 )

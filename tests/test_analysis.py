@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specdec.analysis import (
     AlphaEstimate,
@@ -16,10 +18,8 @@ from specdec.analysis import (
     TABLE1_GRID,
     beta,
     estimate_alpha,
-    estimate_lenient_alpha,
     expected_tokens,
     improvement_condition,
-    lenient_alpha,
     memory_access_factor,
     ops_factor,
     optimal_gamma,
@@ -34,7 +34,7 @@ from specdec.engine import SpecConfig, decode
 from specdec.models import StatelessModel, stateless_pair, train_ngram
 from specdec.rng import RandomStream
 
-from conftest import random_pair
+from conftest import paired_probs_strategy, random_pair
 
 
 class TestBeta:
@@ -50,25 +50,39 @@ class TestBeta:
         q = Distribution(np.array([0.5, 0.5]))
         assert beta(p, q) == pytest.approx(0.7)
 
+    @given(paired_probs_strategy())
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_overlap_sum(self, pq):
+        p, q = (Distribution(x) for x in pq)
+        assert beta(p, q).hex() == float(np.minimum(p.probs, q.probs).sum()).hex()
+
+    @given(paired_probs_strategy(),
+           st.floats(min_value=1e-6, max_value=1.0, exclude_max=True))
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_lenient_formula(self, pq, lenience):
+        p, q = (Distribution(x) for x in pq)
+        want = float(np.minimum(p.probs / lenience, q.probs).sum())
+        assert beta(p, q, lenience).hex() == want.hex()
+
 
 class TestLenientAlpha:
     def test_lenience_one_is_beta(self):
         p, q = random_pair(RandomStream(2), 8)
-        assert lenient_alpha(p, q, 1.0) == pytest.approx(beta(p, q), abs=1e-15)
+        assert beta(p, q, 1.0) == pytest.approx(beta(p, q), abs=1e-15)
 
     def test_lenience_to_zero_approaches_one(self):
         p, q = random_pair(RandomStream(3), 8)
-        assert lenient_alpha(p, q, 1e-9) == pytest.approx(1.0, abs=1e-6)
+        assert beta(p, q, 1e-9) == pytest.approx(1.0, abs=1e-6)
 
     def test_hand_example(self):
         p = Distribution(np.array([0.8, 0.2]))
         q = Distribution(np.array([0.5, 0.5]))
-        assert lenient_alpha(p, q, 0.5) == pytest.approx(0.9)
+        assert beta(p, q, 0.5) == pytest.approx(0.9)
 
     def test_domain(self):
         p, q = random_pair(RandomStream(4), 4)
         with pytest.raises(DomainError):
-            lenient_alpha(p, q, 0.0)
+            beta(p, q, 0.0)
 
 
 class TestExpectedTokens:
@@ -271,8 +285,8 @@ class TestEstimateAlpha:
 
     def test_lenient_estimate_matches_pointwise_formula(self):
         p, q = stateless_pair(0.6, vocab_size=4)
-        est = estimate_lenient_alpha(p, q, [[0]], n_tokens=20, lenience=0.5)
-        want = lenient_alpha(
+        est = estimate_alpha(p, q, [[0]], n_tokens=20, lenience=0.5)
+        want = beta(
             p.next_distribution([], IDENTITY_POLICY),
             q.next_distribution([], IDENTITY_POLICY),
             0.5,
@@ -294,7 +308,7 @@ class TestMonteCarloConsistency:
         p, q = random_pair(rng, 6)
         mp, mq = StatelessModel(p.probs), StatelessModel(q.probs)
         lenience = 0.45
-        want = lenient_alpha(p, q, lenience)
+        want = beta(p, q, lenience)
         res = decode(mp, mq, [0],
                      SpecConfig(gamma=2, seed=13, max_new_tokens=30_000, lenience=lenience))
         emp = trace_accept_rate(res)

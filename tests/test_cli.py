@@ -280,6 +280,37 @@ class TestConfigFileAndEnv:
         assert code == EXIT_OK
         assert json.loads(out)["config"]["gamma"] == 2
 
+    @pytest.mark.parametrize("key,value", [("gamma", "abc"), ("color", "purple")])
+    def test_bad_config_value_exits_2(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        code, out, err = run(capsys, ["--config", str(cfg), "decode",
+                                      "--target", "stateless:0.5,0.5", "--draft", "same",
+                                      "--prompt-tokens", "0", "--json"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"'{key}'" in err and f"'{value}'" in err
+
+    def test_unknown_config_key_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gamam=3\n")
+        code, out, err = run(capsys, ["--config", str(cfg), "decode",
+                                      "--target", "stateless:0.5,0.5", "--draft", "same",
+                                      "--prompt-tokens", "0", "--json"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "gamam" in err
+
+    def test_other_subcommands_keys_are_ignored(self, capsys, tmp_path):
+        # "suite" and "pairs" belong to verify only; decode must still run.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("suite=geometric\npairs=7\nmax-tokens=5\n")
+        code, out, _ = run(capsys, ["--config", str(cfg), "decode",
+                                    "--target", "stateless:0.5,0.5", "--draft", "same",
+                                    "--prompt-tokens", "0", "--seed", "1", "--json"])
+        assert code == EXIT_OK
+        assert len(json.loads(out)["tokens"]) == 5
+
     def test_missing_config_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, ["--config", str(tmp_path / "none.cfg"), "sweep",
                                     "--table1"])

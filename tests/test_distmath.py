@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specdec.analysis import beta
 from specdec.distmath import (
     AllZeroError,
     Distribution,
@@ -19,7 +20,6 @@ from specdec.distmath import (
     PolicyConflictError,
     SamplingPolicy,
     VocabMismatchError,
-    dlk,
     inverse_cdf,
     normalize,
     residual,
@@ -29,21 +29,7 @@ from specdec.distmath import (
 )
 from specdec.rng import RandomStream
 
-from conftest import random_pair
-
-
-def probs_strategy(min_size=2, max_size=16):
-    return st.lists(
-        st.floats(min_value=1e-6, max_value=100.0, allow_nan=False),
-        min_size=min_size,
-        max_size=max_size,
-    ).map(lambda xs: np.array(xs) / np.sum(xs))
-
-
-def paired_probs_strategy():
-    return st.integers(min_value=2, max_value=16).flatmap(
-        lambda n: st.tuples(probs_strategy(n, n), probs_strategy(n, n))
-    )
+from conftest import paired_probs_strategy, probs_strategy, random_pair
 
 
 class TestDistribution:
@@ -234,21 +220,25 @@ class TestResidual:
 
 
 class TestDlk:
+    """The min-overlap divergence 1 - beta(p, q)."""
+
     def test_equal_is_zero(self):
         p = Distribution(np.array([0.3, 0.7]))
-        assert dlk(p, p) == 0.0
+        assert 1.0 - beta(p, p) == 0.0
 
     def test_disjoint_is_one(self):
-        assert dlk(Distribution(np.array([1.0, 0.0])), Distribution(np.array([0.0, 1.0]))) == 1.0
+        p, q = Distribution(np.array([1.0, 0.0])), Distribution(np.array([0.0, 1.0]))
+        assert 1.0 - beta(p, q) == 1.0
 
     def test_half_overlap(self):
-        assert dlk(Distribution(np.array([0.5, 0.5])), Distribution(np.array([1.0, 0.0]))) == 0.5
+        p, q = Distribution(np.array([0.5, 0.5])), Distribution(np.array([1.0, 0.0]))
+        assert 1.0 - beta(p, q) == 0.5
 
     @given(paired_probs_strategy())
     @settings(max_examples=150, deadline=None)
     def test_symmetry(self, pq):
         p, q = (Distribution(x) for x in pq)
-        assert abs(dlk(p, q) - dlk(q, p)) < 1e-12
+        assert abs((1.0 - beta(p, q)) - (1.0 - beta(q, p))) < 1e-12
 
     @given(paired_probs_strategy())
     @settings(max_examples=150, deadline=None)
@@ -258,13 +248,13 @@ class TestDlk:
         p, q = (Distribution(x) for x in pq)
         mid = (p.probs + q.probs) / 2.0
         definition_form = float(np.abs(p.probs - mid).sum())
-        assert abs(definition_form - dlk(p, q)) < 1e-12
+        assert abs(definition_form - (1.0 - beta(p, q))) < 1e-12
 
     @given(paired_probs_strategy())
     @settings(max_examples=100, deadline=None)
     def test_range(self, pq):
         p, q = (Distribution(x) for x in pq)
-        v = dlk(p, q)
+        v = 1.0 - beta(p, q)
         assert -1e-12 <= v <= 1.0 + 1e-12
 
 

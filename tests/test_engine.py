@@ -8,15 +8,16 @@ import math
 import numpy as np
 import pytest
 
+from specdec import engine
 from specdec.distmath import Distribution, SamplingPolicy, VocabMismatchError
 from specdec.engine import (
     SpecConfig,
     argmax_lenient_accept,
     decode,
-    rejection_baseline_step,
     speculative_step,
     standard_decode,
 )
+from specdec.harness import rejection_baseline_step
 from specdec.models import LanguageModel, StatelessModel, stateless_pair, train_ngram
 from specdec.rng import RandomStream
 
@@ -88,6 +89,14 @@ class TestSpeculativeStep:
             assert len(tokens) == 5
             assert trace.accepted_n == 4
             assert trace.correction_source == "extra"
+
+    def test_zero_probability_draft_raises(self, monkeypatch):
+        # A sampler that returns a token outside the draft's support breaks
+        # the ratio test's precondition; the step must refuse, not divide.
+        monkeypatch.setattr(engine, "sample", lambda d, rng: 1)
+        m = StatelessModel(np.array([1.0, 0.0]))
+        with pytest.raises(RuntimeError, match="zero draft probability"):
+            speculative_step(m, m, [0], SpecConfig(gamma=2), RandomStream(0))
 
     def test_disjoint_support_always_rejects(self):
         p = StatelessModel(np.array([1.0, 0.0]))
@@ -209,6 +218,21 @@ class TestDecode:
         res = decode(p, q, [0], SpecConfig(gamma=7, seed=123, max_new_tokens=38))
         assert len(res.tokens) == 38
         assert res.totals.target_calls <= 9
+
+    def test_call_guarantee_violation_raises(self, monkeypatch):
+        # A step that reports two target calls per emitted token breaks the
+        # worst-case guarantee decode checks before returning.
+        step = engine.speculative_step
+
+        def costly_step(*args, **kwargs):
+            tokens, trace = step(*args, **kwargs)
+            trace.target_calls = 2 * len(tokens)
+            return tokens, trace
+
+        monkeypatch.setattr(engine, "speculative_step", costly_step)
+        p, q = stateless_pair(0.5)
+        with pytest.raises(RuntimeError, match="worst-case call guarantee"):
+            decode(p, q, [0], SpecConfig(gamma=2, seed=3, max_new_tokens=10))
 
     def test_result_round_trips_through_dict(self, ngram_pair):
         from specdec.engine import DecodeResult

@@ -7,9 +7,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from specdec import harness
 from specdec.analysis import CostModel, beta, expected_tokens
 from specdec.distmath import Distribution, normalize
-from specdec.engine import MUTATIONS, SpecConfig
+from specdec.engine import MUTATIONS, SpecConfig, speculative_step
 from specdec.harness import (
     equivalence_test,
     exact_step_distribution,
@@ -198,6 +199,16 @@ class TestSimulateWalltime:
         assert shown == report.first_step_tokens[:5]
         assert all(1 <= k <= 3 for k in shown)
 
+    def test_runs_use_consecutive_seeds(self):
+        target, draft = stateless_pair(0.5)
+        cost = CostModel(c=0.01)
+        multi = simulate_walltime(target, draft, cost, SpecConfig(gamma=2, seed=13),
+                                  n_tokens=500, n_runs=3)
+        for i in range(3):
+            single = simulate_walltime(target, draft, cost, SpecConfig(gamma=2, seed=13 + i),
+                                       n_tokens=500)
+            assert multi.runs[i] == single.runs[0]
+
     def test_ngram_pair_gap_is_reported_not_asserted(self):
         # Non-stateless models break the i.i.d. assumption; the gap is
         # informational output, so just require the report to be well formed.
@@ -211,6 +222,52 @@ class TestSimulateWalltime:
         assert 0.0 <= report.alpha_hat <= 1.0
         assert report.empirical_speedup > 0.0
         assert np.isfinite(report.rel_gap)
+
+
+def loop_simulation(target, draft, config, n_tokens, prompt=(0,)):
+    """Reference for one ``simulate_walltime`` run: a hand-written loop of
+    speculative steps (the last one untruncated) with its own count of
+    judged positions."""
+    rng = RandomStream(config.seed)
+    ctx = list(prompt)
+    emitted = steps = accepted_total = judged_total = 0
+    first_step_tokens = []
+    while emitted < n_tokens:
+        tokens, trace = speculative_step(target, draft, ctx, config, rng)
+        ctx.extend(tokens)
+        emitted += len(tokens)
+        steps += 1
+        accepted_total += trace.accepted_n
+        judged_total += min(trace.accepted_n + 1, config.gamma)
+        if steps <= 40:
+            first_step_tokens.append(len(tokens))
+    alpha_hat = accepted_total / judged_total if judged_total else 0.0
+    return alpha_hat, steps, first_step_tokens
+
+
+class TestSimulateMatchesLoopOracle:
+    def _check(self, target, draft, config, n_tokens):
+        report = simulate_walltime(target, draft, CostModel(c=0.02), config, n_tokens=n_tokens)
+        alpha_hat, steps, first = loop_simulation(target, draft, config, n_tokens)
+        assert report.alpha_hat.hex() == alpha_hat.hex()
+        assert report.runs[0].steps == steps
+        assert report.first_step_tokens == first
+        assert report.runs[0].tokens == n_tokens
+
+    def test_stateless_pair(self):
+        target, draft = stateless_pair(0.7)
+        self._check(target, draft, SpecConfig(gamma=3, seed=11), 3000)
+
+    def test_ngram_pair(self):
+        rng = RandomStream(15)
+        vocab = 6
+        mp = train_ngram([int(u * vocab) for u in rng.uniform_block(400)], 2, vocab)
+        mq = train_ngram([int(u * vocab) for u in rng.uniform_block(400)], 2, vocab)
+        self._check(mp, mq, SpecConfig(gamma=3, seed=16), 1500)
+
+    def test_odd_length_run(self):
+        target, draft = stateless_pair(0.9)
+        self._check(target, draft, SpecConfig(gamma=5, seed=19), 997)
 
 
 class TestRejectionComparison:
@@ -234,6 +291,13 @@ class TestRejectionComparison:
             r = rejection_accept_probability(p, q)
             b = beta(p, q)
             assert r <= b + 1e-12
+
+    def test_ordering_violation_raises(self, monkeypatch):
+        monkeypatch.setattr(harness, "beta", lambda p, q: 0.0)
+        mp = StatelessModel(np.array([0.8, 0.2]))
+        mq = StatelessModel(np.array([0.5, 0.5]))
+        with pytest.raises(RuntimeError, match="exceeds speculative"):
+            rejection_comparison(mp, mq, [[0]])
 
     def test_strict_dominance_when_different(self):
         rng = RandomStream(105)
