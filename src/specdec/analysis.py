@@ -127,14 +127,16 @@ def estimate_alpha(
     Generates ``n_tokens`` tokens autoregressively from the target (split
     across the prompts, sampled from one ``RandomStream(seed)``) and
     averages ``beta(p, q, lenience)`` of the standardized distributions at
-    every position. Pass ``corpus`` to score positions of held-out text
-    instead of generated text.
+    every position. Pass ``corpus`` (two tokens or more) to score positions
+    of held-out text instead of generated text.
     """
     if n_tokens < 1:
         raise ValueError("n_tokens must be >= 1")
     values: list[float] = []
     if corpus is not None:
         # Corpus-scored variant: walk real text instead of generated text.
+        if len(corpus) < 2:
+            raise ValueError(f"corpus of {len(corpus)} token(s) has no position to score")
         for t in range(1, min(len(corpus), n_tokens + 1)):
             ctx = list(corpus[:t])
             values.append(beta(target.next_distribution(ctx, policy),

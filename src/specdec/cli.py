@@ -2,15 +2,16 @@
 verification suites, emit analysis sweeps, and simulate walltimes.
 
 Exit codes are uniform across subcommands: 0 success, 1 verification
-failure, 2 usage or I/O error. Every command honors ``--seed`` (defaulting
-to the ``SPECDEC_SEED`` environment variable) and is byte-reproducible.
-A flat ``key=value`` config file can pre-set any flag; explicit flags win.
+failure, 2 usage or I/O error. Every command is byte-reproducible, and the
+ones that sample (decode, verify, simulate) take ``--seed``, by default
+``$SPECDEC_SEED`` or 0. A flat ``key=value`` file given with ``--config``
+can set any flag of the subcommand, required ones included, with ``true``
+or ``false`` for a flag key; explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -72,41 +73,6 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _apply_config_defaults(subparser: argparse.ArgumentParser, file_values: dict[str, str]) -> None:
-    converted = {}
-    for action in subparser._actions:
-        key = action.dest.replace("_", "-")
-        if key not in file_values:
-            continue
-        raw = file_values[key]
-        if action.nargs == 0:  # store_true flags
-            converted[action.dest] = raw.lower() in ("1", "true", "yes", "on")
-            continue
-        try:
-            value = raw if action.type is None else action.type(raw)
-            if action.choices is not None and value not in action.choices:
-                raise ValueError(raw)
-        except (TypeError, ValueError, argparse.ArgumentTypeError):
-            raise CliError(f"config key {key!r} has invalid value {raw!r}") from None
-        converted[action.dest] = value
-    subparser.set_defaults(**converted)
-
-
-def _apply_config_file(parser: argparse.ArgumentParser, command: str, path: str) -> None:
-    """Pre-set ``command``'s defaults from a config file. A key that no
-    subcommand defines is an error; one defined only by another subcommand
-    is ignored, so one file can serve several subcommands."""
-    file_values = _load_config_file(path)
-    subparsers = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    ).choices
-    known = {a.dest.replace("_", "-") for sub in subparsers.values() for a in sub._actions}
-    unknown = sorted(set(file_values) - known)
-    if unknown:
-        raise CliError(f"{path}: unknown config key(s): {', '.join(unknown)}")
-    _apply_config_defaults(subparsers[command], file_values)
-
-
 def _resolved_config(args: argparse.Namespace) -> dict:
     skip = {"func", "config"}
     return {k.replace("_", "-"): v for k, v in sorted(vars(args).items()) if k not in skip}
@@ -118,15 +84,11 @@ def _print_header(args: argparse.Namespace, out) -> None:
 
 
 def _tokenizer(args: argparse.Namespace):
-    mode = getattr(args, "tokenizer", "byte")
-    if mode == "byte":
+    if args.tokenizer == "byte":
         return ByteTokenizer()
-    if mode == "word":
-        vocab_file = getattr(args, "vocab_file", None)
-        if not vocab_file:
-            raise CliError("word tokenizer requires --vocab-file")
-        return WordTokenizer.from_vocab_file(vocab_file)
-    raise CliError(f"unknown tokenizer mode {mode!r}")
+    if not args.vocab_file:
+        raise CliError("word tokenizer requires --vocab-file")
+    return WordTokenizer.from_vocab_file(args.vocab_file)
 
 
 def resolve_model(spec: str, other: LanguageModel | None = None) -> LanguageModel:
@@ -177,28 +139,21 @@ def _use_color(mode: str) -> bool:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    if args.tokenizer == "byte":
-        tok = ByteTokenizer()
-        try:
-            with open(args.corpus, "rb") as fh:
-                corpus = tok.encode(fh.read())
-        except OSError as exc:
-            raise CliError(f"cannot read corpus: {exc}") from exc
+    try:
+        with open(args.corpus, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise CliError(f"cannot read corpus: {exc}") from exc
+    text = data if args.tokenizer == "byte" else data.decode("utf-8")
+    if args.tokenizer == "word" and not args.vocab_file:
+        tok = WordTokenizer.from_corpus(text)
+        vocab_out = args.out + ".vocab"
+        with open(vocab_out, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(tok._words) + "\n")
+        print(f"wrote vocabulary to {vocab_out}", file=sys.stderr)
     else:
-        try:
-            with open(args.corpus, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise CliError(f"cannot read corpus: {exc}") from exc
-        if args.vocab_file:
-            tok = WordTokenizer.from_vocab_file(args.vocab_file)
-        else:
-            tok = WordTokenizer.from_corpus(text)
-            vocab_out = args.out + ".vocab"
-            with open(vocab_out, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(tok._words) + "\n")
-            print(f"wrote vocabulary to {vocab_out}", file=sys.stderr)
-        corpus = tok.encode(text)
+        tok = _tokenizer(args)
+    corpus = tok.encode(text)
 
     model = train_ngram(corpus, args.order, tok.vocab_size, smoothing_k=args.smoothing)
     try:
@@ -390,24 +345,13 @@ _SWEEP_KINDS = {
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    kind = "table1" if args.table1 else args.kind
-    if kind is None:
-        raise CliError("pick a sweep with --kind or --table1")
     rows = analysis.sweep(
-        _SWEEP_KINDS[kind],
+        _SWEEP_KINDS[args.kind],
         alphas=_parse_float_list(args.alphas) if args.alphas else None,
         gammas=_parse_int_list(args.gammas) if args.gammas else None,
         cs=_parse_float_list(args.cs) if args.cs else None,
         gamma_max=args.gamma_max,
     )
-    if args.table1 or (kind == "table1" and not args.out):
-        _print_header(args, sys.stdout)
-        print(f"{'alpha':>6} {'gamma':>6} {'operations':>11} {'speed':>8}")
-        for row in rows:
-            print(f"{row['alpha']:>6.2f} {row['gamma']:>6d} "
-                  f"{row['operations']:>10.2f}X {row['speed']:>7.2f}X")
-        if not args.out:
-            return EXIT_OK
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -415,10 +359,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise CliError(f"cannot write CSV: {exc}") from exc
         print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
+    elif args.kind == "table1":
+        _print_header(args, sys.stdout)
+        print(f"{'alpha':>6} {'gamma':>6} {'operations':>11} {'speed':>8}")
+        for row in rows:
+            print(f"{row['alpha']:>6.2f} {row['gamma']:>6d} "
+                  f"{row['operations']:>10.2f}X {row['speed']:>7.2f}X")
     else:
-        buf = io.StringIO()
-        analysis.write_sweep_csv(rows, buf)
-        sys.stdout.write(buf.getvalue())
+        analysis.write_sweep_csv(rows, sys.stdout)
     return EXIT_OK
 
 
@@ -501,135 +449,153 @@ def cmd_beam(args: argparse.Namespace) -> int:
 # parser
 
 
+# Every subcommand's options, declared once: ``build_parser`` adds them, and
+# ``_with_config`` reads a config file's keys and flag keys from them.
+_SEED = dict(type=int, help="PRNG seed (default: $SPECDEC_SEED or 0)")
+_TOKENIZER = {"--tokenizer": dict(choices=["byte", "word"], default="byte"), "--vocab-file": {}}
+
+_COMMANDS = {
+    "train": (cmd_train, "train an n-gram model from a corpus file", {
+        "--corpus": dict(required=True),
+        "--order": dict(type=int, required=True),
+        "--smoothing": dict(type=float, default=0.01),
+        **_TOKENIZER,
+        "--out": dict(required=True),
+    }),
+    "decode": (cmd_decode, "speculative decoding with optional colorized trace", {
+        "--target": dict(required=True, help="model file or builtin spec"),
+        "--draft": dict(required=True,
+                        help="model file or builtin: same | uniform:V | stateless:... | copy:V"),
+        "--prompt": dict(help="prompt text (encoded with the tokenizer)"),
+        "--prompt-tokens": dict(help="comma-separated raw token ids"),
+        "--gamma": dict(type=int, default=4),
+        "--lenience": dict(type=float, default=1.0),
+        "--temperature": dict(type=float, default=1.0),
+        "--top-k": dict(type=int),
+        "--top-p": dict(type=float),
+        "--argmax": dict(action="store_true"),
+        "--seed": _SEED,
+        "--max-tokens": dict(type=int, default=64),
+        "--stop-token": dict(type=int),
+        "--trace": dict(action="store_true",
+                        help="colorized step trace: green accepted drafts, "
+                             "struck red rejection, blue correction"),
+        "--json": dict(action="store_true"),
+        "--color": dict(choices=["auto", "always", "never"], default="auto"),
+        **_TOKENIZER,
+    }),
+    "verify": (cmd_verify, "run a verification suite", {
+        "--suite": dict(required=True,
+                        choices=["exactness", "equivalence", "geometric", "rejection"]),
+        "--pairs": dict(type=int, default=1000),
+        "--samples": dict(type=int, default=100_000),
+        "--steps": dict(type=int, default=100_000),
+        "--vocab": dict(type=int, default=16),
+        "--alpha": dict(type=float, default=0.8),
+        "--gamma": dict(type=int, default=5),
+        "--lenience": dict(type=float, default=1.0),
+        "--mutate": dict(choices=[m.replace("_", "-") for m in MUTATIONS],
+                         help="inject a named engine fault (the suite must then fail)"),
+        "--seed": _SEED,
+    }),
+    "sweep": (cmd_sweep, "emit analysis grids as CSV, or print Table 1", {
+        "--kind": dict(required=True, choices=list(_SWEEP_KINDS)),
+        "--alphas": dict(help="comma-separated alpha grid"),
+        "--gammas": dict(help="comma-separated gamma set"),
+        "--cs": dict(help="comma-separated cost-ratio set"),
+        "--gamma-max": dict(type=int, default=1000),
+        "--out": dict(help="CSV output path (default: stdout; table1 prints a table)"),
+    }),
+    "simulate": (cmd_simulate, "cost-model walltime simulation (Exp vs Emp)", {
+        "--target": {},
+        "--draft": {},
+        "--stateless-alpha": dict(type=float,
+                                  help="use the canonical stateless pair with this acceptance rate"),
+        "--gamma": dict(type=int, required=True),
+        "--c": dict(type=float, default=0.0),
+        "--c-hat": dict(type=float, default=0.0),
+        "--lenience": dict(type=float, default=1.0),
+        "--n-tokens": dict(type=int, default=10_000),
+        "--runs": dict(type=int, default=1),
+        "--batch-penalty": dict(type=float, default=0.0),
+        "--timeline": dict(action="store_true",
+                           help="print a schematic per-step trace of the first steps"),
+        "--out": dict(help="also write the report row as CSV"),
+        "--seed": _SEED,
+    }),
+    "beam": (cmd_beam, "speculative vs standard beam search", {
+        "--target": dict(required=True),
+        "--draft": dict(required=True),
+        "--prompt-tokens": dict(help="comma-separated raw token ids (default: 0)"),
+        "--width": dict(type=int, default=2),
+        "--draft-width": dict(type=int, default=4),
+        "--gamma": dict(type=int, default=3),
+        "--steps": dict(type=int, default=8),
+    }),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    seed = _default_seed()
     parser = argparse.ArgumentParser(
         prog="specdec",
         description="Speculative decoding at desk scale: train, decode, verify, analyze.",
+        allow_abbrev=False,
     )
-    parser.add_argument("--config", help="flat key=value file providing flag defaults")
+    parser.add_argument("--config", help="flat key=value file of flag settings; flags win")
     sub = parser.add_subparsers(dest="command", required=True)
-    seed_kw = dict(type=int, default=_default_seed(),
-                   help="PRNG seed (default: $SPECDEC_SEED or 0)")
-
-    p_train = sub.add_parser("train", help="train an n-gram model from a corpus file")
-    p_train.add_argument("--corpus", required=True)
-    p_train.add_argument("--order", type=int, required=True)
-    p_train.add_argument("--smoothing", type=float, default=0.01)
-    p_train.add_argument("--tokenizer", choices=["byte", "word"], default="byte")
-    p_train.add_argument("--vocab-file")
-    p_train.add_argument("--out", required=True)
-    p_train.add_argument("--seed", **seed_kw)  # training is deterministic; accepted for uniformity
-    p_train.set_defaults(func=cmd_train)
-
-    p_dec = sub.add_parser("decode", help="speculative decoding with optional colorized trace")
-    p_dec.add_argument("--target", required=True, help="model file or builtin spec")
-    p_dec.add_argument("--draft", required=True,
-                       help="model file or builtin: same | uniform:V | stateless:... | copy:V")
-    p_dec.add_argument("--prompt", help="prompt text (encoded with the tokenizer)")
-    p_dec.add_argument("--prompt-tokens", help="comma-separated raw token ids")
-    p_dec.add_argument("--gamma", type=int, default=4)
-    p_dec.add_argument("--lenience", type=float, default=1.0)
-    p_dec.add_argument("--temperature", type=float, default=1.0)
-    p_dec.add_argument("--top-k", type=int, default=None)
-    p_dec.add_argument("--top-p", type=float, default=None)
-    p_dec.add_argument("--argmax", action="store_true")
-    p_dec.add_argument("--seed", **seed_kw)
-    p_dec.add_argument("--max-tokens", type=int, default=64)
-    p_dec.add_argument("--stop-token", type=int, default=None)
-    p_dec.add_argument("--trace", action="store_true",
-                       help="colorized step trace: green accepted drafts, "
-                            "struck red rejection, blue correction")
-    p_dec.add_argument("--json", action="store_true")
-    p_dec.add_argument("--color", choices=["auto", "always", "never"], default="auto")
-    p_dec.add_argument("--tokenizer", choices=["byte", "word"], default="byte")
-    p_dec.add_argument("--vocab-file")
-    p_dec.set_defaults(func=cmd_decode)
-
-    p_ver = sub.add_parser("verify", help="run a verification suite")
-    p_ver.add_argument("--suite", required=True,
-                       choices=["exactness", "equivalence", "geometric", "rejection"])
-    p_ver.add_argument("--pairs", type=int, default=1000)
-    p_ver.add_argument("--samples", type=int, default=100_000)
-    p_ver.add_argument("--steps", type=int, default=100_000)
-    p_ver.add_argument("--vocab", type=int, default=16)
-    p_ver.add_argument("--alpha", type=float, default=0.8)
-    p_ver.add_argument("--gamma", type=int, default=5)
-    p_ver.add_argument("--lenience", type=float, default=1.0)
-    p_ver.add_argument("--mutate", choices=[m.replace("_", "-") for m in MUTATIONS],
-                       default=None,
-                       help="inject a named engine fault (the suite must then fail)")
-    p_ver.add_argument("--seed", **seed_kw)
-    p_ver.set_defaults(func=cmd_verify)
-
-    p_sw = sub.add_parser("sweep", help="emit analysis grids as CSV")
-    p_sw.add_argument("--kind", choices=list(_SWEEP_KINDS))
-    p_sw.add_argument("--table1", action="store_true",
-                      help="print the six-row operations/speed table")
-    p_sw.add_argument("--alphas", help="comma-separated alpha grid")
-    p_sw.add_argument("--gammas", help="comma-separated gamma set")
-    p_sw.add_argument("--cs", help="comma-separated cost-ratio set")
-    p_sw.add_argument("--gamma-max", type=int, default=1000)
-    p_sw.add_argument("--out", help="CSV output path (default: stdout)")
-    p_sw.add_argument("--seed", **seed_kw)
-    p_sw.set_defaults(func=cmd_sweep)
-
-    p_sim = sub.add_parser("simulate", help="cost-model walltime simulation (Exp vs Emp)")
-    p_sim.add_argument("--target")
-    p_sim.add_argument("--draft")
-    p_sim.add_argument("--stateless-alpha", type=float, default=None,
-                       help="use the canonical stateless pair with this acceptance rate")
-    p_sim.add_argument("--gamma", type=int, required=True)
-    p_sim.add_argument("--c", type=float, default=0.0)
-    p_sim.add_argument("--c-hat", type=float, default=0.0)
-    p_sim.add_argument("--lenience", type=float, default=1.0)
-    p_sim.add_argument("--n-tokens", type=int, default=10_000)
-    p_sim.add_argument("--runs", type=int, default=1)
-    p_sim.add_argument("--batch-penalty", type=float, default=0.0)
-    p_sim.add_argument("--timeline", action="store_true",
-                       help="print a schematic per-step trace of the first steps")
-    p_sim.add_argument("--out", help="also write the report row as CSV")
-    p_sim.add_argument("--seed", **seed_kw)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_beam = sub.add_parser("beam", help="speculative vs standard beam search")
-    p_beam.add_argument("--target", required=True)
-    p_beam.add_argument("--draft", required=True)
-    p_beam.add_argument("--prompt-tokens", help="comma-separated raw token ids (default: 0)")
-    p_beam.add_argument("--width", "-w", type=int, default=2)
-    p_beam.add_argument("--draft-width", "-u", type=int, default=4)
-    p_beam.add_argument("--gamma", type=int, default=3)
-    p_beam.add_argument("--steps", type=int, default=8)
-    p_beam.add_argument("--seed", **seed_kw)
-    p_beam.set_defaults(func=cmd_beam)
-
+    for name, (func, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **({**kwargs, "default": seed} if kwargs is _SEED else kwargs))
+        p.set_defaults(func=func)
     return parser
+
+
+def _with_config(argv: list[str]) -> list[str]:
+    """``argv`` with the ``--config`` file's settings for the subcommand as
+    flags right after its name, so that explicit flags, which come later,
+    win. A key that no subcommand defines is an error; one defined only by
+    another subcommand is ignored, so one file can serve several."""
+    # No abbreviations, as in the full parser: ``--conf`` is not --config.
+    probe = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+    probe.add_argument("--config")
+    probe.add_argument("command", nargs="?")
+    probe.add_argument("rest", nargs=argparse.REMAINDER)
+    try:
+        known, before = probe.parse_known_args(argv)
+    except argparse.ArgumentError:
+        return argv  # the full parse reports it
+    if not known.config or known.command not in _COMMANDS:
+        return argv
+    values = _load_config_file(known.config)
+    defined = {flag for _, _, options in _COMMANDS.values() for flag in options}
+    unknown = sorted(key for key in values if "--" + key not in defined)
+    if unknown:
+        raise CliError(f"{known.config}: unknown config key(s): {', '.join(unknown)}")
+    options = _COMMANDS[known.command][2]
+    flags = []
+    for key, raw in values.items():
+        flag = "--" + key
+        if flag not in options:
+            continue
+        if options[flag].get("action") != "store_true":
+            flags.append(f"{flag}={raw}")  # the = form keeps a value such as -x a value
+        elif raw.lower() in ("1", "true", "yes", "on"):
+            flags.append(flag)
+        elif raw.lower() not in ("0", "false", "no", "off"):
+            raise CliError(f"config key {key!r}: flag --{key} takes true or false, not {raw!r}")
+    return [*before, known.command, *flags, *known.rest]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        parser = build_parser()
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    # Two-phase parse so a config file can pre-set subcommand defaults
-    # while explicit flags still win.
-    probe, _ = parser.parse_known_args(argv)
-    if probe.config:
-        try:
-            _apply_config_file(parser, probe.command, probe.config)
-        except CliError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-
-    args = parser.parse_args(argv)
-    try:
+        args = build_parser().parse_args(_with_config(argv))
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, KeyError) as exc:
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return exc.code
+    except (CliError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -283,6 +283,12 @@ class TestEstimateAlpha:
         ])
         assert est.alpha == pytest.approx(float(expected), abs=1e-12)
 
+    @pytest.mark.parametrize("corpus", [[], [0]])
+    def test_corpus_without_a_position_rejected(self, corpus):
+        p, q = stateless_pair(0.6, vocab_size=4)
+        with pytest.raises(ValueError, match=f"corpus of {len(corpus)} token"):
+            estimate_alpha(p, q, [], n_tokens=5, corpus=corpus)
+
     def test_lenient_estimate_matches_pointwise_formula(self):
         p, q = stateless_pair(0.6, vocab_size=4)
         est = estimate_alpha(p, q, [[0]], n_tokens=20, lenience=0.5)

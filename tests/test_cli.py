@@ -173,7 +173,7 @@ class TestVerify:
 
 class TestSweep:
     def test_table1_pretty(self, capsys):
-        code, out, _ = run(capsys, ["sweep", "--table1"])
+        code, out, _ = run(capsys, ["sweep", "--kind", "table1"])
         assert code == EXIT_OK
         assert "1.63X" in out and "3.69X" in out and "6.86X" in out
 
@@ -280,7 +280,8 @@ class TestConfigFileAndEnv:
         assert code == EXIT_OK
         assert json.loads(out)["config"]["gamma"] == 2
 
-    @pytest.mark.parametrize("key,value", [("gamma", "abc"), ("color", "purple")])
+    @pytest.mark.parametrize("key,value", [("gamma", "abc"), ("color", "purple"),
+                                           ("json", "maybe")])
     def test_bad_config_value_exits_2(self, capsys, tmp_path, key, value):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key}={value}\n")
@@ -289,7 +290,53 @@ class TestConfigFileAndEnv:
                                       "--prompt-tokens", "0", "--json"])
         assert code == EXIT_USAGE
         assert out == ""
-        assert f"'{key}'" in err and f"'{value}'" in err
+        assert f"--{key}" in err and f"'{value}'" in err
+
+    @pytest.mark.parametrize("text,argv", [
+        ("target=stateless:0.5,0.5\ndraft=same\nprompt=-x",
+         ["decode", "--prompt-tokens", "0", "--max-tokens", "4"]),
+        ("gamma=3\nstateless-alpha=0.7", ["simulate", "--n-tokens", "300"]),
+    ], ids=["decode", "simulate"])
+    def test_config_supplies_required_flags(self, capsys, tmp_path, text, argv):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text + "\n")
+        code, out, err = run(capsys, ["--config", str(cfg), *argv])
+        assert code == EXIT_OK, err
+        header = out.splitlines()[0].split()
+        assert all(setting in header for setting in text.splitlines())
+
+    def test_flag_overrides_config_for_required_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("target=stateless:0.9,0.1\ndraft=same\n")
+        code, out, _ = run(capsys, ["--config", str(cfg), "decode",
+                                    "--target", "stateless:0.5,0.5", "--prompt-tokens", "0",
+                                    "--max-tokens", "3", "--json"])
+        assert code == EXIT_OK
+        assert json.loads(out)["config"]["target"] == "stateless:0.5,0.5"
+
+    @pytest.mark.parametrize("text,flags", [
+        ("json=yes", ["--json"]),
+        ("json=TRUE\nargmax=false", ["--json"]),
+        ("json=1\nargmax=on", ["--json", "--argmax"]),
+        ("json=off", []),
+    ], ids=["yes", "true-false", "one-on", "off"])
+    def test_flag_keys_take_true_or_false(self, capsys, tmp_path, text, flags):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text + "\n")
+        argv = ["decode", "--target", "stateless:0.6,0.4", "--draft", "stateless:0.4,0.6",
+                "--prompt-tokens", "0", "--seed", "2", "--max-tokens", "12"]
+        via_file = run(capsys, ["--config", str(cfg), *argv])
+        assert via_file == run(capsys, [*argv, *flags])
+        assert via_file[0] == EXIT_OK
+
+    def test_config_path_named_like_a_subcommand(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "decode").write_text("max-tokens=3\n")
+        code, out, _ = run(capsys, ["--config", "decode", "decode",
+                                    "--target", "stateless:0.5,0.5", "--draft", "same",
+                                    "--prompt-tokens", "0", "--json"])
+        assert code == EXIT_OK
+        assert len(json.loads(out)["tokens"]) == 3
 
     def test_unknown_config_key_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -313,7 +360,7 @@ class TestConfigFileAndEnv:
 
     def test_missing_config_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, ["--config", str(tmp_path / "none.cfg"), "sweep",
-                                    "--table1"])
+                                    "--kind", "table1"])
         assert code == EXIT_USAGE
         assert "error" in err
 
@@ -328,7 +375,39 @@ class TestConfigFileAndEnv:
 
     def test_non_integer_env_seed_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("SPECDEC_SEED", "12x")
-        code, out, err = run(capsys, ["sweep", "--table1"])
+        code, out, err = run(capsys, ["sweep", "--kind", "table1"])
         assert code == EXIT_USAGE
         assert out == ""
         assert "SPECDEC_SEED" in err and "'12x'" in err
+
+
+class TestUsageErrors:
+    def test_bad_explicit_flag_returns_2(self, capsys):
+        code, out, err = run(capsys, ["decode", "--target", "stateless:0.5,0.5",
+                                      "--draft", "same", "--gamma", "abc"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--gamma" in err and "'abc'" in err
+
+    def test_short_flag_prefix_is_not_config(self, capsys):
+        # --c is simulate's cost ratio, not an abbreviation of --config.
+        code, out, err = run(capsys, ["simulate", "--c", "0.02", "--stateless-alpha", "0.5",
+                                      "--gamma", "2", "--n-tokens", "100", "--seed", "1"])
+        assert code == EXIT_OK, err
+        assert "c=0.02" in out.splitlines()[0].split()
+
+    @pytest.mark.parametrize("argv,removed", [
+        (["sweep", "--kind", "table1", "--table1"], "--table1"),
+        (["sweep", "--kind", "table1", "--seed", "1"], "--seed"),
+        (["train", "--corpus", "c.txt", "--order", "2", "--out", "m.sdng", "--seed", "1"],
+         "--seed"),
+        (["beam", "--target", "uniform:4", "--draft", "same", "--seed", "1"], "--seed"),
+        (["beam", "--target", "uniform:4", "--draft", "same", "-w", "2"], "-w"),
+        (["beam", "--target", "uniform:4", "--draft", "same", "-u", "2"], "-u"),
+        (["--conf=run.cfg", "sweep", "--kind", "table1"], "--conf=run.cfg"),
+    ])
+    def test_removed_spellings_exit_2(self, capsys, argv, removed):
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"unrecognized arguments: {removed}" in err

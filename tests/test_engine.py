@@ -4,6 +4,10 @@ and the rejection-sampling baseline."""
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,3 +359,62 @@ class TestRejectionBaseline:
         rate = accepted / n
         se = math.sqrt(0.625 * 0.375 / n)
         assert abs(rate - 0.625) <= 4 * se
+
+
+# Triggers each invariant of the engine and harness by patching, as the
+# monkeypatched tests above do, and reports any that stay silent. It runs
+# under ``python -O``, so it checks with ``if``, never ``assert``.
+_INVARIANTS_SCRIPT = """
+import sys
+import numpy as np
+from specdec import engine, harness
+from specdec.engine import SpecConfig, decode, speculative_step
+from specdec.harness import rejection_comparison
+from specdec.models import StatelessModel, stateless_pair
+from specdec.rng import RandomStream
+
+def raises(module, name, value, call):
+    saved = getattr(module, name)
+    setattr(module, name, value)
+    try:
+        call()
+    except RuntimeError:
+        return True
+    finally:
+        setattr(module, name, saved)
+    return False
+
+step = engine.speculative_step
+
+def costly_step(*args, **kwargs):
+    tokens, trace = step(*args, **kwargs)
+    trace.target_calls = 2 * len(tokens)
+    return tokens, trace
+
+one_hot = StatelessModel(np.array([1.0, 0.0]))
+p, q = stateless_pair(0.5)
+checks = {
+    "zero draft probability": raises(engine, "sample", lambda d, rng: 1, lambda: speculative_step(
+        one_hot, one_hot, [0], SpecConfig(gamma=2), RandomStream(0))),
+    "call guarantee": raises(engine, "speculative_step", costly_step, lambda: decode(
+        p, q, [0], SpecConfig(gamma=2, seed=3, max_new_tokens=10))),
+    "rejection ordering": raises(harness, "beta", lambda p, q: 0.0, lambda: rejection_comparison(
+        StatelessModel(np.array([0.8, 0.2])), StatelessModel(np.array([0.5, 0.5])), [[0]])),
+}
+if __debug__:
+    sys.exit("assertions are on: not running under -O")
+silent = [name for name, raised in checks.items() if not raised]
+if silent:
+    sys.exit("no RuntimeError from: " + ", ".join(silent))
+print("all invariants raised")
+"""
+
+
+def test_invariants_hold_under_optimize():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", _INVARIANTS_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "all invariants raised"
