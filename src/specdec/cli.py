@@ -88,7 +88,10 @@ def _tokenizer(args: argparse.Namespace):
         return ByteTokenizer()
     if not args.vocab_file:
         raise CliError("word tokenizer requires --vocab-file")
-    return WordTokenizer.from_vocab_file(args.vocab_file)
+    try:
+        return WordTokenizer.from_vocab_file(args.vocab_file)
+    except OSError as exc:
+        raise CliError(f"cannot read vocabulary: {exc}") from exc
 
 
 def resolve_model(spec: str, other: LanguageModel | None = None) -> LanguageModel:
@@ -148,8 +151,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.tokenizer == "word" and not args.vocab_file:
         tok = WordTokenizer.from_corpus(text)
         vocab_out = args.out + ".vocab"
-        with open(vocab_out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(tok._words) + "\n")
+        try:
+            with open(vocab_out, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(tok._words) + "\n")
+        except OSError as exc:
+            raise CliError(f"cannot write vocabulary: {exc}") from exc
         print(f"wrote vocabulary to {vocab_out}", file=sys.stderr)
     else:
         tok = _tokenizer(args)

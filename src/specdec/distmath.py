@@ -28,6 +28,7 @@ __all__ = [
     "VocabMismatchError",
     "normalize",
     "standardize",
+    "standardize_rows",
     "sample",
     "sample_many",
     "inverse_cdf",
@@ -77,9 +78,9 @@ class Distribution:
         p = np.asarray(probs, dtype=np.float64)
         if p.ndim != 1 or p.shape[0] == 0:
             raise ValueError("distribution must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(p)):
+        if not np.isfinite(p).all():
             raise NonFiniteError("distribution contains non-finite entries")
-        if np.any(p < 0):
+        if (p < 0).any():
             raise NegativeEntryError("distribution contains negative entries")
         total = float(p.sum())
         if total == 0.0:
@@ -92,6 +93,30 @@ class Distribution:
         p.flags.writeable = False
         self.probs = p
         self._cdf = None
+
+    @classmethod
+    def rows(cls, probs: np.ndarray) -> list["Distribution"]:
+        """One distribution per row of a 2-D block, with ``__init__``'s checks and
+        renormalization run once over the block; each holds a read-only row view."""
+        p = np.asarray(probs, dtype=np.float64)
+        if p.ndim != 2 or 0 in p.shape:
+            raise ValueError("distribution block must be a non-empty 2-D array")
+        if not np.isfinite(p).all():
+            raise NonFiniteError("distribution contains non-finite entries")
+        if (p < 0).any():
+            raise NegativeEntryError("distribution contains negative entries")
+        total = p.sum(axis=1, keepdims=True)
+        if (total == 0.0).any():
+            raise AllZeroError("distribution sums to zero")
+        worst = float(total.flat[np.abs(total - 1.0).argmax()])
+        if abs(worst - 1.0) > _SUM_SLACK:
+            raise ValueError(f"distribution sums to {worst!r}, not 1 (beyond 1e-6 slack)")
+        p = p / total  # x / 1.0 == x: rows that already sum to one stay as they are
+        p.flags.writeable = False
+        dists = [object.__new__(cls) for _ in range(len(p))]
+        for d, row in zip(dists, p):
+            d.probs, d._cdf = row, None
+        return dists
 
     @property
     def vocab_size(self) -> int:
@@ -171,9 +196,68 @@ def normalize(raw: np.ndarray) -> Distribution:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _descending(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices into ``p.ravel()`` that sort each row in descending order (stable:
+    ties keep the lower token index), and the sorted values as a fresh array."""
+    order = np.argsort(-p, axis=-1, kind="stable")
+    if p.ndim > 1:
+        order += np.arange(0, p.size, p.shape[-1])[:, None]
+    return order, p.reshape(-1)[order]
+
+
+def _unsort(p: np.ndarray, order: np.ndarray, ranked: np.ndarray) -> np.ndarray:
+    """Put the sorted, partly zeroed rows back in token order, renormalized."""
+    kept = np.empty(p.shape)
+    kept.reshape(-1)[order] = ranked  # a view, since kept is contiguous
+    return kept / kept.sum(axis=-1, keepdims=True)
+
+
+def _apply_policy(s: np.ndarray, policy: SamplingPolicy, from_logits: bool) -> np.ndarray:
+    """The policy's transforms along the last axis of a float64 score array:
+    each row comes out exactly as it would on its own."""
+    if not np.isfinite(s).all():
+        raise NonFiniteError("scores contain non-finite entries")
+    if not from_logits and (s < 0).any():
+        raise NegativeEntryError("probability scores contain negative entries")
+
+    if policy.is_argmax:
+        # Tie-aware: zero out non-max entries, normalize over the ties.
+        mask = (s == s.max(axis=-1, keepdims=True)).astype(np.float64)
+        return mask / mask.sum(axis=-1, keepdims=True)
+
+    t = policy.temperature
+    if from_logits:
+        p = _softmax(s / t) if t != 1.0 else _softmax(s)
+    else:
+        total = s.sum(axis=-1, keepdims=True)
+        if (total <= 0.0).any():
+            raise AllZeroError("probability scores sum to zero")
+        p = s / total
+        if t != 1.0:
+            p = p ** (1.0 / t)
+            p = p / p.sum(axis=-1, keepdims=True)
+
+    if policy.top_k is not None:
+        k = policy.top_k
+        if k > p.shape[-1]:
+            raise PolicyConflictError(f"top_k={k} exceeds vocab size {p.shape[-1]}")
+        if k < p.shape[-1]:
+            order, ranked = _descending(p)
+            ranked[..., k:] = 0.0
+            p = _unsort(p, order, ranked)
+
+    if policy.top_p is not None and policy.top_p < 1.0:
+        # Sorted entry i stays iff the mass before it falls short of top_p.
+        order, ranked = _descending(p)
+        short = np.cumsum(ranked, axis=-1)[..., :-1] < policy.top_p - _TOP_P_SLACK
+        ranked[..., 1:] *= short
+        p = _unsort(p, order, ranked)
+
+    return p
 
 
 def standardize(
@@ -193,49 +277,20 @@ def standardize(
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 1 or s.shape[0] == 0:
         raise ValueError("scores must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(s)):
-        raise NonFiniteError("scores contain non-finite entries")
-    if not from_logits and np.any(s < 0):
-        raise NegativeEntryError("probability scores contain negative entries")
+    return Distribution(_apply_policy(s, policy, from_logits))
 
-    if policy.is_argmax:
-        # Tie-aware: zero out non-max entries, normalize over the ties.
-        mask = (s == s.max()).astype(np.float64)
-        return Distribution(mask / mask.sum())
 
-    t = policy.temperature
-    if from_logits:
-        p = _softmax(s / t) if t != 1.0 else _softmax(s)
-    else:
-        total = float(s.sum())
-        if total <= 0.0:
-            raise AllZeroError("probability scores sum to zero")
-        p = s / total
-        if t != 1.0:
-            p = p ** (1.0 / t)
-            p = p / p.sum()
-
-    if policy.top_k is not None:
-        k = policy.top_k
-        if k > p.shape[0]:
-            raise PolicyConflictError(f"top_k={k} exceeds vocab size {p.shape[0]}")
-        if k < p.shape[0]:
-            # Stable sort on the negated vector: ties at the cutoff keep
-            # the lower token index.
-            order = np.argsort(-p, kind="stable")
-            kept = np.zeros_like(p)
-            kept[order[:k]] = p[order[:k]]
-            p = kept / kept.sum()
-
-    if policy.top_p is not None and policy.top_p < 1.0:
-        order = np.argsort(-p, kind="stable")
-        csum = np.cumsum(p[order])
-        cut = int(np.searchsorted(csum, policy.top_p - _TOP_P_SLACK, side="left"))
-        kept = np.zeros_like(p)
-        kept[order[: cut + 1]] = p[order[: cut + 1]]
-        p = kept / kept.sum()
-
-    return Distribution(p)
+def standardize_rows(
+    scores: np.ndarray,
+    policy: SamplingPolicy = IDENTITY_POLICY,
+    *,
+    from_logits: bool = False,
+) -> list[Distribution]:
+    """``standardize`` for each row of a 2-D block, every transform and check run
+    once over the block: row ``i`` is bitwise equal to ``standardize(scores[i],
+    policy, from_logits=...)``, and a bad row raises what it would raise."""
+    s = np.asarray(scores, dtype=np.float64)
+    return Distribution.rows(_apply_policy(s, policy, from_logits))
 
 
 def inverse_cdf(d: Distribution, u: float) -> int:

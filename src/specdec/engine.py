@@ -29,7 +29,8 @@ from .distmath import (
     inverse_cdf,
     residual,
     sample,
-    standardize,
+    standardize,  # unused here, but the traced benchmark wraps engine.standardize
+    standardize_rows,
 )
 from .models import LanguageModel
 from .rng import RandomStream
@@ -240,12 +241,12 @@ def speculative_step(
     # covering all gamma+1 candidate prefixes, results in prefix order.
     raw_dists: list[Distribution] | None = None
     if argmax_lenient:
-        # Standardize the one batch of raw scores both ways; the raw view
+        # Standardize the one block of raw scores both ways; the raw view
         # feeds the lenient acceptance rule.
         scores = target.evaluate_batch(candidates)
         from_logits = target.score_kind == "logits"
-        p_dists = [standardize(s, policy, from_logits=from_logits) for s in scores]
-        raw_dists = [standardize(s, IDENTITY_POLICY, from_logits=from_logits) for s in scores]
+        p_dists = standardize_rows(scores, policy, from_logits=from_logits)
+        raw_dists = standardize_rows(scores, IDENTITY_POLICY, from_logits=from_logits)
     else:
         p_dists = target.next_distribution_batch(candidates, policy)
 

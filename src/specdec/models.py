@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distmath import Distribution, SamplingPolicy, standardize
+from .distmath import Distribution, SamplingPolicy, standardize, standardize_rows
 
 __all__ = [
     "LanguageModel",
@@ -71,8 +71,8 @@ class LanguageModel(ABC):
     def next_distribution_batch(
         self, prefixes: Sequence[Sequence[int]], policy: SamplingPolicy
     ) -> list[Distribution]:
-        from_logits = self.score_kind == "logits"
-        return [standardize(s, policy, from_logits=from_logits) for s in self.evaluate_batch(prefixes)]
+        return standardize_rows(self.evaluate_batch(prefixes), policy,
+                                from_logits=self.score_kind == "logits")
 
 
 class StatelessModel(LanguageModel):
@@ -199,10 +199,19 @@ class CopyModel(LanguageModel):
     earlier in the prefix, the token that followed the most recent earlier
     occurrence gets ``copy_mass`` and the remainder is spread uniformly;
     otherwise the prediction is uniform. Parameter-free apart from the two
-    knobs, so it costs nothing to deploy next to any target model. One
-    ``evaluate`` costs O(n) in the prefix length n (see :func:`copy_predict`),
-    and it may read the whole prefix, so ``context_window`` stays ``None``.
+    knobs, so it costs nothing to deploy next to any target model. It may
+    read the whole prefix, so ``context_window`` stays ``None``.
+
+    Calls are incremental: the model keeps a copy of the last prefix and
+    the match lengths of its last ``_KEEP`` call lengths. A prefix that
+    extends one of those by k tokens costs an O(n) list copy and compare
+    plus k numpy passes of length n; any other prefix one O(n) pass in
+    Python, as :func:`copy_predict`. ``next_distribution`` reuses one
+    distribution per (policy, copied token). This state makes a
+    ``CopyModel`` unsafe to share between threads.
     """
+
+    _KEEP = 16  # lets a draft of up to 15 tokens fork back to any position
 
     def __init__(self, vocab_size: int, min_match: int = 2, copy_mass: float = 0.9):
         if min_match < 1:
@@ -212,54 +221,103 @@ class CopyModel(LanguageModel):
         self._vocab_size = vocab_size
         self.min_match = min_match
         self.copy_mass = copy_mass
+        self._path: list[int] = []
+        self._tokens = np.empty(0, dtype=np.int64)  # self._path as an array
+        self._lengths: dict[int, np.ndarray] = {}  # prefix length -> match lengths
+        self._dists: dict[tuple[SamplingPolicy, int | None], Distribution] = {}
 
     @property
     def vocab_size(self) -> int:
         return self._vocab_size
 
     def evaluate(self, prefix: Sequence[int]) -> np.ndarray:
-        return copy_predict(self, prefix)
+        return _copy_scores(self, self._copied(prefix))
+
+    def next_distribution(self, prefix: Sequence[int], policy: SamplingPolicy) -> Distribution:
+        key = (policy, self._copied(prefix))
+        d = self._dists.get(key)
+        if d is None:
+            d = self._dists[key] = standardize(_copy_scores(self, key[1]), policy)
+        return d
+
+    def _copied(self, prefix: Sequence[int]) -> int | None:
+        """The token :func:`copy_predict` would copy for ``prefix``, or None."""
+        path = list(prefix)
+        n = len(path)
+        # The longest kept length whose tokens are a prefix of this call's;
+        # contents are compared, since callers may grow one list in place.
+        m = next((k for k in sorted(self._lengths, reverse=True)
+                  if k <= n and path[:k] == self._path[:k]), None)
+        if m is None:
+            same, m, lcs = 0, n, _common_suffixes(path)
+        else:
+            same, lcs = m, self._lengths[m]
+        if same < len(self._path):  # drop what was kept for the old path past `same`
+            self._lengths = {k: v for k, v in self._lengths.items() if k <= same}
+        if len(self._tokens) < n:
+            self._tokens = np.resize(self._tokens, 2 * n)
+        self._tokens[same:n] = path[same:]
+        for i in range(m, n):
+            # Appending t: the match ending at j extends the one ending at j-1.
+            lcs = (self._tokens[: i + 1] == self._tokens[i]) * np.concatenate(([1], lcs + 1))
+        self._path = path
+        self._lengths[n] = lcs
+        while len(self._lengths) > self._KEEP:
+            del self._lengths[next(iter(self._lengths))]
+        return _copied_token(path, lcs, self.min_match)
 
 
-def copy_predict(model: CopyModel, prefix: Sequence[int]) -> np.ndarray:
-    """Copy-heuristic distribution for one prefix, in O(n) time.
+def _common_suffixes(tokens: list[int]) -> np.ndarray:
+    """``lcs[j]``: length of the longest common suffix of ``tokens[:j+1]``
+    and ``tokens``, for every ``j`` (so ``lcs[-1] == len(tokens)``).
 
-    The longest suffix of length at least ``min_match`` that also occurs
-    earlier in the prefix wins; among equal-length matches the most recent
-    earlier occurrence wins. An occurrence may overlap the suffix, it just
-    has to start earlier. The copied token is the one right after that
-    occurrence.
-
-    One pass of the Z-function over the reversed prefix ``r`` finds it:
-    ``z[i]``, the longest common prefix of ``r`` and ``r[i:]``, is the
-    longest common suffix of ``prefix[:n-i]`` and ``prefix``, i.e. the
-    length of the match that ends just before ``prefix[n-i] == r[i-1]``.
-    The largest ``z[i]`` over ``i >= 1`` is the longest match, and the
-    smallest such ``i`` its most recent occurrence.
+    One pass of the Z-function over the reversed tokens ``r``: ``z[i]``,
+    the longest common prefix of ``r`` and ``r[i:]``, is ``lcs[n-1-i]``.
     """
-    v = model.vocab_size
-    r = list(prefix)
-    r.reverse()
+    r = tokens[::-1]
     n = len(r)
-    z = [0] * n
-    best, at = 0, 0
+    z = [n] * n  # z[0] = n; the loop sets every later entry
     lo = hi = 0  # rightmost window [lo, hi) with r[lo:hi] == r[:hi-lo]
     for i in range(1, n):
-        if n - i <= best:
-            break  # z[i] <= n - i, so no later start can match longer
         zi = min(hi - i, z[i - lo]) if i < hi else 0
         while i + zi < n and r[zi] == r[i + zi]:
             zi += 1
         z[i] = zi
         if i + zi > hi:
             lo, hi = i, i + zi
-        if zi > best:
-            best, at = zi, i
-    if best < model.min_match:
+    return np.array(z[::-1], dtype=np.int64)
+
+
+def _copied_token(tokens: Sequence[int], lcs: np.ndarray, min_match: int) -> int | None:
+    """The token after the longest earlier match of the suffix (the most
+    recent one among equals), if that match is at least ``min_match`` long."""
+    back = lcs[-2::-1]  # the matches ending before the last token, most recent first
+    if len(back) == 0:
+        return None
+    i = int(back.argmax())
+    return tokens[-1 - i] if back[i] >= min_match else None
+
+
+def _copy_scores(model: CopyModel, token: int | None) -> np.ndarray:
+    v = model.vocab_size
+    if token is None:
         return np.full(v, 1.0 / v)
     out = np.full(v, (1.0 - model.copy_mass) / v)
-    out[r[at - 1]] += model.copy_mass
+    out[token] += model.copy_mass
     return out
+
+
+def copy_predict(model: CopyModel, prefix: Sequence[int]) -> np.ndarray:
+    """Copy-heuristic distribution for one prefix, from scratch, in O(n) time.
+
+    The longest suffix of length at least ``min_match`` that also occurs
+    earlier in the prefix wins; among equal-length matches the most recent
+    earlier occurrence wins. An occurrence may overlap the suffix, it just
+    has to start earlier. The copied token is the one right after that
+    occurrence (see :func:`_common_suffixes` and :func:`_copied_token`).
+    """
+    tokens = list(prefix)
+    return _copy_scores(model, _copied_token(tokens, _common_suffixes(tokens), model.min_match))
 
 
 def random_model(vocab_size: int) -> StatelessModel:

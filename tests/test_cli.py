@@ -63,6 +63,15 @@ class TestTrain:
         assert code == EXIT_OK
         assert "vocab=5" in out  # a, b, c + BOS + EOS
 
+    def test_unwritable_vocab_exits_2(self, capsys, tmp_path):
+        corpus = tmp_path / "words.txt"
+        corpus.write_text("a b c a b c a b\n")
+        code, _, err = run(capsys, ["train", "--corpus", str(corpus), "--order", "2",
+                                    "--tokenizer", "word",
+                                    "--out", str(tmp_path / "missing" / "w.sdng")])
+        assert code == EXIT_USAGE
+        assert err.startswith("error:")
+
 
 class TestDecode:
     def test_seeded_run_is_byte_identical(self, capsys, model_file):
@@ -118,6 +127,13 @@ class TestDecode:
                                     "--draft", "uniform:10", "--prompt", "x"])
         assert code == EXIT_USAGE
         assert "vocab" in err
+
+    def test_missing_vocab_file_exits_2(self, capsys, model_file, tmp_path):
+        code, _, err = run(capsys, ["decode", "--target", model_file, "--draft", "same",
+                                    "--prompt", "x", "--tokenizer", "word",
+                                    "--vocab-file", str(tmp_path / "missing.vocab")])
+        assert code == EXIT_USAGE
+        assert err.startswith("error:")
 
     def test_synthetic_models_with_token_prompt(self, capsys):
         code, out, _ = run(capsys, ["decode", "--target", "stateless:0.6,0.4",

@@ -26,6 +26,7 @@ from specdec.distmath import (
     sample,
     sample_many,
     standardize,
+    standardize_rows,
 )
 from specdec.rng import RandomStream
 
@@ -145,6 +146,173 @@ class TestStandardize:
     def test_identity_policy_is_identity(self, p):
         d = standardize(p, IDENTITY_POLICY)
         np.testing.assert_allclose(d.probs, p, atol=1e-12)
+
+
+def reference_standardize(scores, policy, from_logits=False) -> Distribution:
+    """Oracle: ``standardize`` as it was written for one vector, before its
+    transforms were shared with ``standardize_rows``."""
+    s = np.asarray(scores, dtype=np.float64)
+    if not np.all(np.isfinite(s)):
+        raise NonFiniteError("scores contain non-finite entries")
+    if not from_logits and np.any(s < 0):
+        raise NegativeEntryError("probability scores contain negative entries")
+    if policy.is_argmax:
+        mask = (s == s.max()).astype(np.float64)
+        return Distribution(mask / mask.sum())
+    t = policy.temperature
+    if from_logits:
+        z = s / t if t != 1.0 else s
+        e = np.exp(z - z.max())
+        p = e / e.sum()
+    else:
+        total = float(s.sum())
+        if total <= 0.0:
+            raise AllZeroError("probability scores sum to zero")
+        p = s / total
+        if t != 1.0:
+            p = p ** (1.0 / t)
+            p = p / p.sum()
+    if policy.top_k is not None:
+        k = policy.top_k
+        if k > p.shape[0]:
+            raise PolicyConflictError("top_k exceeds vocab size")
+        if k < p.shape[0]:
+            order = np.argsort(-p, kind="stable")
+            kept = np.zeros_like(p)
+            kept[order[:k]] = p[order[:k]]
+            p = kept / kept.sum()
+    if policy.top_p is not None and policy.top_p < 1.0:
+        order = np.argsort(-p, kind="stable")
+        csum = np.cumsum(p[order])
+        cut = int(np.searchsorted(csum, policy.top_p - 1e-9, side="left"))
+        kept = np.zeros_like(p)
+        kept[order[: cut + 1]] = p[order[: cut + 1]]
+        p = kept / kept.sum()
+    return Distribution(p)
+
+
+ROW_POLICIES = [
+    IDENTITY_POLICY,
+    SamplingPolicy(argmax=True),
+    SamplingPolicy(temperature=0.7),
+    SamplingPolicy(temperature=1.6),
+    SamplingPolicy(top_k=1),
+    SamplingPolicy(top_k=3),
+    SamplingPolicy(top_p=0.5),
+    SamplingPolicy(top_p=0.9),
+    SamplingPolicy(temperature=0.7, top_p=0.9),
+    SamplingPolicy(top_k=5, top_p=0.5),
+    SamplingPolicy(temperature=1.3, top_k=2, top_p=0.95),
+]
+
+
+def _score_block(rows: int, vocab: int, kind: str, seed: int) -> np.ndarray:
+    g = np.random.default_rng(seed)
+    if kind == "ties":  # few distinct values: ties at the max and at every cutoff
+        block = g.integers(0, 4, (rows, vocab)).astype(np.float64)
+        block[block.sum(axis=1) == 0, 0] = 1.0
+    elif kind == "spiky":
+        block = g.exponential(size=(rows, vocab)) ** 4
+    else:
+        block = g.random((rows, vocab))
+    return block
+
+
+score_blocks = st.builds(
+    _score_block,
+    st.integers(1, 6),
+    st.sampled_from([2, 3, 16, 34, 258]),
+    st.sampled_from(["ties", "spiky", "smooth"]),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def _outcome(fn):
+    """The bytes of each distribution ``fn`` returns, or the class it raises."""
+    try:
+        out = fn()
+    except ValueError as exc:
+        return type(exc)
+    return [d.probs.tobytes() for d in (out if isinstance(out, list) else [out])]
+
+
+class TestStandardizeRows:
+    @given(score_blocks)
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_1d_and_reference_bitwise(self, block):
+        for policy in ROW_POLICIES:
+            if policy.top_k is not None and policy.top_k > block.shape[1]:
+                continue
+            for from_logits, scores in ((False, block), (True, block - 1.5)):
+                rows = standardize_rows(scores, policy, from_logits=from_logits)
+                assert len(rows) == len(scores)
+                for row, d in zip(scores, rows):
+                    one = standardize(row, policy, from_logits=from_logits).probs.tobytes()
+                    assert d.probs.tobytes() == one
+                    ref = reference_standardize(row, policy, from_logits=from_logits)
+                    assert one == ref.probs.tobytes()
+
+    @pytest.mark.parametrize("from_logits", [False, True])
+    @pytest.mark.parametrize("policy", [IDENTITY_POLICY, SamplingPolicy(argmax=True),
+                                        SamplingPolicy(temperature=0.7, top_p=0.9),
+                                        SamplingPolicy(top_k=2)])
+    @pytest.mark.parametrize("bad, named", [
+        ([np.nan, 0.2, 0.3, 0.1, 0.4], NonFiniteError),
+        ([-0.1, 0.4, 0.3, 0.1, 0.3], NegativeEntryError),
+        ([0.0] * 5, AllZeroError),
+        (None, PolicyConflictError),  # top_k larger than the vocabulary
+    ], ids=["nan", "negative", "all-zero", "top-k-over-vocab"])
+    def test_bad_row_raises_like_1d(self, bad, named, policy, from_logits):
+        block = np.array([[0.1, 0.2, 0.3, 0.25, 0.15], [0.5, 0.1, 0.1, 0.2, 0.1],
+                          [0.2, 0.2, 0.2, 0.2, 0.2]])
+        if bad is None:
+            policy = SamplingPolicy(top_k=6)
+        else:
+            block[1] = bad
+        one = [_outcome(lambda r=r: standardize(r, policy, from_logits=from_logits))
+               for r in block]
+        errors = [o for o in one if isinstance(o, type)]
+        expected = errors[0] if errors else [o[0] for o in one]
+        got = _outcome(lambda: standardize_rows(block, policy, from_logits=from_logits))
+        assert got == expected
+        if (not from_logits and policy == IDENTITY_POLICY) or bad is None:
+            assert expected is named
+
+    def test_rejects_non_block(self):
+        for scores in (np.ones(3), np.ones((0, 3)), np.ones((2, 0))):
+            with pytest.raises(ValueError):
+                standardize_rows(scores)
+
+
+def _drifted_block(rows: int, vocab: int, seed: int) -> np.ndarray:
+    """Rows that sum to one up to a drift inside the 1e-6 slack."""
+    g = np.random.default_rng(seed)
+    block = g.random((rows, vocab))
+    return block / block.sum(axis=1, keepdims=True) * (1.0 + g.uniform(-9e-7, 9e-7, (rows, 1)))
+
+
+drifted_blocks = st.builds(
+    _drifted_block, st.integers(1, 6), st.sampled_from([2, 3, 16, 258]), st.integers(0, 2**32 - 1)
+)
+
+
+class TestDistributionRows:
+    @given(drifted_blocks)
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_one_at_a_time_bitwise(self, block):
+        before = block.copy()
+        rows = Distribution.rows(block)
+        for row, d in zip(block, rows):
+            assert d.probs.tobytes() == Distribution(row).probs.tobytes()
+            assert not d.probs.flags.writeable
+        assert np.array_equal(block, before) and block.flags.writeable
+
+    @pytest.mark.parametrize("bad", [[np.nan, 1.0], [-0.1, 1.1], [0.0, 0.0], [0.5, 0.5 + 2e-6]],
+                             ids=["nan", "negative", "all-zero", "beyond-slack"])
+    def test_bad_row_raises_like_init(self, bad):
+        block = np.array([[0.5, 0.5], bad, [0.25, 0.75]])
+        assert _outcome(lambda: Distribution.rows(block)) == _outcome(
+            lambda: Distribution(np.array(bad)))
 
 
 class TestSample:

@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specdec import engine
 from specdec.analysis import beta
 from specdec.distmath import Distribution, IDENTITY_POLICY, SamplingPolicy, standardize
+from specdec.engine import SpecConfig, decode, standard_decode
 from specdec.models import (
     CopyModel,
     CorpusTooShortError,
+    LanguageModel,
     StatelessModel,
     copy_predict,
     random_model,
@@ -198,6 +201,147 @@ class TestCopyOracle:
         for n in range(0, 301, 25):
             assert copy_predict(model, prefix[:n]).tobytes() == scan_copy_predict(
                 model, prefix[:n]).tobytes()
+
+
+COPY_POLICIES = [IDENTITY_POLICY, SamplingPolicy(argmax=True),
+                 SamplingPolicy(temperature=0.7, top_p=0.9), SamplingPolicy(top_k=2)]
+
+# One call pattern step: a decode step drafting gamma tokens on a list grown
+# in place, then keeping `keep` of them plus a correction; cutting the
+# sequence back; a prefix unrelated to the sequence; or overwriting one
+# token of the sequence in place.
+copy_ops = st.lists(st.one_of(
+    st.tuples(st.just("step"), st.integers(1, 5), st.integers(0, 5),
+              st.lists(st.integers(0, 3), min_size=6, max_size=6)),
+    st.tuples(st.just("cut"), st.integers(0, 40)),
+    st.tuples(st.just("unrelated"), st.lists(st.integers(0, 3), max_size=40)),
+    st.tuples(st.just("overwrite"), st.integers(0, 200), st.integers(0, 3)),
+), max_size=25)
+
+
+def _check_copy_call(model: CopyModel, prefix, n_call: int, oracle) -> None:
+    """Both entry points of the stateful ``model`` against a stateless oracle;
+    which one sees the prefix first alternates between calls."""
+    fresh = CopyModel(model.vocab_size, min_match=model.min_match, copy_mass=model.copy_mass)
+    policy = COPY_POLICIES[n_call % len(COPY_POLICIES)]
+    want_scores = oracle(fresh, prefix).tobytes()
+    want_dist = standardize(copy_predict(fresh, prefix), policy).probs.tobytes()
+    if n_call % 2:
+        assert model.next_distribution(prefix, policy).probs.tobytes() == want_dist
+    assert model.evaluate(prefix).tobytes() == want_scores
+    assert model.next_distribution(prefix, policy).probs.tobytes() == want_dist
+
+
+def _run_copy_ops(model: CopyModel, start, ops, oracle=scan_copy_predict) -> None:
+    v = model.vocab_size
+    seq = [t % v for t in start]
+    n_call = 0
+
+    def check(prefix):
+        nonlocal n_call
+        _check_copy_call(model, prefix, n_call, oracle)
+        n_call += 1
+
+    for op in ops:
+        if op[0] == "step":
+            _, gamma, keep, toks = op
+            base = list(seq)
+            for t in toks[:gamma]:
+                check(base)
+                base.append(t % v)
+            seq.extend(base[len(seq): len(seq) + min(keep, gamma)])
+            seq.append(toks[-1] % v)
+        elif op[0] == "cut":
+            del seq[op[1]:]
+        elif op[0] == "unrelated":
+            check([t % v for t in op[1]])
+            continue
+        elif seq:
+            seq[op[1] % len(seq)] = op[2] % v
+        check(seq)
+
+
+class TestIncrementalCopy:
+    @given(st.integers(2, 4), st.integers(1, 3), st.lists(st.integers(0, 3), max_size=30),
+           copy_ops)
+    @settings(max_examples=300, deadline=None)
+    def test_call_sequences_match_oracle_bitwise(self, vocab, min_match, start, ops):
+        _run_copy_ops(CopyModel(vocab, min_match=min_match), start, ops)
+
+    def test_long_decode_like_run_matches_oracle(self):
+        # copy_predict is itself checked against the scan above, which is
+        # too slow for prefixes of several hundred tokens.
+        rng = RandomStream(11)
+        model = CopyModel(vocab_size=6, min_match=2)
+        u = iter(rng.uniform_block(4000))
+        ops = [("step", 4, int(next(u) * 6), [int(next(u) * 6) for _ in range(6)])
+               for _ in range(150)]
+        _run_copy_ops(model, [int(next(u) * 6) for _ in range(20)], ops, oracle=copy_predict)
+
+    def test_list_overwritten_in_place(self):
+        model = CopyModel(4, min_match=1)
+        seq = [0, 1, 2, 0, 1]
+        assert model.evaluate(seq).argmax() == 2
+        seq[4] = 3  # same list, same length: nothing to copy any more
+        assert model.evaluate(seq).tobytes() == scan_copy_predict(model, seq).tobytes()
+
+    def test_state_stays_bounded_over_a_long_decode(self):
+        vocab = 8
+        model = CopyModel(vocab, min_match=2)
+        res = standard_decode(model, [0, 1, 2, 3, 0, 1], SpecConfig(gamma=1, max_new_tokens=3000))
+        assert len(res.tokens) == 3000
+        assert len(model._lengths) <= model._KEEP
+        assert all(len(lcs) <= 3006 for lcs in model._lengths.values())
+        assert len(model._dists) <= vocab + 1
+        assert len(model._tokens) <= 2 * 3006
+
+
+class StatelessCopy(LanguageModel):
+    """Reference draft: ``copy_predict`` from scratch on every call, no state."""
+
+    def __init__(self, inner: CopyModel):
+        self.inner = inner
+
+    @property
+    def vocab_size(self) -> int:
+        return self.inner.vocab_size
+
+    def evaluate(self, prefix):
+        return copy_predict(self.inner, prefix)
+
+
+class _CountedStream(engine.RandomStream):
+    __slots__ = ()
+    made: list = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        _CountedStream.made.append(self)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("policy, lenience", [
+    (IDENTITY_POLICY, 1.0),
+    (SamplingPolicy(top_p=0.9), 1.0),
+    (SamplingPolicy(argmax=True), 0.5),
+], ids=["identity", "top-p", "argmax-lenient"])
+def test_decode_with_copy_draft_matches_stateless_draft(monkeypatch, seed, policy, lenience):
+    rng = RandomStream(100 + seed)
+    corpus = [int(u * 6) for u in rng.uniform_block(400)]
+    target = train_ngram(corpus, order=3, vocab_size=6, smoothing_k=0.05)
+    passage = corpus[:40]
+    prompt = passage + [int(u * 6) for u in rng.uniform_block(10)] + passage[:12]
+    config = SpecConfig(gamma=4, policy=policy, lenience=lenience, seed=seed,
+                        max_new_tokens=150)
+    monkeypatch.setattr(engine, "RandomStream", _CountedStream)
+    runs = []
+    for draft in (CopyModel(6, min_match=2), StatelessCopy(CopyModel(6, min_match=2))):
+        _CountedStream.made = []
+        res = decode(target, draft, prompt, config)
+        (stream,) = _CountedStream.made
+        runs.append((res.to_dict(), stream.n_drawn))
+    assert runs[0] == runs[1]
+    assert any(t.accepted_n for t in res.traces)
 
 
 class TestStatelessAndUniform:
