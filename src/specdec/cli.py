@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysis, harness
 from .beam import speculative_beam_search, standard_beam_search
-from .distmath import Distribution, SamplingPolicy, normalize
+from .distmath import SamplingPolicy, normalize
 from .engine import MUTATIONS, DecodeResult, SpecConfig, decode
 from .model_io import ModelFormatError, load_model, save_model
 from .models import CopyModel, LanguageModel, StatelessModel, random_model, stateless_pair, train_ngram
@@ -40,6 +40,21 @@ class CliError(Exception):
     """Usage or I/O problem; maps to exit code 2."""
 
 
+def _from_flags(build, *args, **kwargs):
+    """``build(*args, **kwargs)`` on flag values: the ``ValueError`` or
+    ``KeyError`` (an unknown word) that a bad value raises is a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, KeyError) as exc:
+        raise CliError(exc) from exc
+
+
+def _at_least(args: argparse.Namespace, flag: str, minimum: int) -> None:
+    value = getattr(args, flag.removeprefix("--").replace("-", "_"))
+    if value < minimum:
+        raise CliError(f"{flag} must be at least {minimum}, got {value}")
+
+
 def _default_seed() -> int:
     raw = os.environ.get("SPECDEC_SEED", "0")
     try:
@@ -49,11 +64,11 @@ def _default_seed() -> int:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip() != ""]
+    return _from_flags(lambda: [int(x) for x in text.split(",") if x.strip() != ""])
 
 
 def _parse_float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip() != ""]
+    return _from_flags(lambda: [float(x) for x in text.split(",") if x.strip() != ""])
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -89,7 +104,7 @@ def _tokenizer(args: argparse.Namespace):
     if not args.vocab_file:
         raise CliError("word tokenizer requires --vocab-file")
     try:
-        return WordTokenizer.from_vocab_file(args.vocab_file)
+        return _from_flags(WordTokenizer.from_vocab_file, args.vocab_file)
     except OSError as exc:
         raise CliError(f"cannot read vocabulary: {exc}") from exc
 
@@ -101,17 +116,8 @@ def resolve_model(spec: str, other: LanguageModel | None = None) -> LanguageMode
         if other is None:
             raise CliError("'same' needs another model to alias")
         return other
-    if spec.startswith("uniform:"):
-        return random_model(int(spec.split(":", 1)[1]))
-    if spec.startswith("stateless:"):
-        probs = np.array(_parse_float_list(spec.split(":", 1)[1]))
-        return StatelessModel(normalize(probs).probs)
-    if spec.startswith("copy:"):
-        parts = _parse_float_list(spec.split(":", 1)[1])
-        vocab = int(parts[0])
-        min_match = int(parts[1]) if len(parts) > 1 else 2
-        copy_mass = parts[2] if len(parts) > 2 else 0.9
-        return CopyModel(vocab, min_match=min_match, copy_mass=copy_mass)
+    if spec.startswith(("uniform:", "stateless:", "copy:")):
+        return _from_flags(_builtin_model, *spec.split(":", 1))
     try:
         return load_model(spec)
     except OSError as exc:
@@ -120,8 +126,21 @@ def resolve_model(spec: str, other: LanguageModel | None = None) -> LanguageMode
         raise CliError(f"bad model file {spec!r}: {exc}") from exc
 
 
+def _builtin_model(kind: str, params: str) -> LanguageModel:
+    if kind == "uniform":
+        return random_model(int(params))
+    parts = _parse_float_list(params)
+    if kind == "stateless":
+        return StatelessModel(normalize(np.array(parts)).probs)
+    vocab = int(parts[0])
+    min_match = int(parts[1]) if len(parts) > 1 else 2
+    copy_mass = parts[2] if len(parts) > 2 else 0.9
+    return CopyModel(vocab, min_match=min_match, copy_mass=copy_mass)
+
+
 def _policy_from_args(args: argparse.Namespace) -> SamplingPolicy:
-    return SamplingPolicy(
+    return _from_flags(
+        SamplingPolicy,
         temperature=args.temperature,
         top_k=args.top_k,
         top_p=args.top_p,
@@ -161,7 +180,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         tok = _tokenizer(args)
     corpus = tok.encode(text)
 
-    model = train_ngram(corpus, args.order, tok.vocab_size, smoothing_k=args.smoothing)
+    model = _from_flags(train_ngram, corpus, args.order, tok.vocab_size, smoothing_k=args.smoothing)
     try:
         save_model(model, args.out)
     except OSError as exc:
@@ -219,12 +238,13 @@ def cmd_decode(args: argparse.Namespace) -> int:
         if bad:
             raise CliError(f"prompt tokens {bad} outside vocab {target.vocab_size}")
     elif args.prompt is not None:
-        prompt = tok.encode(args.prompt)
+        prompt = _from_flags(tok.encode, args.prompt)
     else:
         prompt = []
     bos = tok.BOS if target.vocab_size >= tok.vocab_size else 0
 
-    config = SpecConfig(
+    config = _from_flags(
+        SpecConfig,
         gamma=args.gamma,
         policy=_policy_from_args(args),
         lenience=args.lenience,
@@ -232,6 +252,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
         max_new_tokens=args.max_tokens,
         stop_token=args.stop_token,
     )
+    if config.policy.top_k is not None and config.policy.top_k > target.vocab_size:
+        raise CliError(f"--top-k {config.policy.top_k} exceeds vocab size {target.vocab_size}")
     result = decode(target, draft, prompt, config, bos_token=bos)
 
     if args.json:
@@ -258,24 +280,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
 # verify
 
 
-def _random_distribution_pair(rng: RandomStream, vocab: int) -> tuple[Distribution, Distribution]:
-    p = normalize(rng.uniform_block(vocab) + 1e-12)
-    q = normalize(rng.uniform_block(vocab) + 1e-12)
-    return p, q
-
-
 def _verify_exactness(args: argparse.Namespace) -> int:
-    rng = RandomStream(args.seed)
-    worst = 0.0
-    worst_lenient = 0.0
-    for _ in range(args.pairs):
-        p, q = _random_distribution_pair(rng, args.vocab)
-        out = harness.exact_step_distribution(p, q, 1.0)
-        worst = max(worst, float(np.abs(out.probs - p.probs).max()))
-        lenience = 0.05 + 0.95 * rng.uniform()
-        out_l = harness.exact_step_distribution(p, q, lenience)
-        excess = float((out_l.probs - p.probs / lenience).max())
-        worst_lenient = max(worst_lenient, excess)
+    worst, worst_lenient = harness.exactness_check(args.pairs, args.vocab, args.seed)
     ok = worst < 1e-12 and worst_lenient <= 1e-12
     print(f"exactness: pairs={args.pairs} vocab={args.vocab} "
           f"max|out-p|={worst:.3e} max lenient excess={worst_lenient:.3e} "
@@ -284,10 +290,10 @@ def _verify_exactness(args: argparse.Namespace) -> int:
 
 
 def _verify_equivalence(args: argparse.Namespace) -> int:
-    rng = RandomStream(args.seed)
-    p, q = _random_distribution_pair(rng, args.vocab)
+    _at_least(args, "--samples", harness.MIN_SAMPLES)
+    config = _from_flags(SpecConfig, gamma=args.gamma, seed=args.seed, lenience=args.lenience)
+    p, q = harness.random_pair(RandomStream(args.seed), args.vocab)
     target, draft = StatelessModel(p.probs), StatelessModel(q.probs)
-    config = SpecConfig(gamma=args.gamma, seed=args.seed, lenience=args.lenience)
     mutation = args.mutate.replace("-", "_") if args.mutate else None
     report = harness.equivalence_test(
         target, draft, config, args.samples, context_set=[[0]], mutation=mutation
@@ -298,6 +304,11 @@ def _verify_equivalence(args: argparse.Namespace) -> int:
 
 
 def _verify_geometric(args: argparse.Namespace) -> int:
+    _at_least(args, "--steps", 1)
+    # The harness builds the pair and the config from these flags; building
+    # them here first makes a bad value a usage error.
+    _from_flags(stateless_pair, args.alpha)
+    _from_flags(SpecConfig, gamma=args.gamma)
     report = harness.geometric_fit_test(args.alpha, args.gamma, args.steps, seed=args.seed)
     gap = report.extras["mean_rel_gap"]
     ok = report.verdict and gap <= 0.02
@@ -311,16 +322,7 @@ def _verify_geometric(args: argparse.Namespace) -> int:
 
 
 def _verify_rejection(args: argparse.Namespace) -> int:
-    rng = RandomStream(args.seed)
-    worst_margin = 1.0
-    violations = 0
-    for _ in range(args.pairs):
-        p, q = _random_distribution_pair(rng, args.vocab)
-        b = analysis.beta(p, q)
-        r = harness.rejection_accept_probability(p, q)
-        if r > b + 1e-12:
-            violations += 1
-        worst_margin = min(worst_margin, b - r)
+    violations, worst_margin = harness.rejection_check(args.pairs, args.vocab, args.seed)
     ok = violations == 0
     print(f"rejection: pairs={args.pairs} vocab={args.vocab} violations={violations} "
           f"min(beta - accept)={worst_margin:.3e} -> {'PASS' if ok else 'FAIL'}")
@@ -329,6 +331,7 @@ def _verify_rejection(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _print_header(args, sys.stdout)
+    _at_least(args, "--vocab", 1)
     suite = {
         "exactness": _verify_exactness,
         "equivalence": _verify_equivalence,
@@ -351,7 +354,8 @@ _SWEEP_KINDS = {
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    rows = analysis.sweep(
+    rows = _from_flags(
+        analysis.sweep,
         _SWEEP_KINDS[args.kind],
         alphas=_parse_float_list(args.alphas) if args.alphas else None,
         gammas=_parse_int_list(args.gammas) if args.gammas else None,
@@ -382,7 +386,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.stateless_alpha is not None:
-        target, draft = stateless_pair(args.stateless_alpha)
+        target, draft = _from_flags(stateless_pair, args.stateless_alpha)
         task = f"stateless(a={args.stateless_alpha})"
     elif args.target and args.draft:
         target = resolve_model(args.target)
@@ -390,8 +394,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         task = os.path.basename(args.target)
     else:
         raise CliError("simulate needs --stateless-alpha or both --target and --draft")
-    cost = analysis.CostModel(c=args.c, c_hat=args.c_hat)
-    config = SpecConfig(gamma=args.gamma, seed=args.seed, lenience=args.lenience)
+    _at_least(args, "--n-tokens", 1)
+    _at_least(args, "--runs", 1)
+    cost = _from_flags(analysis.CostModel, c=args.c, c_hat=args.c_hat)
+    config = _from_flags(SpecConfig, gamma=args.gamma, seed=args.seed, lenience=args.lenience)
     report = harness.simulate_walltime(
         target, draft, cost, config,
         n_tokens=args.n_tokens, n_runs=args.runs, batch_penalty=args.batch_penalty,
@@ -427,6 +433,9 @@ def cmd_beam(args: argparse.Namespace) -> int:
     target = resolve_model(args.target)
     draft = resolve_model(args.draft, other=target)
     prompt = _parse_int_list(args.prompt_tokens) if args.prompt_tokens else [0]
+    for flag in ("--width", "--gamma", "--steps"):
+        _at_least(args, flag, 1)
+    _at_least(args, "--draft-width", args.width)
     spec_beams, stats = speculative_beam_search(
         target, draft, prompt, args.width, args.draft_width, args.gamma, args.steps
     )
@@ -601,7 +610,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return exc.code
-    except (CliError, ValueError, KeyError) as exc:
+    except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -32,6 +32,7 @@ __all__ = [
     "sample",
     "sample_many",
     "inverse_cdf",
+    "inverse_cdf_many",
     "residual",
 ]
 
@@ -311,7 +312,11 @@ def sample(d: Distribution, rng: RandomStream) -> int:
 
 def sample_many(d: Distribution, rng: RandomStream, n: int) -> np.ndarray:
     """Draw ``n`` tokens, consuming exactly ``n`` variates."""
-    u = rng.uniform_block(n)
+    return inverse_cdf_many(d, rng.uniform_block(n))
+
+
+def inverse_cdf_many(d: Distribution, u: np.ndarray) -> np.ndarray:
+    """``inverse_cdf`` of every variate in ``u`` at once, bitwise equal to it."""
     idx = np.searchsorted(d.cdf, u, side="right")
     np.minimum(idx, d.vocab_size - 1, out=idx)
     # Same float-edge guard as inverse_cdf: a variate above cdf[-1] must

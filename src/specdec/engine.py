@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .distmath import (
     AllZeroError,
     Distribution,
@@ -27,6 +29,7 @@ from .distmath import (
     SamplingPolicy,
     VocabMismatchError,
     inverse_cdf,
+    inverse_cdf_many,
     residual,
     sample,
     standardize,  # unused here, but the traced benchmark wraps engine.standardize
@@ -42,6 +45,8 @@ __all__ = [
     "DecodeTotals",
     "DecodeResult",
     "speculative_step",
+    "StepBlock",
+    "speculative_steps",
     "decode",
     "standard_decode",
     "argmax_lenient_accept",
@@ -49,6 +54,9 @@ __all__ = [
 
 # Valid test-only fault injections for speculative_step.
 MUTATIONS = ("skip_residual", "resample_q", "accept_off_by_one")
+
+# Steps per uniform_block in speculative_steps: a few MiB of working arrays.
+_STEPS_PER_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -273,30 +281,9 @@ def speculative_step(
         n += 1  # deliberately accepts the rejected draft as well
 
     u_final = rng.uniform()  # always consumed, even on the fallback path
-    if n < gamma:
-        if _mutation == "skip_residual":
-            final = inverse_cdf(p_dists[n], u_final)
-            source = "residual"
-        elif _mutation == "resample_q":
-            final = inverse_cdf(q_dists[n], u_final)
-            source = "residual"
-        elif argmax_lenient:
-            final = inverse_cdf(p_dists[n], u_final)
-            source = "target_argmax"
-        else:
-            try:
-                rd = residual(p_dists[n], q_dists[n], lenience)
-            except AllZeroError:
-                # p <= l*q everywhere up to float underflow: rejection had
-                # probability ~0, so the draft token stands.
-                final = drafts[n]
-                source = "draft_fallback"
-            else:
-                final = inverse_cdf(rd, u_final)
-                source = "residual"
-    else:
-        final = inverse_cdf(p_dists[gamma], u_final)
-        source = "extra"
+    d, source = _last_token_dist(p_dists[n], q_dists[n] if n < gamma else None, lenience,
+                                 _mutation, argmax_lenient)
+    final = drafts[n] if d is None else inverse_cdf(d, u_final)
 
     tokens = drafts[:n] + [final]
     trace = StepTrace(
@@ -311,6 +298,131 @@ def speculative_step(
         draft_calls=gamma,
     )
     return tokens, trace
+
+
+class StepBlock(NamedTuple):
+    """``n`` steps side by side: step ``k`` emitted ``drafts[k, :accepted_n[k]]``,
+    then ``correction[k]``."""
+
+    drafts: np.ndarray  # (n, gamma)
+    accepted_n: np.ndarray  # (n,)
+    correction: np.ndarray  # (n,)
+
+    def tokens_at(self, j: int) -> np.ndarray:
+        """Each step's ``j``-th emitted token, or -1 where it emitted ``j`` or fewer."""
+        drafted = self.drafts[:, min(j, self.drafts.shape[1] - 1)]
+        return np.where(self.accepted_n > j, drafted,
+                        np.where(self.accepted_n == j, self.correction, -1))
+
+
+def speculative_steps(target: LanguageModel, draft: LanguageModel, prefix: Sequence[int],
+                      config: SpecConfig, rng: RandomStream, n: int, *,
+                      _mutation: str | None = None) -> StepBlock:
+    """``n`` independent steps from one prefix, bitwise equal to ``n`` successive
+    ``speculative_step`` calls on ``rng``: the same drafts, accept counts and
+    corrections, and the same variates drawn.
+
+    A step draws 2*gamma+1 variates, so one ``uniform_block`` row serves one
+    step. At each position the rows are grouped by the tail each model reads
+    (its ``context_window``), the model is asked once per distinct tail, and
+    each group is sampled at once with the scalar step's arithmetic. When a
+    window is ``None`` (the whole prefix may matter), or under argmax with
+    lenience below 1, the scalar loop runs instead, through the module's
+    ``speculative_step``, so that a wrapper installed there sees every step.
+    """
+    if _mutation is not None and _mutation not in MUTATIONS:
+        raise ValueError(f"unknown mutation {_mutation!r}")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    _check_vocab(target, draft)
+    if (n == 0 or target.context_window is None or draft.context_window is None
+            or (config.policy.is_argmax and config.lenience < 1.0)):
+        steps = [speculative_step(target, draft, prefix, config, rng, _mutation=_mutation)[1]
+                 for _ in range(n)]
+        drafts = np.array([[d.token for d in t.drafted] for t in steps], dtype=np.int64)
+        ends = np.array([[t.accepted_n, t.correction] for t in steps], dtype=np.int64)
+        return StepBlock(drafts.reshape(n, config.gamma), *ends.reshape(n, 2).T)
+    blocks = [_step_block(target, draft, prefix, config, rng, min(_STEPS_PER_BLOCK, n - start),
+                          _mutation)
+              for start in range(0, n, _STEPS_PER_BLOCK)]
+    return StepBlock(*map(np.concatenate, zip(*blocks)))
+
+
+def _step_block(target, draft, prefix, config, rng, rows, mutation) -> StepBlock:
+    gamma, lenience = config.gamma, config.lenience
+    u = rng.uniform_block(rows * (2 * gamma + 1)).reshape(rows, 2 * gamma + 1)
+    drafts = np.empty((rows, gamma), dtype=np.int64)
+    q_at = []  # per position: the distinct distributions, each row's index into them
+    for i in range(gamma):
+        q_at.append(_grouped(draft, prefix, drafts[:, :i], config.policy))
+        for g, d in enumerate(q_at[i][0]):
+            at = q_at[i][1] == g
+            drafts[at, i] = inverse_cdf_many(d, u[at, i])
+    p_at = [_grouped(target, prefix, drafts[:, :i], config.policy) for i in range(gamma + 1)]
+
+    qx = np.column_stack([_prob_of(*q_at[i], drafts[:, i]) for i in range(gamma)])
+    px = np.column_stack([_prob_of(*p_at[i], drafts[:, i]) for i in range(gamma)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        accepted = ~(u[:, gamma:2 * gamma] > px / (lenience * qx))
+    n_acc = np.where(accepted.all(axis=1), gamma, accepted.argmin(axis=1))
+    # The scalar step checks each drafted token up to its first rejection.
+    if not (qx > 0.0)[np.arange(gamma) <= n_acc[:, None]].all():
+        raise RuntimeError("drafted token with zero draft probability")
+    if mutation == "accept_off_by_one":
+        n_acc += n_acc < gamma  # deliberately accepts the rejected draft as well
+
+    # Each row's last token, sampled by groups of rows with the same (p, q).
+    u_final, final = u[:, 2 * gamma], np.empty(rows, dtype=np.int64)
+    no_q = ([None], np.zeros(rows, dtype=np.int64))
+    for k in range(gamma + 1):
+        (p_dists, p_group), (q_dists, q_group) = p_at[k], q_at[k] if k < gamma else no_q
+        at = np.flatnonzero(n_acc == k)
+        pairs, pair = np.unique(np.column_stack((p_group[at], q_group[at])), axis=0,
+                                return_inverse=True)
+        pair = pair.reshape(-1)  # its shape varies across numpy 2.x releases
+        for j, (a, b) in enumerate(pairs.tolist()):
+            rows_j = at[pair == j]
+            d, _ = _last_token_dist(p_dists[a], q_dists[b], lenience, mutation)
+            final[rows_j] = drafts[rows_j, k] if d is None else inverse_cdf_many(d, u_final[rows_j])
+    return StepBlock(drafts, n_acc, final)
+
+
+def _grouped(model, prefix, drafted, policy) -> tuple[list[Distribution], np.ndarray]:
+    """The model's distinct distributions after each row of ``drafted`` appended
+    to ``prefix``, asked on the tails it reads, and each row's index into them."""
+    base = np.array(_tail(prefix, model.context_window), dtype=np.int64)
+    seqs = np.hstack((np.broadcast_to(base, (len(drafted), len(base))), drafted))
+    tails, group = np.unique(seqs[:, max(0, seqs.shape[1] - model.context_window):],
+                             axis=0, return_inverse=True)
+    return model.next_distribution_batch(tails.tolist(), policy), group.reshape(-1)
+
+
+def _prob_of(dists, group, tokens) -> np.ndarray:
+    return np.stack([d.probs for d in dists])[group, tokens]
+
+
+def _last_token_dist(
+    p: Distribution, q: Distribution | None, lenience: float, mutation: str | None,
+    argmax_lenient: bool = False,
+) -> tuple[Distribution | None, str]:
+    """The distribution a step samples its last token from, and its source: the
+    target's extra position ``p`` if every draft was accepted (``q`` None),
+    else the correction for the rejected draft's ``p`` and ``q``. A ``None``
+    distribution means the draft token stands."""
+    if q is None:
+        return p, "extra"
+    if mutation == "skip_residual":
+        return p, "residual"
+    if mutation == "resample_q":
+        return q, "residual"
+    if argmax_lenient:
+        return p, "target_argmax"
+    try:
+        return residual(p, q, lenience), "residual"
+    except AllZeroError:
+        # p <= l*q everywhere up to float underflow: rejection had
+        # probability ~0, so the draft token stands.
+        return None, "draft_fallback"
 
 
 def decode(

@@ -18,8 +18,9 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 from .analysis import CostModel, beta, expected_tokens, trace_accept_rate, walltime_factor
-from .distmath import Distribution, IDENTITY_POLICY, SamplingPolicy, sample, sample_many
-from .engine import DecodeResult, SpecConfig, StepTrace, _check_vocab, decode, speculative_step
+from .distmath import Distribution, IDENTITY_POLICY, SamplingPolicy, normalize, sample, sample_many
+from .engine import DecodeResult, SpecConfig, StepTrace, _check_vocab, decode, speculative_steps
+from .engine import speculative_step  # unused here, but the traced benchmark wraps it here
 from .models import LanguageModel, stateless_pair
 from .rng import RandomStream
 
@@ -28,11 +29,15 @@ __all__ = [
     "EquivalenceReport",
     "RunStats",
     "SimReport",
+    "MIN_SAMPLES",
+    "random_pair",
     "exact_step_distribution",
+    "exactness_check",
     "equivalence_test",
     "geometric_fit_test",
     "simulate_walltime",
     "rejection_comparison",
+    "rejection_check",
     "rejection_accept_probability",
     "rejection_baseline_step",
 ]
@@ -42,6 +47,9 @@ _MAX_ENUMERABLE_VOCAB = 4096
 
 # Bins with expected count below this are pooled before chi-square.
 _MIN_EXPECTED = 5.0
+
+# The fewest samples per arm equivalence_test accepts.
+MIN_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -104,6 +112,27 @@ def exact_step_distribution(p: Distribution, q: Distribution, lenience: float = 
     return Distribution(out)
 
 
+def random_pair(rng: RandomStream, vocab: int) -> tuple[Distribution, Distribution]:
+    """Two full-support random distributions, ``vocab`` variates each."""
+    return normalize(rng.uniform_block(vocab) + 1e-12), normalize(rng.uniform_block(vocab) + 1e-12)
+
+
+def exactness_check(pairs: int, vocab: int, seed: int) -> tuple[float, float]:
+    """The oracle over ``pairs`` random pairs drawn from stream ``seed``: the
+    worst max|out - p| at lenience 1, and the worst excess of out over p/l
+    at a random lenience l in [0.05, 1)."""
+    rng = RandomStream(seed)
+    worst = worst_lenient = 0.0
+    for _ in range(pairs):
+        p, q = random_pair(rng, vocab)
+        out = exact_step_distribution(p, q, 1.0)
+        worst = max(worst, float(np.abs(out.probs - p.probs).max()))
+        lenience = 0.05 + 0.95 * rng.uniform()
+        out = exact_step_distribution(p, q, lenience)
+        worst_lenient = max(worst_lenient, float((out.probs - p.probs / lenience).max()))
+    return worst, worst_lenient
+
+
 def _pooled_chi2_two_sample(counts_a: np.ndarray, counts_b: np.ndarray) -> ContextResult:
     """Two-sample homogeneity chi-square with small-bin pooling."""
     combined = counts_a + counts_b
@@ -146,7 +175,7 @@ def equivalence_test(
     context with Bonferroni combination. A correct engine passes; the
     seeded engine mutations must fail.
     """
-    if n_samples < 10_000:
+    if n_samples < MIN_SAMPLES:
         raise ValueError("n_samples must be at least 10^4 for a meaningful test")
     if not context_set:
         raise ValueError("need at least one context")
@@ -154,10 +183,9 @@ def equivalence_test(
     results: list[ContextResult] = []
     for ci, context in enumerate(context_set):
         rng = RandomStream(config.seed, stream=2 * ci)
-        engine_counts = np.zeros(vocab, dtype=np.int64)
-        for _ in range(n_samples):
-            tokens, _ = speculative_step(target, draft, context, config, rng, _mutation=mutation)
-            engine_counts[tokens[0]] += 1
+        steps = speculative_steps(target, draft, context, config, rng, n_samples,
+                                  _mutation=mutation)
+        engine_counts = np.bincount(steps.tokens_at(0), minlength=vocab)
         ref_rng = RandomStream(config.seed, stream=2 * ci + 1)
         p = target.next_distribution(list(context), config.policy)
         ref_tokens = sample_many(p, ref_rng, n_samples)
@@ -191,12 +219,8 @@ def geometric_fit_test(
     """
     target, draft = stateless_pair(alpha, vocab_size)
     config = SpecConfig(gamma=gamma, seed=seed)
-    rng = RandomStream(seed)
-    counts = np.zeros(gamma + 1, dtype=np.int64)  # index k-1 holds "k tokens"
-    prefix = [0]
-    for _ in range(n_steps):
-        tokens, _ = speculative_step(target, draft, prefix, config, rng)
-        counts[len(tokens) - 1] += 1
+    steps = speculative_steps(target, draft, [0], config, RandomStream(seed), n_steps)
+    counts = np.bincount(steps.accepted_n, minlength=gamma + 1)  # index k-1 holds "k tokens"
 
     probs = np.array(
         [(1.0 - alpha) * alpha ** k for k in range(gamma)] + [alpha ** gamma]
@@ -386,6 +410,20 @@ def rejection_baseline_step(
     if m > 0.0 and r < float(p.probs[x]) / (m * float(q.probs[x])):
         return x
     return sample(p, rng)
+
+
+def rejection_check(pairs: int, vocab: int, seed: int) -> tuple[int, float]:
+    """Over ``pairs`` random pairs drawn from stream ``seed``: how many times
+    rejection sampling accepts more often than speculative sampling (beyond
+    1e-12), and the least margin beta - accept (1.0 with no pairs)."""
+    rng = RandomStream(seed)
+    violations, worst_margin = 0, 1.0
+    for _ in range(pairs):
+        p, q = random_pair(rng, vocab)
+        b, r = beta(p, q), rejection_accept_probability(p, q)
+        violations += r > b + 1e-12
+        worst_margin = min(worst_margin, b - r)
+    return violations, worst_margin
 
 
 def rejection_comparison(

@@ -41,7 +41,7 @@ from specdec.analysis import (
 )
 from specdec.beam import speculative_beam_search, standard_beam_search
 from specdec.distmath import normalize
-from specdec.engine import MUTATIONS, SpecConfig, decode, speculative_step
+from specdec.engine import MUTATIONS, SpecConfig, decode, speculative_steps
 from specdec.harness import (
     equivalence_test,
     exact_step_distribution,
@@ -180,12 +180,9 @@ def test_criterion_6_lenience():
     lenience = 0.4
     target, draft = StatelessModel(p.probs), StatelessModel(q.probs)
     config = SpecConfig(gamma=1, seed=38, lenience=lenience)
-    step_rng = RandomStream(39)
     n = 100_000
-    accepted = 0
-    for _ in range(n):
-        _, trace = speculative_step(target, draft, [0], config, step_rng)
-        accepted += trace.accepted_n
+    accepted = int(speculative_steps(target, draft, [0], config, RandomStream(39), n)
+                   .accepted_n.sum())
     rate = accepted / n
     want = lenient_alpha(p, q, lenience)
     se = math.sqrt(want * (1.0 - want) / n)

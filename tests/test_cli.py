@@ -427,3 +427,78 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert out == ""
         assert f"unrecognized arguments: {removed}" in err
+
+
+class TestInputErrors:
+    """Bad flag values exit 2 with an error line; a ValueError from inside the
+    engine is not a usage error and propagates."""
+
+    @pytest.mark.parametrize("argv,needle", [
+        # SpecConfig
+        (["decode", "--target", "uniform:4", "--draft", "same", "--gamma", "0"], "gamma"),
+        (["decode", "--target", "uniform:4", "--draft", "same", "--lenience", "1.5"], "lenience"),
+        (["decode", "--target", "uniform:4", "--draft", "same", "--max-tokens", "0"],
+         "max_new_tokens"),
+        (["verify", "--suite", "equivalence", "--samples", "20000", "--gamma", "0"], "gamma"),
+        (["simulate", "--stateless-alpha", "0.5", "--gamma", "2", "--lenience", "0"], "lenience"),
+        # SamplingPolicy
+        (["decode", "--target", "uniform:4", "--draft", "same", "--argmax", "--top-k", "2"],
+         "excludes"),
+        (["decode", "--target", "uniform:4", "--draft", "same", "--temperature", "-1"],
+         "temperature"),
+        (["decode", "--target", "uniform:4", "--draft", "same", "--top-k", "9"], "--top-k"),
+        # sample and step minimums
+        (["verify", "--suite", "equivalence", "--samples", "100"], "--samples"),
+        (["verify", "--suite", "geometric", "--steps", "0"], "--steps"),
+        (["verify", "--suite", "exactness", "--vocab", "0"], "--vocab"),
+        (["simulate", "--stateless-alpha", "0.5", "--gamma", "2", "--n-tokens", "0"],
+         "--n-tokens"),
+        (["beam", "--target", "uniform:4", "--draft", "same", "--width", "3",
+          "--draft-width", "2"], "--draft-width"),
+        # values that become models or grids
+        (["verify", "--suite", "geometric", "--alpha", "1.5"], "alpha"),
+        (["decode", "--target", "uniform:x", "--draft", "same"], "'x'"),
+        (["decode", "--target", "stateless:0.5,-0.5", "--draft", "same"], "negative"),
+        (["sweep", "--kind", "fig2", "--alphas", "1.5"], "alpha"),
+        (["simulate", "--stateless-alpha", "2", "--gamma", "2"], "alpha"),
+    ])
+    def test_bad_value_exits_2(self, capsys, argv, needle):
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_USAGE
+        assert out.startswith("# specdec verify") if argv[0] == "verify" else out == ""
+        assert err.startswith("error:") and needle in err
+
+    def test_unknown_word_exits_2(self, capsys, tmp_path):
+        corpus = tmp_path / "words.txt"
+        corpus.write_text("a b c a b c a b\n")
+        model = str(tmp_path / "w.sdng")
+        assert main(["train", "--corpus", str(corpus), "--order", "2",
+                     "--tokenizer", "word", "--out", model]) == EXIT_OK
+        code, out, err = run(capsys, ["decode", "--target", model, "--draft", "same",
+                                      "--tokenizer", "word", "--vocab-file", model + ".vocab",
+                                      "--prompt", "a zebra"])
+        assert code == EXIT_USAGE
+        assert out == "" and "zebra" in err
+
+    def test_corpus_too_short_exits_2(self, capsys, tmp_path):
+        corpus = tmp_path / "tiny.txt"
+        corpus.write_text("ab")
+        code, _, err = run(capsys, ["train", "--corpus", str(corpus), "--order", "3",
+                                    "--out", str(tmp_path / "m.sdng")])
+        assert code == EXIT_USAGE
+        assert "cannot train order 3" in err
+
+    @pytest.mark.parametrize("argv,module,attr", [
+        (["decode", "--target", "uniform:4", "--draft", "same", "--prompt-tokens", "0"],
+         "specdec.engine", "speculative_step"),
+        (["verify", "--suite", "equivalence", "--samples", "20000"],
+         "specdec.harness", "speculative_steps"),
+    ])
+    def test_internal_value_error_is_not_a_usage_error(self, capsys, monkeypatch, argv,
+                                                       module, attr):
+        def broken(*args, **kwargs):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(f"{module}.{attr}", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(argv)

@@ -216,6 +216,30 @@ class TestEngineWindowsAreInvisible:
                          _corpus(23, 50), cfg, RandomStream(0))
         assert seen == {"target": {2, 3, 4, 5}, "draft": {0, 1, 2}}
 
+    def test_block_asks_each_distinct_window_once(self):
+        # speculative_steps asks a model only on tails of exactly its window
+        # (shorter only while prompt plus drafts are shorter), each once.
+        seen: dict[str, list[list[tuple[int, ...]]]] = {"target": [], "draft": []}
+
+        class Recording(FullPrefix):
+            def __init__(self, inner, role):
+                super().__init__(inner)
+                self.context_window = inner.context_window
+                self.role = role
+
+            def next_distribution_batch(self, prefixes, policy):
+                seen[self.role].append([tuple(p) for p in prefixes])
+                return self.inner.next_distribution_batch(prefixes, policy)
+
+        cfg = SpecConfig(gamma=3)
+        engine.speculative_steps(Recording(_ngram(3), "target"), Recording(_ngram(2), "draft"),
+                                 _corpus(23, 50), cfg, RandomStream(0), 500)
+        for role, window in (("target", 2), ("draft", 1)):
+            calls = seen[role]
+            assert {len(t) for tails in calls for t in tails} == {window}
+            assert all(len(set(tails)) == len(tails) <= VOCAB ** window for tails in calls)
+        assert len(seen["target"]) == 4 and len(seen["draft"]) == 3
+
     def test_prefix_is_not_mutated(self):
         target, draft = _ngram(3, seed=7), _ngram(1, seed=8)
         prefix = [0, 1, 2]

@@ -3,6 +3,7 @@ and the rejection-sampling baseline."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import subprocess
@@ -11,18 +12,28 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specdec import engine
-from specdec.distmath import Distribution, SamplingPolicy, VocabMismatchError
+from specdec.distmath import AllZeroError, Distribution, SamplingPolicy, VocabMismatchError
 from specdec.engine import (
+    MUTATIONS,
     SpecConfig,
     argmax_lenient_accept,
     decode,
     speculative_step,
+    speculative_steps,
     standard_decode,
 )
-from specdec.harness import rejection_baseline_step
-from specdec.models import LanguageModel, StatelessModel, stateless_pair, train_ngram
+from specdec.harness import equivalence_test, geometric_fit_test, rejection_baseline_step
+from specdec.models import (
+    CopyModel,
+    LanguageModel,
+    StatelessModel,
+    stateless_pair,
+    train_ngram,
+)
 from specdec.rng import RandomStream
 
 from conftest import random_pair
@@ -151,6 +162,194 @@ class TestSpeculativeStep:
         for d in trace.drafted:
             assert d.q_prob == q.evaluate([])[d.token]
             assert d.p_prob == p.evaluate([])[d.token]
+
+
+# One zoo of every model class over one vocabulary for the block tests:
+# n-gram orders 1-3 (windows 0-2) from two corpora, a full-support and a
+# sparse stateless model (window 0), and a CopyModel (no window: fallback).
+_V = 6
+_ZOO_RNG = RandomStream(211)
+ZOO = {
+    **{f"ngram{order}{corpus}": train_ngram([int(u * _V) for u in _ZOO_RNG.uniform_block(300)],
+                                            order, _V)
+       for order in (1, 2, 3) for corpus in "ab"},
+    "stateless": StatelessModel(np.array([0.1, 0.2, 0.3, 0.15, 0.05, 0.2])),
+    "sparse": StatelessModel(np.array([0.5, 0.0, 0.3, 0.0, 0.2, 0.0])),
+    "copy": CopyModel(_V),
+}
+POLICIES = [
+    SamplingPolicy(),
+    SamplingPolicy(temperature=0.7),
+    SamplingPolicy(top_k=3),
+    SamplingPolicy(top_p=0.8),
+    SamplingPolicy(argmax=True),
+]
+
+
+def scalar_steps(target, draft, prefix, config, rng, n, mutation=None):
+    """``n`` steps of the scalar loop: each step's tokens and trace."""
+    return [speculative_step(target, draft, prefix, config, rng, _mutation=mutation)
+            for _ in range(n)]
+
+
+def assert_block_equals_loop(block, steps):
+    gamma = block.drafts.shape[1]
+    assert block.drafts.tolist() == [[d.token for d in t.drafted] for _, t in steps]
+    assert block.accepted_n.tolist() == [t.accepted_n for _, t in steps]
+    assert block.correction.tolist() == [t.correction for _, t in steps]
+    emitted = [[*d[:a], c] for d, a, c in
+               zip(block.drafts.tolist(), block.accepted_n.tolist(), block.correction.tolist())]
+    assert emitted == [tokens for tokens, _ in steps]
+    for j in range(gamma + 1):
+        assert block.tokens_at(j).tolist() == [
+            tokens[j] if j < len(tokens) else -1 for tokens, _ in steps]
+
+
+class TestSpeculativeSteps:
+    """``speculative_steps`` is bitwise the scalar loop, on every path."""
+
+    @given(
+        target=st.sampled_from(sorted(ZOO)),
+        draft=st.sampled_from(sorted(ZOO)),
+        policy=st.sampled_from(POLICIES),
+        lenience=st.sampled_from([1.0, 0.6]),
+        gamma=st.sampled_from([1, 3]),
+        mutation=st.sampled_from([None, *MUTATIONS]),
+        prompt=st.sampled_from([[], [0], [1, 2, 3], [5, 5, 4, 0, 2]]),
+        n=st.integers(min_value=0, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=250, deadline=None)
+    def test_block_equals_scalar_loop(self, target, draft, policy, lenience, gamma, mutation,
+                                      prompt, n, seed):
+        config = SpecConfig(gamma=gamma, policy=policy, lenience=lenience)
+        loop_rng, block_rng = RandomStream(seed), RandomStream(seed)
+        steps = scalar_steps(ZOO[target], ZOO[draft], prompt, config, loop_rng, n, mutation)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_STEPS_PER_BLOCK", 16)  # n up to 40 spans up to three blocks
+            block = speculative_steps(ZOO[target], ZOO[draft], prompt, config, block_rng, n,
+                                      _mutation=mutation)
+        assert_block_equals_loop(block, steps)
+        assert block_rng.n_drawn == loop_rng.n_drawn == n * (2 * gamma + 1)
+
+    @pytest.mark.parametrize("lenience", [1.0, 0.6])
+    @pytest.mark.parametrize("mutation", [None, *MUTATIONS])
+    def test_every_pair_and_policy(self, lenience, mutation):
+        # Every ordered pair of a windowed n-gram, a stateless and the copy
+        # model, under every policy, with the argmax-lenient branch at 0.6.
+        names = ["ngram2a", "ngram3b", "ngram1a", "stateless", "copy"]
+        for target, draft in itertools.product(names, names):
+            for policy in POLICIES:
+                config = SpecConfig(gamma=2, policy=policy, lenience=lenience)
+                loop_rng, block_rng = RandomStream(3), RandomStream(3)
+                steps = scalar_steps(ZOO[target], ZOO[draft], [4, 1], config, loop_rng, 12,
+                                     mutation)
+                block = speculative_steps(ZOO[target], ZOO[draft], [4, 1], config, block_rng,
+                                          12, _mutation=mutation)
+                assert_block_equals_loop(block, steps)
+                assert block_rng.n_drawn == loop_rng.n_drawn
+
+    def test_crosses_the_real_block_boundary(self):
+        p, q = stateless_pair(0.7, vocab_size=3)
+        config = SpecConfig(gamma=2)
+        n = engine._STEPS_PER_BLOCK + 5
+        loop_rng, block_rng = RandomStream(8), RandomStream(8)
+        steps = scalar_steps(p, q, [0], config, loop_rng, n)
+        assert_block_equals_loop(speculative_steps(p, q, [0], config, block_rng, n), steps)
+        assert block_rng.n_drawn == loop_rng.n_drawn
+
+    def test_draft_fallback_matches(self, monkeypatch):
+        # A residual with no mass takes float underflow to reach honestly, so
+        # every residual is made to have none: each rejected draft then stands.
+        def no_mass(p, q, lenience):
+            raise AllZeroError("no mass")
+
+        monkeypatch.setattr(engine, "residual", no_mass)
+        target, draft = ZOO["ngram2a"], ZOO["ngram1b"]
+        config = SpecConfig(gamma=3)
+        loop_rng, block_rng = RandomStream(4), RandomStream(4)
+        steps = scalar_steps(target, draft, [0], config, loop_rng, 200)
+        assert {t.correction_source for _, t in steps} >= {"draft_fallback", "extra"}
+        block = speculative_steps(target, draft, [0], config, block_rng, 200)
+        assert_block_equals_loop(block, steps)
+
+    def test_any_unique_inverse_shape(self, monkeypatch):
+        # numpy 2.0.0 returned np.unique's inverse for axis=0 as a column;
+        # later releases return it flat. Both must give the same steps.
+        unique = np.unique
+
+        def column_inverse(a, **kwargs):
+            out = unique(a, **kwargs)
+            if kwargs.get("axis") is not None and kwargs.get("return_inverse"):
+                out = (out[0], out[1].reshape(-1, 1), *out[2:])
+            return out
+
+        target, draft = ZOO["ngram3a"], ZOO["ngram2b"]
+        config = SpecConfig(gamma=3)
+        steps = scalar_steps(target, draft, [1], config, RandomStream(2), 300)
+        monkeypatch.setattr(np, "unique", column_inverse)
+        block = speculative_steps(target, draft, [1], config, RandomStream(2), 300)
+        assert_block_equals_loop(block, steps)
+
+    def test_fast_path_skips_the_scalar_step(self, monkeypatch, ngram_pair):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scalar step called")
+
+        monkeypatch.setattr(engine, "speculative_step", refuse)
+        mp, mq = ngram_pair
+        report = equivalence_test(mp, mq, SpecConfig(gamma=3, seed=6), 20_000, [[0], [2]])
+        assert report.verdict
+        assert geometric_fit_test(0.8, 4, 10_000, seed=6).verdict
+
+    def test_fallback_calls_the_module_step(self, monkeypatch):
+        # A model without a window takes the scalar loop through
+        # ``engine.speculative_step``, so a wrapper installed there sees it.
+        calls = []
+        step = engine.speculative_step
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "speculative_step", counted)
+        speculative_steps(ZOO["ngram2a"], ZOO["copy"], [0], SpecConfig(gamma=2),
+                          RandomStream(0), 7)
+        assert len(calls) == 7
+
+    def test_zero_probability_checked_up_to_first_rejection(self, monkeypatch):
+        # A sampler that always returns token 1 drafts it at position 1 with
+        # draft probability 0, but the target rejects position 0 first, so the
+        # scalar step never looks at position 1 and neither may the block.
+        class AfterOne(LanguageModel):
+            context_window = 1
+            vocab_size = 2
+
+            def evaluate(self, prefix):
+                return np.array([1.0, 0.0]) if prefix and prefix[-1] == 1 else np.array([0.5, 0.5])
+
+        target = StatelessModel(np.array([1.0, 0.0]))
+        monkeypatch.setattr(engine, "sample", lambda d, rng: (rng.uniform(), 1)[1])
+        monkeypatch.setattr(engine, "inverse_cdf_many",
+                            lambda d, u: np.ones(len(u), dtype=np.int64))
+        config = SpecConfig(gamma=2)
+        steps = scalar_steps(target, AfterOne(), [0], config, RandomStream(1), 5)
+        block = speculative_steps(target, AfterOne(), [0], config, RandomStream(1), 5)
+        assert block.accepted_n.tolist() == [t.accepted_n for _, t in steps] == [0] * 5
+        # At position 0 the same sampler does trip the check.
+        with pytest.raises(RuntimeError, match="zero draft probability"):
+            speculative_steps(target, target, [0], config, RandomStream(1), 5)
+
+    def test_argument_checks(self):
+        p, q = stateless_pair(0.5)
+        config = SpecConfig(gamma=2)
+        with pytest.raises(ValueError, match="mutation"):
+            speculative_steps(p, q, [0], config, RandomStream(0), 3, _mutation="nope")
+        with pytest.raises(ValueError, match="n must be"):
+            speculative_steps(p, q, [0], config, RandomStream(0), -1)
+        with pytest.raises(VocabMismatchError):
+            speculative_steps(p, StatelessModel(np.ones(3) / 3), [0], config, RandomStream(0), 3)
+        empty = speculative_steps(p, q, [0], config, RandomStream(0), 0)
+        assert empty.drafts.shape == (0, 2) and empty.tokens_at(0).shape == (0,)
 
 
 class TestDecode:
@@ -396,6 +595,10 @@ p, q = stateless_pair(0.5)
 checks = {
     "zero draft probability": raises(engine, "sample", lambda d, rng: 1, lambda: speculative_step(
         one_hot, one_hot, [0], SpecConfig(gamma=2), RandomStream(0))),
+    "zero draft probability in a block": raises(
+        engine, "inverse_cdf_many", lambda d, u: np.ones(len(u), dtype=np.int64),
+        lambda: engine.speculative_steps(one_hot, one_hot, [0], SpecConfig(gamma=2),
+                                         RandomStream(0), 5)),
     "call guarantee": raises(engine, "speculative_step", costly_step, lambda: decode(
         p, q, [0], SpecConfig(gamma=2, seed=3, max_new_tokens=10))),
     "rejection ordering": raises(harness, "beta", lambda p, q: 0.0, lambda: rejection_comparison(

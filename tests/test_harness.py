@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from specdec import harness
 from specdec.analysis import CostModel, beta, expected_tokens
 from specdec.distmath import Distribution, normalize
-from specdec.engine import MUTATIONS, SpecConfig, speculative_step
+from specdec.engine import MUTATIONS, SpecConfig, speculative_step, speculative_steps
 from specdec.harness import (
     equivalence_test,
     exact_step_distribution,
@@ -117,6 +118,47 @@ class TestEquivalence:
         mp, mq = model_pair
         report = equivalence_test(mp, mq, SpecConfig(gamma=1, seed=5), 20_000, [[0]])
         assert report.verdict == (report.p_value > report.threshold)
+
+
+def _markov_text(rng: RandomStream, vocab: int, stride: int, n: int = 2000) -> list[int]:
+    """Text where each token mostly follows its predecessor plus ``stride``."""
+    tokens = [0]
+    for u in rng.uniform_block(n - 1):
+        tokens.append((tokens[-1] + stride + int(3 * u * u)) % vocab)
+    return tokens
+
+
+class TestTwoTokenExactness:
+    """The first two emitted tokens on an n-gram pair follow the target's joint
+    law p(x0) p(x1 | x0). ``equivalence_test`` looks at the first token only,
+    so a step that misuses a later position's draft distribution passes it."""
+
+    def test_first_two_tokens_follow_target_joint(self):
+        vocab, n = 6, 200_000
+        rng = RandomStream(307)
+        target = train_ngram(_markov_text(rng, vocab, 1), 2, vocab)
+        draft = train_ngram(_markov_text(rng, vocab, 2), 2, vocab)
+        config = SpecConfig(gamma=3)
+        ctx = [0]
+        steps = speculative_steps(target, draft, ctx, config, RandomStream(0), n)
+        first, second = steps.tokens_at(0), steps.tokens_at(1)
+        for x in range(vocab):
+            # A step that emitted x alone: the next token is the first of a
+            # fresh step at ctx + [x], on a stream of its own.
+            short = np.flatnonzero((second < 0) & (first == x))
+            more = speculative_steps(target, draft, ctx + [x], config,
+                                     RandomStream(0, stream=1 + x), len(short))
+            second[short] = more.tokens_at(0)
+        observed = np.bincount(first * vocab + second, minlength=vocab * vocab)
+        p0 = target.next_distribution(ctx, config.policy).probs
+        p1 = np.stack([target.next_distribution(ctx + [x], config.policy).probs
+                       for x in range(vocab)])
+        expected = n * (p0[:, None] * p1).ravel()
+        keep = expected >= 5.0  # pool the bins too small for chi-square
+        observed = np.append(observed[keep], observed[~keep].sum())
+        expected = np.append(expected[keep], expected[~keep].sum())
+        _, p_value = scipy_stats.chisquare(observed, expected)
+        assert p_value > 1e-3, f"joint of the first two tokens: p={p_value:.3g}"
 
 
 class TestGeometricFit:
