@@ -58,19 +58,24 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class CostModel:
-    """Relative costs of the draft model.
+    """Relative costs of the draft model and of a batched target call.
 
     ``c`` is walltime per draft run over walltime per target run; ``c_hat``
     is the same ratio for arithmetic operations per token. ``unit_target_cost``
-    sets the simulation's time unit.
+    sets the simulation's time unit. A target call over gamma+1 prefixes
+    costs ``batch_cost(gamma)`` target runs, 1 + ``batch_penalty`` * gamma.
     """
 
     c: float = 0.0
     c_hat: float = 0.0
     unit_target_cost: float = 1.0
+    batch_penalty: float = 0.0
+
+    def batch_cost(self, gamma: int) -> float:
+        return 1.0 + self.batch_penalty * gamma  # exactly 1.0 at penalty 0
 
     def __post_init__(self):
-        for name in ("c", "c_hat", "unit_target_cost"):
+        for name in ("c", "c_hat", "unit_target_cost", "batch_penalty"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
                 raise DomainError(f"{name} must be finite and non-negative")
@@ -177,14 +182,16 @@ def expected_tokens(alpha: float, gamma: int) -> float:
     return (1.0 - alpha ** (gamma + 1)) / (1.0 - alpha)
 
 
-def walltime_factor(alpha: float, gamma: int, c: float) -> float:
-    """Expected walltime improvement: (1 - alpha^(gamma+1)) / ((1-alpha)(gamma*c + 1))."""
+def walltime_factor(alpha: float, gamma: int, c: float, batch_cost: float = 1.0) -> float:
+    """Expected walltime improvement: (1-alpha^(gamma+1)) / ((1-alpha)(gamma*c + batch_cost))."""
     _check_alpha(alpha, allow_one=True)
     if gamma < 0:
         raise DomainError("gamma must be >= 0")
     if not math.isfinite(c) or c < 0:
         raise DomainError("c must be finite and non-negative")
-    return expected_tokens(alpha, gamma) / (gamma * c + 1.0)
+    if not math.isfinite(batch_cost) or batch_cost <= 0:
+        raise DomainError("batch_cost must be finite and positive")
+    return expected_tokens(alpha, gamma) / (gamma * c + batch_cost)
 
 
 def improvement_condition(alpha: float, c: float) -> tuple[bool, float]:

@@ -280,16 +280,15 @@ def cmd_decode(args: argparse.Namespace) -> int:
 # verify
 
 
-def _verify_exactness(args: argparse.Namespace) -> int:
+def _verify_exactness(args: argparse.Namespace) -> tuple[bool, str]:
     worst, worst_lenient = harness.exactness_check(args.pairs, args.vocab, args.seed)
     ok = worst < 1e-12 and worst_lenient <= 1e-12
-    print(f"exactness: pairs={args.pairs} vocab={args.vocab} "
-          f"max|out-p|={worst:.3e} max lenient excess={worst_lenient:.3e} "
-          f"-> {'PASS' if ok else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_VERIFY_FAIL
+    return ok, (f"exactness: pairs={args.pairs} vocab={args.vocab} "
+                f"max|out-p|={worst:.3e} max lenient excess={worst_lenient:.3e} "
+                f"-> {'PASS' if ok else 'FAIL'}")
 
 
-def _verify_equivalence(args: argparse.Namespace) -> int:
+def _verify_equivalence(args: argparse.Namespace) -> tuple[bool, str]:
     _at_least(args, "--samples", harness.MIN_SAMPLES)
     config = _from_flags(SpecConfig, gamma=args.gamma, seed=args.seed, lenience=args.lenience)
     p, q = harness.random_pair(RandomStream(args.seed), args.vocab)
@@ -299,11 +298,10 @@ def _verify_equivalence(args: argparse.Namespace) -> int:
         target, draft, config, args.samples, context_set=[[0]], mutation=mutation
     )
     tag = f" (mutation: {args.mutate})" if args.mutate else ""
-    print(f"equivalence{tag}: {report.summary()}")
-    return EXIT_OK if report.verdict else EXIT_VERIFY_FAIL
+    return report.verdict, f"equivalence{tag}: {report.summary()}"
 
 
-def _verify_geometric(args: argparse.Namespace) -> int:
+def _verify_geometric(args: argparse.Namespace) -> tuple[bool, str]:
     _at_least(args, "--steps", 1)
     # The harness builds the pair and the config from these flags; building
     # them here first makes a bad value a usage error.
@@ -312,33 +310,34 @@ def _verify_geometric(args: argparse.Namespace) -> int:
     report = harness.geometric_fit_test(args.alpha, args.gamma, args.steps, seed=args.seed)
     gap = report.extras["mean_rel_gap"]
     ok = report.verdict and gap <= 0.02
-    print(
+    return ok, (
         f"geometric: alpha={args.alpha} gamma={args.gamma} steps={args.steps} "
         f"p={report.p_value:.3g} mean={report.extras['mean_tokens']:.4f} "
         f"expected={report.extras['expected_mean']:.4f} gap={100 * gap:.2f}% "
         f"-> {'PASS' if ok else 'FAIL'}"
     )
-    return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
-def _verify_rejection(args: argparse.Namespace) -> int:
+def _verify_rejection(args: argparse.Namespace) -> tuple[bool, str]:
     violations, worst_margin = harness.rejection_check(args.pairs, args.vocab, args.seed)
     ok = violations == 0
-    print(f"rejection: pairs={args.pairs} vocab={args.vocab} violations={violations} "
-          f"min(beta - accept)={worst_margin:.3e} -> {'PASS' if ok else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_VERIFY_FAIL
+    return ok, (f"rejection: pairs={args.pairs} vocab={args.vocab} violations={violations} "
+                f"min(beta - accept)={worst_margin:.3e} -> {'PASS' if ok else 'FAIL'}")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _print_header(args, sys.stdout)
     _at_least(args, "--vocab", 1)
-    suite = {
+    # Each suite checks its flags, runs, and returns its verdict and line; the
+    # header is printed only then, so a usage error leaves stdout empty.
+    ok, line = {
         "exactness": _verify_exactness,
         "equivalence": _verify_equivalence,
         "geometric": _verify_geometric,
         "rejection": _verify_rejection,
-    }[args.suite]
-    return suite(args)
+    }[args.suite](args)
+    _print_header(args, sys.stdout)
+    print(line)
+    return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -396,12 +395,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise CliError("simulate needs --stateless-alpha or both --target and --draft")
     _at_least(args, "--n-tokens", 1)
     _at_least(args, "--runs", 1)
-    cost = _from_flags(analysis.CostModel, c=args.c, c_hat=args.c_hat)
+    cost = _from_flags(analysis.CostModel, c=args.c, c_hat=args.c_hat,
+                       batch_penalty=args.batch_penalty)
     config = _from_flags(SpecConfig, gamma=args.gamma, seed=args.seed, lenience=args.lenience)
-    report = harness.simulate_walltime(
-        target, draft, cost, config,
-        n_tokens=args.n_tokens, n_runs=args.runs, batch_penalty=args.batch_penalty,
-    )
+    report = harness.simulate_walltime(target, draft, cost, config,
+                                       n_tokens=args.n_tokens, n_runs=args.runs)
     _print_header(args, sys.stdout)
     row = report.row(task)
     ops = analysis.ops_factor(report.alpha_hat, args.gamma, args.c_hat)

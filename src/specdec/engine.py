@@ -9,10 +9,10 @@ accepted. Every step therefore emits between 1 and ``gamma + 1`` tokens for
 exactly one (batched) target call, and with lenience 1 the emitted tokens
 are distributed exactly as if they had been sampled from the target alone.
 
-RNG consumption per step is fixed regardless of outcomes: ``gamma`` draft
-variates, then ``gamma`` acceptance variates (all drawn even after an early
-rejection), then one final-sample variate. This keeps stream positions, and
-therefore whole traces, comparable across runs and configurations.
+RNG consumption per step is fixed regardless of outcomes: one block of
+``2 * gamma + 1`` variates, ``gamma`` for the drafts, ``gamma`` for acceptance
+(drawn even after an early rejection), then one for the final sample. This
+keeps stream positions, and therefore whole traces, comparable across runs.
 """
 
 from __future__ import annotations
@@ -223,22 +223,23 @@ def speculative_step(
     if _mutation is not None and _mutation not in MUTATIONS:
         raise ValueError(f"unknown mutation {_mutation!r}")
     _check_vocab(target, draft)
-    gamma = config.gamma
-    lenience = config.lenience
-    policy = config.policy
+    gamma, lenience, policy = config.gamma, config.lenience, config.policy
 
     # Argmax-lenient mode judges drafts on the raw target distribution
     # (before the argmax collapse); the exact ratio test applies otherwise.
     argmax_lenient = policy.is_argmax and lenience < 1.0
+
+    # The step's variates, one row as in _step_block (see the module docstring).
+    u = rng.uniform_block(2 * gamma + 1).tolist()
 
     # Each model sees only the tail of the prefix it declares it reads, so
     # the per-step cost does not grow with the prefix for windowed models.
     base = _tail(prefix, draft.context_window)
     drafts: list[int] = []
     q_dists: list[Distribution] = []
-    for _ in range(gamma):
+    for i in range(gamma):
         qd = draft.next_distribution(base, policy)
-        x = sample(qd, rng)
+        x = inverse_cdf(qd, u[i])
         drafts.append(x)
         q_dists.append(qd)
         base.append(x)
@@ -258,10 +259,6 @@ def speculative_step(
     else:
         p_dists = target.next_distribution_batch(candidates, policy)
 
-    # All gamma acceptance variates are drawn up front so the stream
-    # position never depends on where the first rejection lands.
-    rs = [rng.uniform() for _ in range(gamma)]
-
     n = gamma
     for i in range(gamma):
         x = drafts[i]
@@ -273,17 +270,16 @@ def speculative_step(
             if not q_x > 0.0:
                 raise RuntimeError("drafted token with zero draft probability")
             ratio = float(p_dists[i].probs[x]) / (lenience * q_x)
-            accepted = not (rs[i] > ratio)
+            accepted = not (u[gamma + i] > ratio)
         if not accepted:
             n = i
             break
     if _mutation == "accept_off_by_one" and n < gamma:
         n += 1  # deliberately accepts the rejected draft as well
 
-    u_final = rng.uniform()  # always consumed, even on the fallback path
     d, source = _last_token_dist(p_dists[n], q_dists[n] if n < gamma else None, lenience,
                                  _mutation, argmax_lenient)
-    final = drafts[n] if d is None else inverse_cdf(d, u_final)
+    final = drafts[n] if d is None else inverse_cdf(d, u[2 * gamma])
 
     tokens = drafts[:n] + [final]
     trace = StepTrace(

@@ -320,22 +320,21 @@ def simulate_walltime(
     n_tokens: int = 10_000,
     prompt: Sequence[int] = (0,),
     n_runs: int = 1,
-    batch_penalty: float = 0.0,
 ) -> SimReport:
     """Charge unit costs to a speculative decode and compare with theory.
 
     Each run is one :func:`decode` of exactly ``n_tokens`` tokens (the last
     step is truncated to fit; the stop token is ignored), and run ``i``
     decodes with seed ``config.seed + i``. Each batched target call costs
-    ``T * (1 + batch_penalty * gamma)`` (penalty defaults to 0: the gamma+1
-    evaluations ride along in parallel) and each draft call costs
-    ``T * c``. The standard-decoding arm pays ``T`` per token on an
-    identical token budget. Acceptance is estimated from the traces of all
-    runs and fed to the closed-form prediction.
+    ``T * cost.batch_cost(gamma)`` and each draft call costs ``T * c``. The
+    standard-decoding arm pays ``T`` per token on an identical token budget.
+    Acceptance is estimated from the traces of all runs and fed to the
+    closed-form prediction, charged the same batch cost.
     """
     if n_tokens < 1:
         raise ValueError("n_tokens must be >= 1")
     t_unit = cost.unit_target_cost
+    batch_cost = cost.batch_cost(config.gamma)
     runs: list[RunStats] = []
     first_step_tokens: list[int] = []
     traces: list[StepTrace] = []
@@ -345,7 +344,7 @@ def simulate_walltime(
         result = decode(target, draft, prompt, run_config)
         run_cost = 0.0
         for trace in result.traces:
-            run_cost += t_unit * (1.0 + batch_penalty * config.gamma)
+            run_cost += t_unit * batch_cost
             run_cost += t_unit * cost.c * trace.draft_calls
         emitted = len(result.tokens)
         runs.append(RunStats(tokens=emitted, steps=len(result.traces), cost=run_cost,
@@ -357,7 +356,7 @@ def simulate_walltime(
     total_cost = sum(r.cost for r in runs)
     empirical = (total_tokens * t_unit) / total_cost
     alpha_hat = trace_accept_rate(DecodeResult(tokens=[], traces=traces)).alpha
-    expected = walltime_factor(alpha_hat, config.gamma, cost.c)
+    expected = walltime_factor(alpha_hat, config.gamma, cost.c, batch_cost)
     return SimReport(
         runs=runs,
         gamma=config.gamma,

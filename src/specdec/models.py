@@ -45,8 +45,9 @@ class LanguageModel(ABC):
     trailing prefix tokens that ``evaluate`` reads. A model declaring ``w``
     must return bitwise-identical scores for ``prefix`` and for its last
     ``w`` tokens (all of it when shorter), so callers may pass just that
-    tail; ``0`` means the prefix is ignored. ``None`` means the whole prefix
-    may matter and callers must pass it all.
+    tail; ``0`` means the prefix is ignored, so the standardized views return
+    one distribution per policy, computed once. ``None`` means the whole
+    prefix may matter and callers must pass it all.
     """
 
     score_kind: str = "probs"  # or "logits"
@@ -66,13 +67,26 @@ class LanguageModel(ABC):
     # Standardized views. Overridable as a performance contract only:
     # results must equal standardize(evaluate(prefix), policy).
     def next_distribution(self, prefix: Sequence[int], policy: SamplingPolicy) -> Distribution:
+        if self.context_window == 0:
+            return self._fixed_distribution(policy)
         return standardize(self.evaluate(prefix), policy, from_logits=self.score_kind == "logits")
 
     def next_distribution_batch(
         self, prefixes: Sequence[Sequence[int]], policy: SamplingPolicy
     ) -> list[Distribution]:
+        if self.context_window == 0:
+            return [self._fixed_distribution(policy)] * len(prefixes)
         return standardize_rows(self.evaluate_batch(prefixes), policy,
                                 from_logits=self.score_kind == "logits")
+
+    def _fixed_distribution(self, policy: SamplingPolicy) -> Distribution:
+        """A window-0 model's distribution under ``policy``, memoized per instance."""
+        memo = self.__dict__.setdefault("_by_policy", {})
+        d = memo.get(policy)
+        if d is None:
+            d = memo[policy] = standardize(self.evaluate(()), policy,
+                                           from_logits=self.score_kind == "logits")
+        return d
 
 
 class StatelessModel(LanguageModel):
@@ -87,7 +101,6 @@ class StatelessModel(LanguageModel):
 
     def __init__(self, probs: np.ndarray):
         self._dist = Distribution(np.asarray(probs, dtype=np.float64))
-        self._by_policy: dict[SamplingPolicy, Distribution] = {}
 
     @property
     def vocab_size(self) -> int:
@@ -95,19 +108,6 @@ class StatelessModel(LanguageModel):
 
     def evaluate(self, prefix: Sequence[int]) -> np.ndarray:
         return self._dist.probs
-
-    def next_distribution(self, prefix: Sequence[int], policy: SamplingPolicy) -> Distribution:
-        d = self._by_policy.get(policy)
-        if d is None:
-            d = standardize(self._dist.probs, policy)
-            self._by_policy[policy] = d
-        return d
-
-    def next_distribution_batch(
-        self, prefixes: Sequence[Sequence[int]], policy: SamplingPolicy
-    ) -> list[Distribution]:
-        d = self.next_distribution((), policy)
-        return [d] * len(prefixes)
 
 
 class NGramModel(LanguageModel):

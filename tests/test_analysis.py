@@ -377,6 +377,20 @@ class TestCostModel:
             CostModel(c=-0.1)
         with pytest.raises(DomainError):
             CostModel(unit_target_cost=0.0)
+        with pytest.raises(DomainError):
+            CostModel(batch_penalty=-0.1)
+        with pytest.raises(DomainError):
+            walltime_factor(0.5, 3, 0.1, batch_cost=0.0)
+
+    def test_batch_cost(self):
+        assert CostModel(batch_penalty=0.2).batch_cost(3) == pytest.approx(1.6)
+        # With no penalty the charged formula is walltime_factor itself, bit for bit.
+        for alpha, gamma, c in [(0.3, 2, 0.05), (0.7, 3, 0.02), (0.9, 5, 0.01), (1.0, 4, 0.0)]:
+            b = CostModel(c=c).batch_cost(gamma)
+            assert b == 1.0
+            assert walltime_factor(alpha, gamma, c, b) == walltime_factor(alpha, gamma, c)
+        assert walltime_factor(0.7, 3, 0.02, 1.6) == pytest.approx(
+            expected_tokens(0.7, 3) / (3 * 0.02 + 1.6))
 
     def test_alpha_estimate_fields(self):
         est = AlphaEstimate(alpha=0.5, n_tokens=10, std_error=0.01)

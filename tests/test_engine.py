@@ -16,7 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specdec import engine
-from specdec.distmath import AllZeroError, Distribution, SamplingPolicy, VocabMismatchError
+from specdec.distmath import (
+    AllZeroError,
+    Distribution,
+    SamplingPolicy,
+    VocabMismatchError,
+    inverse_cdf,
+    residual,
+)
 from specdec.engine import (
     MUTATIONS,
     SpecConfig,
@@ -108,7 +115,7 @@ class TestSpeculativeStep:
     def test_zero_probability_draft_raises(self, monkeypatch):
         # A sampler that returns a token outside the draft's support breaks
         # the ratio test's precondition; the step must refuse, not divide.
-        monkeypatch.setattr(engine, "sample", lambda d, rng: 1)
+        monkeypatch.setattr(engine, "inverse_cdf", lambda d, u: 1)
         m = StatelessModel(np.array([1.0, 0.0]))
         with pytest.raises(RuntimeError, match="zero draft probability"):
             speculative_step(m, m, [0], SpecConfig(gamma=2), RandomStream(0))
@@ -162,6 +169,58 @@ class TestSpeculativeStep:
         for d in trace.drafted:
             assert d.q_prob == q.evaluate([])[d.token]
             assert d.p_prob == p.evaluate([])[d.token]
+
+    @pytest.mark.parametrize("gamma", [1, 4])
+    @pytest.mark.parametrize("policy, lenience", [
+        (SamplingPolicy(), 1.0), (SamplingPolicy(argmax=True), 0.9),
+    ], ids=["exact", "argmax-lenient"])
+    def test_one_variate_block_per_step(self, ngram_pair, policy, lenience, gamma):
+        target, draft = ngram_pair
+        config = SpecConfig(gamma=gamma, policy=policy, lenience=lenience)
+        rng, ctx, sources = RecordingStream(5), [0], set()
+        for step in range(1, 31):
+            tokens, trace = speculative_step(target, draft, ctx, config, rng)
+            assert rng.calls == [2 * gamma + 1] * step
+            ctx.extend(tokens)
+            sources.add(trace.correction_source)
+        assert rng.n_drawn == 30 * (2 * gamma + 1)
+        assert ("target_argmax" if lenience < 1.0 else "residual") in sources
+
+    def test_variate_layout(self):
+        # Row u of a step: drafts from u[:gamma], acceptance from
+        # u[gamma:2*gamma], the last token from u[2*gamma].
+        p, q = random_pair(RandomStream(7), 5)
+        target, draft = StatelessModel(p.probs), StatelessModel(q.probs)
+        gamma = 3
+        for seed in range(40):
+            u = RandomStream(seed).uniform_block(2 * gamma + 1)
+            tokens, trace = speculative_step(target, draft, [0], SpecConfig(gamma=gamma),
+                                             RandomStream(seed))
+            drafts = [d.token for d in trace.drafted]
+            assert drafts == [inverse_cdf(q, x) for x in u[:gamma]]
+            ratios = p.probs[drafts] / q.probs[drafts]
+            n = next((i for i in range(gamma) if u[gamma + i] > ratios[i]), gamma)
+            assert trace.accepted_n == n
+            last = residual(p, q) if n < gamma else p
+            assert tokens == drafts[:n] + [inverse_cdf(last, u[2 * gamma])]
+
+
+class RecordingStream(RandomStream):
+    """Records each draw: ``n`` for ``uniform_block(n)``, ``"uniform"`` for ``uniform()``."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = []
+
+    def uniform(self):
+        self.calls.append("uniform")
+        return super().uniform()
+
+    def uniform_block(self, n):
+        self.calls.append(n)
+        return super().uniform_block(n)
 
 
 # One zoo of every model class over one vocabulary for the block tests:
@@ -328,7 +387,7 @@ class TestSpeculativeSteps:
                 return np.array([1.0, 0.0]) if prefix and prefix[-1] == 1 else np.array([0.5, 0.5])
 
         target = StatelessModel(np.array([1.0, 0.0]))
-        monkeypatch.setattr(engine, "sample", lambda d, rng: (rng.uniform(), 1)[1])
+        monkeypatch.setattr(engine, "inverse_cdf", lambda d, u: 1)
         monkeypatch.setattr(engine, "inverse_cdf_many",
                             lambda d, u: np.ones(len(u), dtype=np.int64))
         config = SpecConfig(gamma=2)
@@ -593,8 +652,9 @@ def costly_step(*args, **kwargs):
 one_hot = StatelessModel(np.array([1.0, 0.0]))
 p, q = stateless_pair(0.5)
 checks = {
-    "zero draft probability": raises(engine, "sample", lambda d, rng: 1, lambda: speculative_step(
-        one_hot, one_hot, [0], SpecConfig(gamma=2), RandomStream(0))),
+    "zero draft probability": raises(engine, "inverse_cdf", lambda d, u: 1,
+                                     lambda: speculative_step(one_hot, one_hot, [0],
+                                                              SpecConfig(gamma=2), RandomStream(0))),
     "zero draft probability in a block": raises(
         engine, "inverse_cdf_many", lambda d, u: np.ones(len(u), dtype=np.int64),
         lambda: engine.speculative_steps(one_hot, one_hot, [0], SpecConfig(gamma=2),

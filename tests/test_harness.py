@@ -9,7 +9,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from specdec import harness
-from specdec.analysis import CostModel, beta, expected_tokens
+from specdec.analysis import CostModel, beta, expected_tokens, walltime_factor
 from specdec.distmath import Distribution, normalize
 from specdec.engine import MUTATIONS, SpecConfig, speculative_step, speculative_steps
 from specdec.harness import (
@@ -226,9 +226,19 @@ class TestSimulateWalltime:
         target, draft = stateless_pair(0.6)
         cfg = SpecConfig(gamma=3, seed=14)
         free = simulate_walltime(target, draft, CostModel(), cfg, n_tokens=2000)
-        taxed = simulate_walltime(target, draft, CostModel(), cfg, n_tokens=2000,
-                                  batch_penalty=0.2)
+        taxed = simulate_walltime(target, draft, CostModel(batch_penalty=0.2), cfg,
+                                  n_tokens=2000)
         assert taxed.empirical_speedup < free.empirical_speedup
+
+    def test_batch_penalty_gap_below_two_percent(self):
+        # The expected figure is charged the same batch cost as the simulation.
+        target, draft = stateless_pair(0.7)
+        cost = CostModel(c=0.02, batch_penalty=0.2)
+        report = simulate_walltime(target, draft, cost, SpecConfig(gamma=3, seed=11),
+                                   n_tokens=10_000)
+        assert abs(report.rel_gap) < 0.02
+        assert report.expected_speedup == walltime_factor(report.alpha_hat, 3, 0.02,
+                                                          cost.batch_cost(3))
 
     def test_timeline_reflects_real_steps(self):
         target, draft = stateless_pair(0.5)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specdec import engine
+from specdec import engine, models
 from specdec.analysis import beta
 from specdec.distmath import Distribution, IDENTITY_POLICY, SamplingPolicy, standardize
 from specdec.engine import SpecConfig, decode, standard_decode
@@ -416,6 +416,92 @@ class TestBatchingContract:
         cached = m.next_distribution([0], policy)
         direct = standardize(m.evaluate([0]), policy)
         np.testing.assert_array_equal(cached.probs, direct.probs)
+
+
+class FixedLogits(LanguageModel):
+    """A bare window-0 model with logit scores."""
+
+    context_window = 0
+    score_kind = "logits"
+    vocab_size = 4
+
+    def evaluate(self, prefix):
+        return np.array([0.5, -1.0, 2.0, 0.0])
+
+
+WINDOW_ZERO = {
+    "stateless": lambda: StatelessModel(np.array([0.1, 0.2, 0.3, 0.4])),
+    "ngram1": lambda: train_ngram([0, 1, 2, 3, 3, 2, 3, 1, 3], order=1, vocab_size=4),
+    "bare": FixedLogits,
+}
+MEMO_POLICIES = [
+    IDENTITY_POLICY,
+    SamplingPolicy(temperature=0.7),
+    SamplingPolicy(top_k=2),
+    SamplingPolicy(top_p=0.8),
+    SamplingPolicy(argmax=True),
+]
+
+
+class TestWindowZeroMemo:
+    """A window-0 model standardizes once per policy and returns that one
+    distribution, bitwise ``standardize(evaluate(()), policy)``, from both views."""
+
+    @pytest.mark.parametrize("make", WINDOW_ZERO.values(), ids=WINDOW_ZERO)
+    @pytest.mark.parametrize("policy", MEMO_POLICIES)
+    def test_one_distribution_per_policy(self, make, policy):
+        m = make()
+        d = m.next_distribution([], policy)
+        ref = standardize(m.evaluate(()), policy, from_logits=m.score_kind == "logits")
+        assert d.probs.tobytes() == ref.probs.tobytes()
+        assert all(m.next_distribution(prefix, policy) is d for prefix in ([], [0], [3, 1, 2]))
+        rows = m.next_distribution_batch([[0], [], [1, 2, 3], [0]], policy)
+        assert len(rows) == 4 and all(r is d for r in rows)
+
+    @pytest.mark.parametrize("make", WINDOW_ZERO.values(), ids=WINDOW_ZERO)
+    def test_standardizes_once_per_policy_across_a_decode(self, make, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return standardize(*args, **kwargs)
+
+        # The target's batched view goes through standardize_rows, so every
+        # counted call is the draft's.
+        monkeypatch.setattr(models, "standardize", counted)
+        draft = make()
+        target = train_ngram([0, 1, 2, 3, 3, 2, 3, 1, 3, 0, 2], order=2, vocab_size=4)
+        for policy, seed in [(IDENTITY_POLICY, 0), (SamplingPolicy(top_k=2), 1),
+                             (IDENTITY_POLICY, 2)]:
+            res = decode(target, draft, [0], SpecConfig(gamma=1, policy=policy, seed=seed,
+                                                        max_new_tokens=100))
+            assert len(res.traces) >= 50
+        assert calls == [IDENTITY_POLICY, SamplingPolicy(top_k=2)]
+
+    def test_policies_and_instances_do_not_share(self):
+        a, b = StatelessModel(np.array([0.1, 0.2, 0.3, 0.4])), FixedLogits()
+        twin = StatelessModel(np.array([0.1, 0.2, 0.3, 0.4]))
+        for policy in MEMO_POLICIES:
+            for m in (a, b):
+                ref = standardize(m.evaluate(()), policy, from_logits=m.score_kind == "logits")
+                assert m.next_distribution([], policy) == ref
+            assert twin.next_distribution([], policy) is not a.next_distribution([], policy)
+        top2 = a.next_distribution([], SamplingPolicy(top_k=2))
+        assert top2 != a.next_distribution([], IDENTITY_POLICY)
+        assert top2 == standardize(a.evaluate(()), SamplingPolicy(top_k=2))
+
+    def test_windowed_and_copy_models_are_not_memoized(self):
+        ngram = train_ngram([0, 1, 2, 3, 3, 2, 3, 1, 3, 0, 2], order=2, vocab_size=4)
+        copy = CopyModel(4)
+        for m, prefixes in [(ngram, ([0], [3])), (copy, ([1, 2, 0, 1, 2], [1, 2, 3, 3, 0]))]:
+            first, second = (m.next_distribution(p, IDENTITY_POLICY) for p in prefixes)
+            assert first != second
+            for p, d in zip(prefixes, (first, second)):
+                ref = standardize(m.evaluate(p), IDENTITY_POLICY)
+                assert d.probs.tobytes() == ref.probs.tobytes()
+        again = ngram.next_distribution([0], IDENTITY_POLICY)
+        assert again is not ngram.next_distribution([0], IDENTITY_POLICY)
+        assert "_by_policy" not in vars(ngram) and "_by_policy" not in vars(copy)
 
 
 class TestTokenizers:

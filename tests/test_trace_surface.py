@@ -2,8 +2,9 @@
 
 ``specbench/tracing.py`` swaps wrappers over named attributes of ``engine``,
 ``harness``, ``models`` and ``cli`` (``getattr`` on each), so renaming or
-dropping one of them breaks the traced run; this test catches that without
-running the benchmark.
+dropping one of them breaks the traced run; these tests catch that without
+running the benchmark, and check that a traced decode still shows every
+sample, every draw and every standardization where the benchmark counts them.
 """
 
 from __future__ import annotations
@@ -11,15 +12,49 @@ from __future__ import annotations
 import importlib
 from pathlib import Path
 
+import pytest
+
 from specdec import engine, harness, models
+from specdec.distmath import IDENTITY_POLICY, SamplingPolicy
+from specdec.engine import SpecConfig, decode
+from specdec.models import train_ngram
 
 SPECBENCH = Path(__file__).resolve().parent.parent / "specbench"
 
 
-def test_traced_run_installs_and_restores(monkeypatch):
+@pytest.fixture
+def tracing(monkeypatch):
     monkeypatch.syspath_prepend(str(SPECBENCH))
-    tracing = importlib.import_module("tracing")
+    return importlib.import_module("tracing")
+
+
+def test_traced_run_installs_and_restores(tracing):
     originals = (engine.speculative_step, harness.speculative_step, models.standardize)
     with tracing.installed(tracing.Tracer()):
         assert engine.speculative_step is not originals[0]
     assert (engine.speculative_step, harness.speculative_step, models.standardize) == originals
+
+
+def test_traced_decode_sees_every_sample_and_draw(tracing):
+    # The traced view must keep seeing a step's sampling and its draws: every
+    # drafted and final token is an inverse_cdf (or sample) span under its
+    # step, a step draws 2*gamma+1 variates, and the order-1 draft
+    # standardizes once per policy.
+    corpus = [0, 1, 2, 3, 3, 2, 3, 1, 3, 0, 2, 2, 1, 0, 3]
+    target = train_ngram(corpus, order=2, vocab_size=4)
+    draft = train_ngram(corpus[3:], order=1, vocab_size=4)
+    gamma = 3
+    tracer = tracing.Tracer()
+    traces = []
+    with tracing.installed(tracer):
+        for policy in (IDENTITY_POLICY, SamplingPolicy(top_k=2)):
+            traces += decode(target, draft, [0], SpecConfig(gamma=gamma, policy=policy,
+                                                            max_new_tokens=60)).traces
+    table = tracing.SpanTable(tracer)
+    steps = table.count("engine.step")
+    assert steps == len(traces)
+    sampled = (table.under("distmath.inverse_cdf", "engine.step").sum()
+               + table.under("distmath.sample", "engine.step").sum())
+    assert sampled == sum(gamma + (t.correction_source != "draft_fallback") for t in traces)
+    assert tracer.counts["rng.step_draws"] == steps * (2 * gamma + 1)
+    assert table.count("distmath.standardize") == 2
