@@ -58,29 +58,23 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class CostModel:
-    """Relative costs of the draft model and of a batched target call.
-
-    ``c`` is walltime per draft run over walltime per target run; ``c_hat``
-    is the same ratio for arithmetic operations per token. ``unit_target_cost``
-    sets the simulation's time unit. A target call over gamma+1 prefixes
-    costs ``batch_cost(gamma)`` target runs, 1 + ``batch_penalty`` * gamma.
+    """Relative costs of the draft model and of a batched target call, in
+    target runs: ``c`` is walltime per draft run over walltime per target
+    run, and a target call over gamma+1 prefixes costs ``batch_cost(gamma)``
+    target runs, 1 + ``batch_penalty`` * gamma.
     """
 
     c: float = 0.0
-    c_hat: float = 0.0
-    unit_target_cost: float = 1.0
     batch_penalty: float = 0.0
 
     def batch_cost(self, gamma: int) -> float:
         return 1.0 + self.batch_penalty * gamma  # exactly 1.0 at penalty 0
 
     def __post_init__(self):
-        for name in ("c", "c_hat", "unit_target_cost", "batch_penalty"):
+        for name in ("c", "batch_penalty"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
                 raise DomainError(f"{name} must be finite and non-negative")
-        if self.unit_target_cost <= 0:
-            raise DomainError("unit_target_cost must be positive")
 
 
 @dataclass(frozen=True)

@@ -395,15 +395,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise CliError("simulate needs --stateless-alpha or both --target and --draft")
     _at_least(args, "--n-tokens", 1)
     _at_least(args, "--runs", 1)
-    cost = _from_flags(analysis.CostModel, c=args.c, c_hat=args.c_hat,
-                       batch_penalty=args.batch_penalty)
+    cost = _from_flags(analysis.CostModel, c=args.c, batch_penalty=args.batch_penalty)
     config = _from_flags(SpecConfig, gamma=args.gamma, seed=args.seed, lenience=args.lenience)
     report = harness.simulate_walltime(target, draft, cost, config,
                                        n_tokens=args.n_tokens, n_runs=args.runs)
+    ops = _from_flags(analysis.ops_factor, report.alpha_hat, args.gamma, args.c_hat)
+    mem = analysis.memory_access_factor(report.alpha_hat, args.gamma)
     _print_header(args, sys.stdout)
     row = report.row(task)
-    ops = analysis.ops_factor(report.alpha_hat, args.gamma, args.c_hat)
-    mem = analysis.memory_access_factor(report.alpha_hat, args.gamma)
     row["ops_factor"] = ops
     row["memory_access_factor"] = mem
     print(f"{'task':<24} {'gamma':>5} {'alpha':>7} {'c':>6} {'Exp':>6} {'Emp':>6} {'gap%':>7}")

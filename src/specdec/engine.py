@@ -181,17 +181,6 @@ def _tail(prefix: Sequence[int], window: int | None) -> list[int]:
     return list(prefix[-window:]) if window else []
 
 
-def _start_sequence(prompt: Sequence[int], bos_token: int | None) -> list[int]:
-    """A fresh copy of the prompt to grow in place, or ``[bos_token]`` when
-    the prompt is empty."""
-    seq = list(prompt)
-    if not seq:
-        if bos_token is None:
-            raise ValueError("empty prompt and no bos_token to inject")
-        seq = [bos_token]
-    return seq
-
-
 def argmax_lenient_accept(p: Distribution, draft: int, lenience: float) -> bool:
     """Lenient acceptance for argmax decoding, applied before standardizing.
 
@@ -245,19 +234,10 @@ def speculative_step(
         base.append(x)
 
     target_base = _tail(prefix, target.context_window)
-    candidates = [target_base + drafts[:i] for i in range(gamma + 1)]
     # The single designated concurrency point: one batched target call
     # covering all gamma+1 candidate prefixes, results in prefix order.
-    raw_dists: list[Distribution] | None = None
-    if argmax_lenient:
-        # Standardize the one block of raw scores both ways; the raw view
-        # feeds the lenient acceptance rule.
-        scores = target.evaluate_batch(candidates)
-        from_logits = target.score_kind == "logits"
-        p_dists = standardize_rows(scores, policy, from_logits=from_logits)
-        raw_dists = standardize_rows(scores, IDENTITY_POLICY, from_logits=from_logits)
-    else:
-        p_dists = target.next_distribution_batch(candidates, policy)
+    p_dists, raw_dists = _target_views(target, [target_base + drafts[:i] for i in range(gamma + 1)],
+                                       policy, argmax_lenient)
 
     n = gamma
     for i in range(gamma):
@@ -320,24 +300,17 @@ def speculative_steps(target: LanguageModel, draft: LanguageModel, prefix: Seque
 
     A step draws 2*gamma+1 variates, so one ``uniform_block`` row serves one
     step. At each position the rows are grouped by the tail each model reads
-    (its ``context_window``), the model is asked once per distinct tail, and
-    each group is sampled at once with the scalar step's arithmetic. When a
-    window is ``None`` (the whole prefix may matter), or under argmax with
-    lenience below 1, the scalar loop runs instead, through the module's
-    ``speculative_step``, so that a wrapper installed there sees every step.
+    (its ``context_window``; for ``None``, the whole prefix and the drafted
+    tokens), the model is asked once per distinct tail, and each group is
+    sampled at once with the scalar step's arithmetic.
     """
     if _mutation is not None and _mutation not in MUTATIONS:
         raise ValueError(f"unknown mutation {_mutation!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
     _check_vocab(target, draft)
-    if (n == 0 or target.context_window is None or draft.context_window is None
-            or (config.policy.is_argmax and config.lenience < 1.0)):
-        steps = [speculative_step(target, draft, prefix, config, rng, _mutation=_mutation)[1]
-                 for _ in range(n)]
-        drafts = np.array([[d.token for d in t.drafted] for t in steps], dtype=np.int64)
-        ends = np.array([[t.accepted_n, t.correction] for t in steps], dtype=np.int64)
-        return StepBlock(drafts.reshape(n, config.gamma), *ends.reshape(n, 2).T)
+    if n == 0:  # no rows to group, and a model may not be asked about no prefixes
+        return StepBlock(np.empty((0, config.gamma), dtype=np.int64), *np.empty((2, 0), np.int64))
     blocks = [_step_block(target, draft, prefix, config, rng, min(_STEPS_PER_BLOCK, n - start),
                           _mutation)
               for start in range(0, n, _STEPS_PER_BLOCK)]
@@ -345,24 +318,37 @@ def speculative_steps(target: LanguageModel, draft: LanguageModel, prefix: Seque
 
 
 def _step_block(target, draft, prefix, config, rng, rows, mutation) -> StepBlock:
-    gamma, lenience = config.gamma, config.lenience
+    gamma, lenience, policy = config.gamma, config.lenience, config.policy
+    argmax_lenient = policy.is_argmax and lenience < 1.0
     u = rng.uniform_block(rows * (2 * gamma + 1)).reshape(rows, 2 * gamma + 1)
     drafts = np.empty((rows, gamma), dtype=np.int64)
     q_at = []  # per position: the distinct distributions, each row's index into them
     for i in range(gamma):
-        q_at.append(_grouped(draft, prefix, drafts[:, :i], config.policy))
+        tails, group = _tails(draft, prefix, drafts[:, :i])
+        q_at.append((draft.next_distribution_batch(tails, policy), group))
         for g, d in enumerate(q_at[i][0]):
-            at = q_at[i][1] == g
+            at = group == g
             drafts[at, i] = inverse_cdf_many(d, u[at, i])
-    p_at = [_grouped(target, prefix, drafts[:, :i], config.policy) for i in range(gamma + 1)]
+    p_at, raw_at = [], []  # as q_at for the target, and its raw views if argmax-lenient
+    for i in range(gamma + 1):
+        tails, group = _tails(target, prefix, drafts[:, :i])
+        p_dists, raw_dists = _target_views(target, tails, policy, argmax_lenient)
+        p_at.append((p_dists, group))
+        raw_at.append(raw_dists)
 
     qx = np.column_stack([_prob_of(*q_at[i], drafts[:, i]) for i in range(gamma)])
-    px = np.column_stack([_prob_of(*p_at[i], drafts[:, i]) for i in range(gamma)])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        accepted = ~(u[:, gamma:2 * gamma] > px / (lenience * qx))
+    if argmax_lenient:  # argmax_lenient_accept, row by row
+        accepted = np.column_stack([
+            _prob_of(raw_at[i], p_at[i][1], drafts[:, i])
+            >= lenience * np.array([d.probs.max() for d in raw_at[i]])[p_at[i][1]]
+            for i in range(gamma)])
+    else:
+        px = np.column_stack([_prob_of(*p_at[i], drafts[:, i]) for i in range(gamma)])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            accepted = ~(u[:, gamma:2 * gamma] > px / (lenience * qx))
     n_acc = np.where(accepted.all(axis=1), gamma, accepted.argmin(axis=1))
     # The scalar step checks each drafted token up to its first rejection.
-    if not (qx > 0.0)[np.arange(gamma) <= n_acc[:, None]].all():
+    if not argmax_lenient and not (qx > 0.0)[np.arange(gamma) <= n_acc[:, None]].all():
         raise RuntimeError("drafted token with zero draft probability")
     if mutation == "accept_off_by_one":
         n_acc += n_acc < gamma  # deliberately accepts the rejected draft as well
@@ -378,19 +364,33 @@ def _step_block(target, draft, prefix, config, rng, rows, mutation) -> StepBlock
         pair = pair.reshape(-1)  # its shape varies across numpy 2.x releases
         for j, (a, b) in enumerate(pairs.tolist()):
             rows_j = at[pair == j]
-            d, _ = _last_token_dist(p_dists[a], q_dists[b], lenience, mutation)
+            d, _ = _last_token_dist(p_dists[a], q_dists[b], lenience, mutation, argmax_lenient)
             final[rows_j] = drafts[rows_j, k] if d is None else inverse_cdf_many(d, u_final[rows_j])
     return StepBlock(drafts, n_acc, final)
 
 
-def _grouped(model, prefix, drafted, policy) -> tuple[list[Distribution], np.ndarray]:
-    """The model's distinct distributions after each row of ``drafted`` appended
-    to ``prefix``, asked on the tails it reads, and each row's index into them."""
-    base = np.array(_tail(prefix, model.context_window), dtype=np.int64)
-    seqs = np.hstack((np.broadcast_to(base, (len(drafted), len(base))), drafted))
-    tails, group = np.unique(seqs[:, max(0, seqs.shape[1] - model.context_window):],
-                             axis=0, return_inverse=True)
-    return model.next_distribution_batch(tails.tolist(), policy), group.reshape(-1)
+def _tails(model, prefix, drafted) -> tuple[list[list[int]], np.ndarray]:
+    """The distinct tails ``model`` reads once a row of ``drafted`` is appended
+    to ``prefix``, in ``np.unique``'s order, and each row's index into them.
+    The rows share the prefix, so only the drafted columns the model reads
+    are compared; the prefix part is the same for every tail."""
+    window, i = model.context_window, drafted.shape[1]
+    read = i if window is None else min(i, window)
+    base = _tail(prefix, None if window is None else window - read)
+    cols, group = np.unique(drafted[:, i - read:], axis=0, return_inverse=True)
+    return [base + row for row in cols.tolist()], group.reshape(-1)
+
+
+def _target_views(target, prefixes, policy, argmax_lenient):
+    """The target's distributions at ``prefixes`` under ``policy`` and, under
+    argmax-lenient decoding, its raw view too (else ``None``), which the
+    lenient rule judges; both views come from one ``evaluate_batch``."""
+    if not argmax_lenient:
+        return target.next_distribution_batch(prefixes, policy), None
+    scores = target.evaluate_batch(prefixes)
+    from_logits = target.score_kind == "logits"
+    return (standardize_rows(scores, policy, from_logits=from_logits),
+            standardize_rows(scores, IDENTITY_POLICY, from_logits=from_logits))
 
 
 def _prob_of(dists, group, tokens) -> np.ndarray:
@@ -439,33 +439,8 @@ def decode(
     never exceeds the number of tokens kept.
     """
     _check_vocab(target, draft)
-    rng = RandomStream(config.seed)
-
-    seq = _start_sequence(prompt, bos_token)  # prompt plus kept tokens, grown in place
-    tokens: list[int] = []
-    traces: list[StepTrace] = []
-    totals = DecodeTotals()
-    while len(tokens) < config.max_new_tokens:
-        step_tokens, trace = speculative_step(target, draft, seq, config, rng)
-        totals.target_calls += trace.target_calls
-        totals.draft_calls += trace.draft_calls
-        if keep_traces:
-            traces.append(trace)
-        stopped = False
-        for t in step_tokens:
-            tokens.append(t)
-            seq.append(t)
-            if config.stop_token is not None and t == config.stop_token:
-                stopped = True
-                break
-            if len(tokens) >= config.max_new_tokens:
-                break
-        if stopped:
-            break
-    totals.tokens_emitted = len(tokens)
-    if totals.target_calls > totals.tokens_emitted:
-        raise RuntimeError("worst-case call guarantee violated")
-    return DecodeResult(tokens=tokens, traces=traces, totals=totals)
+    return _generate(lambda seq, rng: speculative_step(target, draft, seq, config, rng),
+                     prompt, config, bos_token, keep_traces)
 
 
 def standard_decode(
@@ -478,24 +453,42 @@ def standard_decode(
 ) -> DecodeResult:
     """Plain autoregressive baseline: one target call per token, same
     standardize-then-sample path as the speculative engine."""
-    rng = RandomStream(config.seed)
+    def step(seq, rng):
+        x = sample(target.next_distribution(seq, config.policy), rng)
+        return [x], StepTrace(drafted=[], accepted_n=0, correction=x,
+                              correction_source="standard", target_calls=1, draft_calls=0)
 
-    seq = _start_sequence(prompt, bos_token)
+    return _generate(step, prompt, config, bos_token, keep_traces)
+
+
+def _generate(step, prompt, config, bos_token, keep_traces) -> DecodeResult:
+    """The loop both decoders share: ``step(seq, rng)`` returns the tokens
+    one step appends to ``seq`` and its trace; the loop starts ``seq`` from
+    the prompt (``[bos_token]`` when it is empty) and applies ``decode``'s
+    stop-token and budget cut, totals and call guarantee."""
+    seq = list(prompt)  # prompt plus kept tokens, grown in place
+    if not seq:
+        if bos_token is None:
+            raise ValueError("empty prompt and no bos_token to inject")
+        seq = [bos_token]
+    rng = RandomStream(config.seed)
     tokens: list[int] = []
     traces: list[StepTrace] = []
     totals = DecodeTotals()
-    for _ in range(config.max_new_tokens):
-        d = target.next_distribution(seq, config.policy)
-        x = sample(d, rng)
-        tokens.append(x)
-        seq.append(x)
-        totals.target_calls += 1
+    while len(tokens) < config.max_new_tokens:
+        step_tokens, trace = step(seq, rng)
+        totals.target_calls += trace.target_calls
+        totals.draft_calls += trace.draft_calls
         if keep_traces:
-            traces.append(
-                StepTrace(drafted=[], accepted_n=0, correction=x,
-                          correction_source="standard", target_calls=1, draft_calls=0)
-            )
-        if config.stop_token is not None and x == config.stop_token:
+            traces.append(trace)
+        for t in step_tokens:
+            tokens.append(t)
+            seq.append(t)
+            if t == config.stop_token or len(tokens) >= config.max_new_tokens:
+                break
+        if tokens[-1] == config.stop_token:
             break
     totals.tokens_emitted = len(tokens)
+    if totals.target_calls > totals.tokens_emitted:
+        raise RuntimeError("worst-case call guarantee violated")
     return DecodeResult(tokens=tokens, traces=traces, totals=totals)

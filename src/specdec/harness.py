@@ -325,15 +325,15 @@ def simulate_walltime(
 
     Each run is one :func:`decode` of exactly ``n_tokens`` tokens (the last
     step is truncated to fit; the stop token is ignored), and run ``i``
-    decodes with seed ``config.seed + i``. Each batched target call costs
-    ``T * cost.batch_cost(gamma)`` and each draft call costs ``T * c``. The
-    standard-decoding arm pays ``T`` per token on an identical token budget.
+    decodes with seed ``config.seed + i``. Costs are in target runs: each
+    batched target call costs ``cost.batch_cost(gamma)`` and each draft call
+    ``cost.c``. The standard-decoding arm pays 1 per token on an identical
+    token budget.
     Acceptance is estimated from the traces of all runs and fed to the
     closed-form prediction, charged the same batch cost.
     """
     if n_tokens < 1:
         raise ValueError("n_tokens must be >= 1")
-    t_unit = cost.unit_target_cost
     batch_cost = cost.batch_cost(config.gamma)
     runs: list[RunStats] = []
     first_step_tokens: list[int] = []
@@ -344,17 +344,17 @@ def simulate_walltime(
         result = decode(target, draft, prompt, run_config)
         run_cost = 0.0
         for trace in result.traces:
-            run_cost += t_unit * batch_cost
-            run_cost += t_unit * cost.c * trace.draft_calls
+            run_cost += batch_cost
+            run_cost += cost.c * trace.draft_calls
         emitted = len(result.tokens)
         runs.append(RunStats(tokens=emitted, steps=len(result.traces), cost=run_cost,
-                             speedup=(emitted * t_unit) / run_cost))
+                             speedup=emitted / run_cost))
         if run_idx == 0:
             first_step_tokens = [trace.emitted for trace in result.traces[:_TIMELINE_STEPS]]
         traces.extend(result.traces)
     total_tokens = sum(r.tokens for r in runs)
     total_cost = sum(r.cost for r in runs)
-    empirical = (total_tokens * t_unit) / total_cost
+    empirical = total_tokens / total_cost
     alpha_hat = trace_accept_rate(DecodeResult(tokens=[], traces=traces)).alpha
     expected = walltime_factor(alpha_hat, config.gamma, cost.c, batch_cost)
     return SimReport(

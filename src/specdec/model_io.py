@@ -113,10 +113,13 @@ def deserialize_model(data: bytes) -> NGramModel:
         raise ModelFormatError(f"{len(body) - off} trailing bytes after records")
     # Ids are unsigned, so the largest context or next-token id bounds them all.
     ids = chain(chain.from_iterable(counts), chain.from_iterable(counts.values()))
-    top = max(ids, default=0)
+    top = max(ids, default=-1)
     if top >= vocab_size:
         raise ModelFormatError(f"token id {top} outside vocab of {vocab_size}")
-    return NGramModel(order, vocab_size, smoothing_k, counts=counts)
+    try:
+        return NGramModel(order, vocab_size, smoothing_k, counts=counts)
+    except ValueError as exc:  # a header field out of the model's domain
+        raise ModelFormatError(f"bad header: {exc}") from exc
 
 
 def save_model(model: NGramModel, path: str) -> None:

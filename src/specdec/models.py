@@ -8,6 +8,7 @@ synthetic models used to make acceptance rates exactly i.i.d. in tests.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from collections import defaultdict
 from typing import Sequence
@@ -129,8 +130,10 @@ class NGramModel(LanguageModel):
     ):
         if order < 1:
             raise ValueError("order must be >= 1")
-        if smoothing_k <= 0:
-            raise ValueError("smoothing_k must be positive")
+        if vocab_size < 1:
+            raise ValueError("vocab_size must be >= 1")
+        if not 0 < smoothing_k < math.inf:  # also rejects NaN
+            raise ValueError("smoothing_k must be positive and finite")
         self.order = order
         self.context_window = order - 1
         self.smoothing_k = float(smoothing_k)

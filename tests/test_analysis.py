@@ -376,7 +376,7 @@ class TestCostModel:
         with pytest.raises(DomainError):
             CostModel(c=-0.1)
         with pytest.raises(DomainError):
-            CostModel(unit_target_cost=0.0)
+            CostModel(c=float("nan"))
         with pytest.raises(DomainError):
             CostModel(batch_penalty=-0.1)
         with pytest.raises(DomainError):

@@ -5,11 +5,14 @@ from __future__ import annotations
 
 import csv
 import json
+import struct
+import zlib
 
 import pytest
 
 from specdec.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 from specdec.engine import DecodeResult
+from specdec.model_io import FORMAT_VERSION, MAGIC
 
 
 @pytest.fixture
@@ -462,6 +465,8 @@ class TestInputErrors:
         (["decode", "--target", "stateless:0.5,-0.5", "--draft", "same"], "negative"),
         (["sweep", "--kind", "fig2", "--alphas", "1.5"], "alpha"),
         (["simulate", "--stateless-alpha", "2", "--gamma", "2"], "alpha"),
+        (["simulate", "--stateless-alpha", "0.5", "--gamma", "2", "--n-tokens", "100",
+          "--c-hat", "-1"], "c_hat"),
     ])
     def test_bad_value_exits_2(self, capsys, argv, needle):
         code, out, err = run(capsys, argv)
@@ -480,6 +485,28 @@ class TestInputErrors:
                                       "--prompt", "a zebra"])
         assert code == EXIT_USAGE
         assert out == "" and "zebra" in err
+
+    @pytest.mark.parametrize("smoothing", ["nan", "inf"])
+    def test_non_finite_smoothing_exits_2(self, capsys, corpus_file, tmp_path, smoothing):
+        code, out, err = run(capsys, ["train", "--corpus", corpus_file, "--order", "2",
+                                      "--smoothing", smoothing, "--out", str(tmp_path / "m.sdng")])
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error:") and "smoothing_k" in err
+
+    @pytest.mark.parametrize("order,smoothing,vocab", [
+        (0, 0.01, 4),  # order below 1
+        (2, 0.0, 4),  # smoothing not positive
+        (2, float("nan"), 4),  # smoothing not finite
+        (2, 0.01, 0),  # empty vocabulary
+    ], ids=["order-0", "smoothing-0", "smoothing-nan", "vocab-0"])
+    def test_header_out_of_domain_exits_2(self, capsys, tmp_path, order, smoothing, vocab):
+        # A checksummed file with no contexts whose header NGramModel rejects.
+        body = MAGIC + struct.pack("<HIdIQ", FORMAT_VERSION, order, smoothing, vocab, 0)
+        path = tmp_path / "bad.sdng"
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        code, out, err = run(capsys, ["decode", "--target", str(path), "--draft", "same"])
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error:") and "bad header" in err
 
     def test_corpus_too_short_exits_2(self, capsys, tmp_path):
         corpus = tmp_path / "tiny.txt"

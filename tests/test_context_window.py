@@ -217,28 +217,55 @@ class TestEngineWindowsAreInvisible:
         assert seen == {"target": {2, 3, 4, 5}, "draft": {0, 1, 2}}
 
     def test_block_asks_each_distinct_window_once(self):
-        # speculative_steps asks a model only on tails of exactly its window
-        # (shorter only while prompt plus drafts are shorter), each once.
-        seen: dict[str, list[list[tuple[int, ...]]]] = {"target": [], "draft": []}
+        # speculative_steps asks a model once per position, on each distinct
+        # tail it reads once: tails of exactly its window (shorter only while
+        # prompt plus drafts are shorter), or the whole prompt plus the
+        # drafted tokens for a None window. Under argmax-lenient decoding the
+        # target is asked through one evaluate_batch per position instead.
+        prompt = _corpus(23, 50)
 
-        class Recording(FullPrefix):
-            def __init__(self, inner, role):
-                super().__init__(inner)
-                self.context_window = inner.context_window
-                self.role = role
+        def asked(windows, cfg):
+            seen: dict[str, list[tuple[str, list[tuple[int, ...]]]]] = {"target": [], "draft": []}
 
-            def next_distribution_batch(self, prefixes, policy):
-                seen[self.role].append([tuple(p) for p in prefixes])
-                return self.inner.next_distribution_batch(prefixes, policy)
+            class Recording(FullPrefix):
+                def __init__(self, inner, role, window):
+                    super().__init__(inner)
+                    self.context_window = window
+                    self.role = role
 
-        cfg = SpecConfig(gamma=3)
-        engine.speculative_steps(Recording(_ngram(3), "target"), Recording(_ngram(2), "draft"),
-                                 _corpus(23, 50), cfg, RandomStream(0), 500)
-        for role, window in (("target", 2), ("draft", 1)):
-            calls = seen[role]
-            assert {len(t) for tails in calls for t in tails} == {window}
-            assert all(len(set(tails)) == len(tails) <= VOCAB ** window for tails in calls)
-        assert len(seen["target"]) == 4 and len(seen["draft"]) == 3
+                def evaluate_batch(self, prefixes):
+                    seen[self.role].append(("evaluate_batch", [tuple(p) for p in prefixes]))
+                    return self.inner.evaluate_batch(prefixes)
+
+                def next_distribution_batch(self, prefixes, policy):
+                    seen[self.role].append(("next_distribution_batch",
+                                            [tuple(p) for p in prefixes]))
+                    return self.inner.next_distribution_batch(prefixes, policy)
+
+            engine.speculative_steps(Recording(_ngram(3), "target", windows[0]),
+                                     Recording(_ngram(2), "draft", windows[1]),
+                                     prompt, cfg, RandomStream(0), 500)
+            return seen
+
+        identity, lenient = SpecConfig(gamma=3), SpecConfig(
+            gamma=3, policy=SamplingPolicy(argmax=True), lenience=0.5)
+        for windows, cfg in (((2, 1), identity), ((None, None), identity), ((2, 1), lenient)):
+            seen = asked(windows, cfg)
+            for role, window in zip(("target", "draft"), windows):
+                calls = seen[role]
+                assert len(calls) == (4 if role == "target" else 3)
+                method = ("evaluate_batch" if role == "target" and cfg is lenient
+                          else "next_distribution_batch")
+                assert {m for m, _ in calls} == {method}
+                for i, (_, tails) in enumerate(calls):
+                    assert len(set(tails)) == len(tails)
+                    if window is None:
+                        assert {len(t) for t in tails} == {len(prompt) + i}
+                        assert all(list(t[:len(prompt)]) == prompt for t in tails)
+                        assert len(tails) <= VOCAB ** i
+                    else:
+                        assert {len(t) for t in tails} == {window}
+                        assert len(tails) <= VOCAB ** window
 
     def test_prefix_is_not_mutated(self):
         target, draft = _ngram(3, seed=7), _ngram(1, seed=8)

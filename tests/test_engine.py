@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -360,20 +361,38 @@ class TestSpeculativeSteps:
         assert report.verdict
         assert geometric_fit_test(0.8, 4, 10_000, seed=6).verdict
 
-    def test_fallback_calls_the_module_step(self, monkeypatch):
-        # A model without a window takes the scalar loop through
-        # ``engine.speculative_step``, so a wrapper installed there sees it.
-        calls = []
-        step = engine.speculative_step
+    def test_every_pair_takes_the_block_path(self, monkeypatch):
+        # No window and no policy sends a block back to the scalar step: with
+        # it refusing to run, windowless pairs and an argmax-lenient pair
+        # still equal the scalar loop, computed before the patch.
+        cases = [("copy", "copy", SpecConfig(gamma=3)),
+                 ("ngram2a", "copy", SpecConfig(gamma=3, policy=SamplingPolicy(top_p=0.8))),
+                 ("ngram3a", "ngram2b",
+                  SpecConfig(gamma=3, policy=SamplingPolicy(argmax=True), lenience=0.5))]
+        prefix = [4, 1, 2, 4, 1, 2]
+        expected = [scalar_steps(ZOO[t], ZOO[d], prefix, cfg, RandomStream(5), 80)
+                    for t, d, cfg in cases]
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return step(*args, **kwargs)
+        def refuse(*args, **kwargs):
+            raise AssertionError("scalar step called")
 
-        monkeypatch.setattr(engine, "speculative_step", counted)
-        speculative_steps(ZOO["ngram2a"], ZOO["copy"], [0], SpecConfig(gamma=2),
-                          RandomStream(0), 7)
-        assert len(calls) == 7
+        monkeypatch.setattr(engine, "speculative_step", refuse)
+        for (t, d, cfg), steps in zip(cases, expected):
+            block = speculative_steps(ZOO[t], ZOO[d], prefix, cfg, RandomStream(5), 80)
+            assert_block_equals_loop(block, steps)
+
+    def test_windowless_block_builds_no_prefix_wide_array(self):
+        # Rows share the prefix, so a None window costs the distinct tails,
+        # not an (n, prefix + drafts) array: 40 MB here.
+        prefix = [int(u * _V) for u in RandomStream(12).uniform_block(5000)]
+        tracemalloc.start()
+        try:
+            speculative_steps(ZOO["ngram2a"], CopyModel(_V), prefix, SpecConfig(gamma=3),
+                              RandomStream(1), 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_zero_probability_checked_up_to_first_rejection(self, monkeypatch):
         # A sampler that always returns token 1 drafts it at position 1 with

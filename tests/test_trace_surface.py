@@ -4,7 +4,8 @@
 ``harness``, ``models`` and ``cli`` (``getattr`` on each), so renaming or
 dropping one of them breaks the traced run; these tests catch that without
 running the benchmark, and check that a traced decode still shows every
-sample, every draw and every standardization where the benchmark counts them.
+sample, every draw and every standardization where the benchmark counts them,
+and that the harness's steps still run as blocks under the tracer.
 """
 
 from __future__ import annotations
@@ -58,3 +59,23 @@ def test_traced_decode_sees_every_sample_and_draw(tracing):
     assert sampled == sum(gamma + (t.correction_source != "draft_fallback") for t in traces)
     assert tracer.counts["rng.step_draws"] == steps * (2 * gamma + 1)
     assert table.count("distmath.standardize") == 2
+
+
+def test_traced_harness_runs_in_blocks(tracing):
+    # The traced models forward no context_window, yet the harness's steps
+    # still run as one block: no engine.step span opens, and the report is
+    # the untraced one bit for bit.
+    corpus = [0, 1, 2, 3, 3, 2, 3, 1, 3, 0, 2, 2, 1, 0, 3]
+    target = train_ngram(corpus, order=2, vocab_size=4)
+    draft = train_ngram(corpus[3:], order=1, vocab_size=4)
+    config = SpecConfig(gamma=3, seed=4)
+    untraced = harness.equivalence_test(target, draft, config, 10_000, [[0], [1, 2]])
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        traced = harness.equivalence_test(tracing.TracedModel(target, "target", tracer),
+                                          tracing.TracedModel(draft, "draft", tracer),
+                                          config, 10_000, [[0], [1, 2]])
+    table = tracing.SpanTable(tracer)
+    assert table.count("engine.step") == 0
+    assert table.count("models.target.next_distribution_batch") > 0
+    assert traced == untraced
