@@ -3,9 +3,10 @@
 Everything here is driven by two scalars: the expected per-position
 acceptance probability ``alpha`` (an intrinsic property of the model pair
 and sampling policy) and the draft/target cost ratio ``c`` (a property of
-the deployment). From those: expected tokens per step, walltime and
-arithmetic-operation factors, the memory-access factor, the optimal number
-of drafts, and the grid sweeps behind the standard plots and tables.
+the deployment). From those: expected tokens per step (which is also the
+memory-access factor, since the weights are read once per step), walltime
+and arithmetic-operation factors, the optimal number of drafts, and the
+grid sweeps behind the standard plots and tables.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .distmath import Distribution, IDENTITY_POLICY, SamplingPolicy, sample
-from .engine import DecodeResult
+from .distmath import Distribution, IDENTITY_POLICY, SamplingPolicy
+from .engine import DecodeResult, SpecConfig, standard_decode
 from .models import LanguageModel
-from .rng import RandomStream
 
 __all__ = [
     "CostModel",
@@ -33,7 +33,6 @@ __all__ = [
     "walltime_factor",
     "improvement_condition",
     "ops_factor",
-    "memory_access_factor",
     "optimal_gamma",
     "oracle_gamma_bound",
     "trace_accept_rate",
@@ -72,9 +71,7 @@ class CostModel:
 
     def __post_init__(self):
         for name in ("c", "batch_penalty"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise DomainError(f"{name} must be finite and non-negative")
+            _check_cost(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -95,6 +92,11 @@ def _check_alpha(alpha: float, *, allow_one: bool) -> None:
     if not math.isfinite(alpha) or alpha < 0.0 or alpha > 1.0 or (alpha == 1.0 and not allow_one):
         hi = "1" if allow_one else "1)"
         raise DomainError(f"alpha={alpha!r} outside [0, {hi}")
+
+
+def _check_cost(name: str, value: float) -> None:
+    if not math.isfinite(value) or value < 0:
+        raise DomainError(f"{name} must be finite and non-negative")
 
 
 def beta(p: Distribution, q: Distribution, lenience: float = 1.0) -> float:
@@ -123,39 +125,40 @@ def estimate_alpha(
 ) -> AlphaEstimate:
     """Mean per-position acceptance probability over target-generated text.
 
-    Generates ``n_tokens`` tokens autoregressively from the target (split
-    across the prompts, sampled from one ``RandomStream(seed)``) and
-    averages ``beta(p, q, lenience)`` of the standardized distributions at
-    every position. Pass ``corpus`` (two tokens or more) to score positions
-    of held-out text instead of generated text.
+    Generates ``n_tokens`` tokens from the target with ``standard_decode``,
+    split across the prompts (prompt ``i`` sampled with seed ``seed + i``),
+    and averages ``beta(p, q, lenience)`` of the standardized distributions
+    at every generated position. Pass ``corpus`` (two tokens or more) to
+    score positions of held-out text instead of generated text.
     """
     if n_tokens < 1:
         raise ValueError("n_tokens must be >= 1")
-    values: list[float] = []
+    texts: list[tuple[Sequence[int], int]] = []  # (tokens, how many are context only)
     if corpus is not None:
-        # Corpus-scored variant: walk real text instead of generated text.
         if len(corpus) < 2:
             raise ValueError(f"corpus of {len(corpus)} token(s) has no position to score")
-        for t in range(1, min(len(corpus), n_tokens + 1)):
-            ctx = list(corpus[:t])
-            values.append(beta(target.next_distribution(ctx, policy),
-                               draft.next_distribution(ctx, policy), lenience))
+        texts.append((corpus[: n_tokens + 1], 1))
     else:
         if not prompts:
             raise ValueError("need at least one prompt")
-        rng = RandomStream(seed)
+        if not all(len(prompt) for prompt in prompts):
+            raise ValueError("prompts must be non-empty")
         per_prompt = math.ceil(n_tokens / len(prompts))
-        for prompt in prompts:
-            ctx = list(prompt)
-            if not ctx:
-                raise ValueError("prompts must be non-empty")
-            for _ in range(per_prompt):
-                if len(values) >= n_tokens:
-                    break
-                pd = target.next_distribution(ctx, policy)
-                qd = draft.next_distribution(ctx, policy)
-                values.append(beta(pd, qd, lenience))
-                ctx.append(sample(pd, rng))
+        for i, prompt in enumerate(prompts):
+            count = min(per_prompt, n_tokens - i * per_prompt)
+            if count < 1:
+                break
+            # gamma is unused by standard_decode but SpecConfig requires one.
+            config = SpecConfig(gamma=1, policy=policy, seed=seed + i, max_new_tokens=count)
+            generated = standard_decode(target, prompt, config, keep_traces=False).tokens
+            texts.append(([*prompt, *generated], len(prompt)))
+    values: list[float] = []
+    for text, start in texts:
+        ctx = list(text[:start])
+        for token in text[start:]:
+            values.append(beta(target.next_distribution(ctx, policy),
+                               draft.next_distribution(ctx, policy), lenience))
+            ctx.append(token)
     n = len(values)
     mean = math.fsum(values) / n
     if n > 1:
@@ -178,11 +181,7 @@ def expected_tokens(alpha: float, gamma: int) -> float:
 
 def walltime_factor(alpha: float, gamma: int, c: float, batch_cost: float = 1.0) -> float:
     """Expected walltime improvement: (1-alpha^(gamma+1)) / ((1-alpha)(gamma*c + batch_cost))."""
-    _check_alpha(alpha, allow_one=True)
-    if gamma < 0:
-        raise DomainError("gamma must be >= 0")
-    if not math.isfinite(c) or c < 0:
-        raise DomainError("c must be finite and non-negative")
+    _check_cost("c", c)
     if not math.isfinite(batch_cost) or batch_cost <= 0:
         raise DomainError("batch_cost must be finite and positive")
     return expected_tokens(alpha, gamma) / (gamma * c + batch_cost)
@@ -191,8 +190,7 @@ def walltime_factor(alpha: float, gamma: int, c: float, batch_cost: float = 1.0)
 def improvement_condition(alpha: float, c: float) -> tuple[bool, float]:
     """Whether any gamma improves walltime, and the gamma=1 floor (1+alpha)/(1+c)."""
     _check_alpha(alpha, allow_one=True)
-    if not math.isfinite(c) or c < 0:
-        raise DomainError("c must be finite and non-negative")
+    _check_cost("c", c)
     return alpha > c, (1.0 + alpha) / (1.0 + c)
 
 
@@ -202,15 +200,8 @@ def ops_factor(alpha: float, gamma: int, c_hat: float) -> float:
     _check_alpha(alpha, allow_one=True)
     if gamma < 1:
         raise DomainError("gamma must be >= 1")
-    if not math.isfinite(c_hat) or c_hat < 0:
-        raise DomainError("c_hat must be finite and non-negative")
+    _check_cost("c_hat", c_hat)
     return (gamma * c_hat + gamma + 1.0) / expected_tokens(alpha, gamma)
-
-
-def memory_access_factor(alpha: float, gamma: int) -> float:
-    """Reduction factor in weight/cache reads: the weights are read once per
-    step, so this is exactly the expected tokens per step."""
-    return expected_tokens(alpha, gamma)
 
 
 def optimal_gamma(alpha: float, c: float, gamma_max: int = 1000) -> GammaChoice:
@@ -222,8 +213,7 @@ def optimal_gamma(alpha: float, c: float, gamma_max: int = 1000) -> GammaChoice:
     ``saturated``.
     """
     _check_alpha(alpha, allow_one=False)
-    if not math.isfinite(c) or c < 0:
-        raise DomainError("c must be finite and non-negative")
+    _check_cost("c", c)
     if gamma_max < 1:
         raise DomainError("gamma_max must be >= 1")
     if c == 0.0 and alpha > 0.0:
@@ -284,10 +274,10 @@ def sweep(
 ) -> list[dict]:
     """Grid sweeps for plots and tables.
 
-    Kinds: ``fig2_tokens`` (expected tokens vs alpha per gamma),
-    ``fig3_optgamma`` (optimal gamma vs alpha per c), ``fig4_speedup_ops``
-    (speedup and operations increase vs alpha per gamma, zero-cost draft),
-    ``table1`` (the six canonical rows).
+    Kinds: ``fig2`` (expected tokens vs alpha per gamma), ``fig3``
+    (optimal gamma vs alpha per c), ``fig4`` (speedup and operations
+    increase vs alpha per gamma, zero-cost draft), ``table1`` (the six
+    canonical rows).
     """
     alphas = tuple(alphas) if alphas is not None else _DEFAULT_ALPHAS
     gammas = tuple(gammas) if gammas is not None else _DEFAULT_GAMMAS
@@ -296,11 +286,11 @@ def sweep(
         raise ValueError("sweep grids must be non-empty")
 
     rows: list[dict] = []
-    if kind == "fig2_tokens":
+    if kind == "fig2":
         for a in alphas:
             for g in gammas:
                 rows.append({"alpha": a, "gamma": g, "expected_tokens": expected_tokens(a, g)})
-    elif kind == "fig3_optgamma":
+    elif kind == "fig3":
         for a in alphas:
             for c in cs:
                 choice = optimal_gamma(a, c, gamma_max)
@@ -308,7 +298,7 @@ def sweep(
                     "alpha": a, "c": c, "gamma_star": choice.gamma,
                     "factor": choice.factor, "saturated": choice.saturated,
                 })
-    elif kind == "fig4_speedup_ops":
+    elif kind == "fig4":
         for a in alphas:
             for g in gammas:
                 rows.append({

@@ -44,7 +44,6 @@ class BeamStats:
     blocks: int = 0
     target_batched_calls: int = 0
     target_sequences: int = 0
-    draft_sequences: int = 0
     per_step_accepted: list[bool] = field(default_factory=list)
 
     @property
@@ -129,7 +128,6 @@ def speculative_beam_search(
         dbeams = exact
         for _ in range(block):
             ddists = draft.next_distribution_batch(seqs(dbeams), IDENTITY_POLICY)
-            stats.draft_sequences += len(dbeams)
             dbeams = _select(_extend(dbeams, ddists), draft_width)
             levels.append(dbeams)
 

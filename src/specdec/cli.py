@@ -63,12 +63,17 @@ def _default_seed() -> int:
         raise CliError(f"SPECDEC_SEED must be an integer, got {raw!r}") from None
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return _from_flags(lambda: [int(x) for x in text.split(",") if x.strip() != ""])
+def _parse_list(text: str, kind: type) -> list:
+    """Comma-separated ``kind`` values; empty entries are skipped."""
+    return _from_flags(lambda: [kind(x) for x in text.split(",") if x.strip() != ""])
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return _from_flags(lambda: [float(x) for x in text.split(",") if x.strip() != ""])
+def _write_csv(rows: list[dict], path: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            analysis.write_sweep_csv(rows, fh)
+    except OSError as exc:
+        raise CliError(f"cannot write CSV: {exc}") from exc
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -129,13 +134,32 @@ def resolve_model(spec: str, other: LanguageModel | None = None) -> LanguageMode
 def _builtin_model(kind: str, params: str) -> LanguageModel:
     if kind == "uniform":
         return random_model(int(params))
-    parts = _parse_float_list(params)
     if kind == "stateless":
-        return StatelessModel(normalize(np.array(parts)).probs)
-    vocab = int(parts[0])
+        return StatelessModel(normalize(np.array(_parse_list(params, float))).probs)
+    parts = params.split(",")
     min_match = int(parts[1]) if len(parts) > 1 else 2
-    copy_mass = parts[2] if len(parts) > 2 else 0.9
-    return CopyModel(vocab, min_match=min_match, copy_mass=copy_mass)
+    copy_mass = float(parts[2]) if len(parts) > 2 else 0.9
+    return CopyModel(int(parts[0]), min_match=min_match, copy_mass=copy_mass)
+
+
+def _model_pair(args: argparse.Namespace) -> tuple[LanguageModel, LanguageModel]:
+    """``--target`` and ``--draft`` resolved; a vocab mismatch is a usage error."""
+    target = resolve_model(args.target)
+    draft = resolve_model(args.draft, other=target)
+    if target.vocab_size != draft.vocab_size:
+        raise CliError(
+            f"vocab mismatch: target {target.vocab_size} vs draft {draft.vocab_size}"
+        )
+    return target, draft
+
+
+def _prompt_tokens(text: str, vocab_size: int) -> list[int]:
+    """``--prompt-tokens`` as ids; an id outside the vocab is a usage error."""
+    prompt = _parse_list(text, int)
+    bad = [t for t in prompt if not 0 <= t < vocab_size]
+    if bad:
+        raise CliError(f"prompt tokens {bad} outside vocab {vocab_size}")
+    return prompt
 
 
 def _policy_from_args(args: argparse.Namespace) -> SamplingPolicy:
@@ -224,19 +248,11 @@ def _render_trace(result: DecodeResult, tok, color: bool) -> str:
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
-    target = resolve_model(args.target)
-    draft = resolve_model(args.draft, other=target)
-    if target.vocab_size != draft.vocab_size:
-        raise CliError(
-            f"vocab mismatch: target {target.vocab_size} vs draft {draft.vocab_size}"
-        )
+    target, draft = _model_pair(args)
     tok = _tokenizer(args)
 
     if args.prompt_tokens is not None:
-        prompt = _parse_int_list(args.prompt_tokens)
-        bad = [t for t in prompt if not 0 <= t < target.vocab_size]
-        if bad:
-            raise CliError(f"prompt tokens {bad} outside vocab {target.vocab_size}")
+        prompt = _prompt_tokens(args.prompt_tokens, target.vocab_size)
     elif args.prompt is not None:
         prompt = _from_flags(tok.encode, args.prompt)
     else:
@@ -281,6 +297,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _verify_exactness(args: argparse.Namespace) -> tuple[bool, str]:
+    _at_least(args, "--pairs", 1)
     worst, worst_lenient = harness.exactness_check(args.pairs, args.vocab, args.seed)
     ok = worst < 1e-12 and worst_lenient <= 1e-12
     return ok, (f"exactness: pairs={args.pairs} vocab={args.vocab} "
@@ -319,6 +336,7 @@ def _verify_geometric(args: argparse.Namespace) -> tuple[bool, str]:
 
 
 def _verify_rejection(args: argparse.Namespace) -> tuple[bool, str]:
+    _at_least(args, "--pairs", 1)
     violations, worst_margin = harness.rejection_check(args.pairs, args.vocab, args.seed)
     ok = violations == 0
     return ok, (f"rejection: pairs={args.pairs} vocab={args.vocab} violations={violations} "
@@ -344,29 +362,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # sweep
 
 
-_SWEEP_KINDS = {
-    "fig2": "fig2_tokens",
-    "fig3": "fig3_optgamma",
-    "fig4": "fig4_speedup_ops",
-    "table1": "table1",
-}
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     rows = _from_flags(
         analysis.sweep,
-        _SWEEP_KINDS[args.kind],
-        alphas=_parse_float_list(args.alphas) if args.alphas else None,
-        gammas=_parse_int_list(args.gammas) if args.gammas else None,
-        cs=_parse_float_list(args.cs) if args.cs else None,
+        args.kind,
+        alphas=_parse_list(args.alphas, float) if args.alphas else None,
+        gammas=_parse_list(args.gammas, int) if args.gammas else None,
+        cs=_parse_list(args.cs, float) if args.cs else None,
         gamma_max=args.gamma_max,
     )
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                analysis.write_sweep_csv(rows, fh)
-        except OSError as exc:
-            raise CliError(f"cannot write CSV: {exc}") from exc
+        _write_csv(rows, args.out)
         print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     elif args.kind == "table1":
         _print_header(args, sys.stdout)
@@ -388,8 +394,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         target, draft = _from_flags(stateless_pair, args.stateless_alpha)
         task = f"stateless(a={args.stateless_alpha})"
     elif args.target and args.draft:
-        target = resolve_model(args.target)
-        draft = resolve_model(args.draft, other=target)
+        target, draft = _model_pair(args)
         task = os.path.basename(args.target)
     else:
         raise CliError("simulate needs --stateless-alpha or both --target and --draft")
@@ -400,7 +405,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     report = harness.simulate_walltime(target, draft, cost, config,
                                        n_tokens=args.n_tokens, n_runs=args.runs)
     ops = _from_flags(analysis.ops_factor, report.alpha_hat, args.gamma, args.c_hat)
-    mem = analysis.memory_access_factor(report.alpha_hat, args.gamma)
+    mem = analysis.expected_tokens(report.alpha_hat, args.gamma)
     _print_header(args, sys.stdout)
     row = report.row(task)
     row["ops_factor"] = ops
@@ -413,11 +418,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.timeline:
         print(report.timeline())
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                analysis.write_sweep_csv([row], fh)
-        except OSError as exc:
-            raise CliError(f"cannot write CSV: {exc}") from exc
+        _write_csv([row], args.out)
         print(f"wrote report to {args.out}", file=sys.stderr)
     return EXIT_OK
 
@@ -427,9 +428,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_beam(args: argparse.Namespace) -> int:
-    target = resolve_model(args.target)
-    draft = resolve_model(args.draft, other=target)
-    prompt = _parse_int_list(args.prompt_tokens) if args.prompt_tokens else [0]
+    target, draft = _model_pair(args)
+    prompt = _prompt_tokens(args.prompt_tokens, target.vocab_size) if args.prompt_tokens else [0]
     for flag in ("--width", "--gamma", "--steps"):
         _at_least(args, flag, 1)
     _at_least(args, "--draft-width", args.width)
@@ -511,7 +511,7 @@ _COMMANDS = {
         "--seed": _SEED,
     }),
     "sweep": (cmd_sweep, "emit analysis grids as CSV, or print Table 1", {
-        "--kind": dict(required=True, choices=list(_SWEEP_KINDS)),
+        "--kind": dict(required=True, choices=["fig2", "fig3", "fig4", "table1"]),
         "--alphas": dict(help="comma-separated alpha grid"),
         "--gammas": dict(help="comma-separated gamma set"),
         "--cs": dict(help="comma-separated cost-ratio set"),

@@ -118,17 +118,6 @@ class StepTrace:
             "draft_calls": self.draft_calls,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "StepTrace":
-        return cls(
-            drafted=[DraftedToken(int(t), float(qp), float(pp)) for t, qp, pp in d["drafted"]],
-            accepted_n=d["accepted_n"],
-            correction=d["correction"],
-            correction_source=d["correction_source"],
-            target_calls=d["target_calls"],
-            draft_calls=d["draft_calls"],
-        )
-
 
 @dataclass
 class DecodeTotals:
@@ -156,14 +145,6 @@ class DecodeResult:
             "traces": [t.to_dict() for t in self.traces],
             "totals": self.totals.to_dict(),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DecodeResult":
-        return cls(
-            tokens=list(d["tokens"]),
-            traces=[StepTrace.from_dict(t) for t in d["traces"]],
-            totals=DecodeTotals(**d["totals"]),
-        )
 
 
 def _check_vocab(target: LanguageModel, draft: LanguageModel) -> None:

@@ -207,7 +207,6 @@ def geometric_fit_test(
     n_steps: int,
     seed: int = 0,
     threshold: float = 0.001,
-    vocab_size: int = 2,
 ) -> EquivalenceReport:
     """Check tokens-per-step against the capped geometric law.
 
@@ -217,7 +216,7 @@ def geometric_fit_test(
     P(gamma+1) = alpha^gamma. Also reports how far the sample mean sits
     from the closed-form expectation (2% is the conventional gate).
     """
-    target, draft = stateless_pair(alpha, vocab_size)
+    target, draft = stateless_pair(alpha)
     config = SpecConfig(gamma=gamma, seed=seed)
     steps = speculative_steps(target, draft, [0], config, RandomStream(seed), n_steps)
     counts = np.bincount(steps.accepted_n, minlength=gamma + 1)  # index k-1 holds "k tokens"

@@ -35,6 +35,8 @@ __all__ = [
 
 MAGIC = b"SDNG"
 FORMAT_VERSION = 1
+# After the magic and the version: order, smoothing, vocab size, contexts.
+_HEADER = struct.Struct("<IdIQ")
 
 
 class ModelFormatError(ValueError):
@@ -56,14 +58,8 @@ class ChecksumMismatchError(ModelFormatError):
 def serialize_model(model: NGramModel) -> bytes:
     if not isinstance(model, NGramModel):
         raise TypeError("only NGramModel supports binary persistence")
-    parts = [
-        MAGIC,
-        struct.pack("<H", FORMAT_VERSION),
-        struct.pack("<I", model.order),
-        struct.pack("<d", model.smoothing_k),
-        struct.pack("<I", model.vocab_size),
-        struct.pack("<Q", len(model.counts)),
-    ]
+    parts = [MAGIC, struct.pack("<H", FORMAT_VERSION),
+             _HEADER.pack(model.order, model.smoothing_k, model.vocab_size, len(model.counts))]
     for ctx in sorted(model.counts):
         table = model.counts[ctx]
         parts.append(struct.pack(f"<{len(ctx)}I", *ctx) if ctx else b"")
@@ -91,10 +87,8 @@ def deserialize_model(data: bytes) -> NGramModel:
 
     off = len(MAGIC) + 2
     try:
-        order, = struct.unpack_from("<I", body, off); off += 4
-        smoothing_k, = struct.unpack_from("<d", body, off); off += 8
-        vocab_size, = struct.unpack_from("<I", body, off); off += 4
-        n_contexts, = struct.unpack_from("<Q", body, off); off += 8
+        order, smoothing_k, vocab_size, n_contexts = _HEADER.unpack_from(body, off)
+        off += _HEADER.size
         counts: dict[tuple[int, ...], dict[int, int]] = {}
         ctx_len = order - 1
         for _ in range(n_contexts):

@@ -217,6 +217,8 @@ class CopyModel(LanguageModel):
     _KEEP = 16  # lets a draft of up to 15 tokens fork back to any position
 
     def __init__(self, vocab_size: int, min_match: int = 2, copy_mass: float = 0.9):
+        if vocab_size < 1:
+            raise ValueError("vocab_size must be >= 1")
         if min_match < 1:
             raise ValueError("min_match must be >= 1")
         if not (0.0 < copy_mass < 1.0):
@@ -325,6 +327,8 @@ def copy_predict(model: CopyModel, prefix: Sequence[int]) -> np.ndarray:
 
 def random_model(vocab_size: int) -> StatelessModel:
     """Uniform proposal over the vocabulary: the weakest useful draft model."""
+    if vocab_size < 1:
+        raise ValueError("vocab_size must be >= 1")
     return StatelessModel(np.full(vocab_size, 1.0 / vocab_size))
 
 

@@ -61,9 +61,5 @@ class RandomStream:
         self.n_drawn += n
         return out
 
-    def split(self, index: int) -> "RandomStream":
-        """Independent stream for a numbered sub-task (same seed, new key)."""
-        return RandomStream(self.seed, stream=self.stream + 1 + int(index))
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"RandomStream(seed={self.seed}, stream={self.stream}, n_drawn={self.n_drawn})"

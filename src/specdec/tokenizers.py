@@ -22,7 +22,6 @@ class ByteTokenizer:
     EOS = 257
 
     vocab_size = 258
-    mode = "byte"
 
     def encode(self, text: str | bytes) -> list[int]:
         data = text.encode("utf-8") if isinstance(text, str) else bytes(text)
@@ -45,8 +44,6 @@ class ByteTokenizer:
 
 
 class WordTokenizer:
-    mode = "word"
-
     def __init__(self, words: Sequence[str]):
         if len(set(words)) != len(words):
             raise ValueError("duplicate words in vocabulary")

@@ -20,7 +20,6 @@ from specdec.analysis import (
     estimate_alpha,
     expected_tokens,
     improvement_condition,
-    memory_access_factor,
     ops_factor,
     optimal_gamma,
     oracle_gamma_bound,
@@ -29,9 +28,9 @@ from specdec.analysis import (
     walltime_factor,
     write_sweep_csv,
 )
-from specdec.distmath import Distribution, IDENTITY_POLICY
+from specdec.distmath import Distribution, IDENTITY_POLICY, SamplingPolicy, sample
 from specdec.engine import SpecConfig, decode
-from specdec.models import StatelessModel, stateless_pair, train_ngram
+from specdec.models import CopyModel, StatelessModel, stateless_pair, train_ngram
 from specdec.rng import RandomStream
 
 from conftest import paired_probs_strategy, random_pair
@@ -179,12 +178,6 @@ class TestOpsFactor:
             ops_factor(0.5, 0, 0.0)
 
 
-class TestMemoryAccessFactor:
-    def test_equals_expected_tokens(self):
-        for a, g in TABLE1_GRID:
-            assert memory_access_factor(a, g) == expected_tokens(a, g)
-
-
 class TestOptimalGamma:
     def test_no_improvement_when_alpha_below_cost(self):
         choice = optimal_gamma(0.3, 0.4)
@@ -300,6 +293,66 @@ class TestEstimateAlpha:
         assert est.alpha == pytest.approx(want, abs=1e-12)
 
 
+def _sampling_loop_estimate(target, draft, prompts, n_tokens, policy, seed):
+    """estimate_alpha's former generator, kept as an oracle: one
+    ``RandomStream(seed)`` across the prompts, each position scored as its
+    token is sampled from the target."""
+    rng = RandomStream(seed)
+    per_prompt = math.ceil(n_tokens / len(prompts))
+    values = []
+    for prompt in prompts:
+        ctx = list(prompt)
+        for _ in range(per_prompt):
+            if len(values) >= n_tokens:
+                break
+            pd = target.next_distribution(ctx, policy)
+            values.append(beta(pd, draft.next_distribution(ctx, policy)))
+            ctx.append(sample(pd, rng))
+    n = len(values)
+    mean = math.fsum(values) / n
+    var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+    return AlphaEstimate(alpha=mean, n_tokens=n, std_error=math.sqrt(var / n))
+
+
+def _alpha_pairs():
+    rng = RandomStream(21)
+    corpus_p = [int(u * 6) for u in rng.uniform_block(400)]
+    corpus_q = [int(u * 6) for u in rng.uniform_block(400)]
+    target = train_ngram(corpus_p, order=3, vocab_size=6, smoothing_k=0.05)
+    return {
+        "ngram3/ngram2": (target, train_ngram(corpus_q, order=2, vocab_size=6)),
+        "ngram3/copy": (target, CopyModel(6, min_match=1)),
+    }
+
+
+class TestEstimateAlphaOracle:
+    @pytest.mark.parametrize("policy", [IDENTITY_POLICY, SamplingPolicy(temperature=0.7, top_p=0.9)],
+                             ids=["identity", "nucleus"])
+    @pytest.mark.parametrize("pair", ["ngram3/ngram2", "ngram3/copy"])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_one_prompt_equals_sampling_loop(self, policy, pair, seed):
+        target, draft = _alpha_pairs()[pair]
+        got = estimate_alpha(target, draft, [[1, 2]], n_tokens=300, policy=policy, seed=seed)
+        assert got == _sampling_loop_estimate(target, draft, [[1, 2]], 300, policy, seed)
+
+    def test_prompt_i_is_sampled_with_seed_plus_i(self):
+        target, draft = _alpha_pairs()["ngram3/ngram2"]
+        prompts = [[0], [3, 4], [5]]
+        got = estimate_alpha(target, draft, prompts, n_tokens=250, seed=7)
+        parts = [  # ceil(250 / 3) = 84 tokens each, 82 for the last prompt
+            estimate_alpha(target, draft, [p], n_tokens=n, seed=7 + i)
+            for i, (p, n) in enumerate(zip(prompts, (84, 84, 82)))
+        ]
+        assert got.n_tokens == 250
+        want = math.fsum(e.alpha * e.n_tokens for e in parts) / 250
+        assert got.alpha == pytest.approx(want, abs=1e-12)
+
+    def test_empty_prompt_rejected_even_when_unused(self):
+        target, draft = _alpha_pairs()["ngram3/ngram2"]
+        with pytest.raises(ValueError, match="non-empty"):
+            estimate_alpha(target, draft, [[0], []], n_tokens=1)
+
+
 class TestMonteCarloConsistency:
     def test_accept_rate_matches_beta(self):
         p, q = stateless_pair(0.65, vocab_size=4)
@@ -330,15 +383,15 @@ class TestSweeps:
         assert by_key[(0.8, 5)]["operations"] == pytest.approx(1.62633, abs=1e-5)
 
     def test_fig2_alpha_zero_rows_are_one(self):
-        rows = sweep("fig2_tokens", alphas=[0.0], gammas=[1, 2, 5])
+        rows = sweep("fig2", alphas=[0.0], gammas=[1, 2, 5])
         assert all(r["expected_tokens"] == 1.0 for r in rows)
 
     def test_fig2_row_count(self):
-        rows = sweep("fig2_tokens", alphas=[0.1, 0.2, 0.3], gammas=[1, 5])
+        rows = sweep("fig2", alphas=[0.1, 0.2, 0.3], gammas=[1, 5])
         assert len(rows) == 6
 
     def test_fig3_local_optimality_and_saturation(self):
-        rows = sweep("fig3_optgamma", alphas=[0.3, 0.7], cs=[0.0, 0.05], gamma_max=200)
+        rows = sweep("fig3", alphas=[0.3, 0.7], cs=[0.0, 0.05], gamma_max=200)
         for row in rows:
             if row["saturated"]:
                 assert row["c"] == 0.0
@@ -348,7 +401,7 @@ class TestSweeps:
             assert here >= walltime_factor(row["alpha"], g + 1, row["c"]) - 1e-12
 
     def test_fig4_columns(self):
-        rows = sweep("fig4_speedup_ops", alphas=[0.5], gammas=[2])
+        rows = sweep("fig4", alphas=[0.5], gammas=[2])
         assert rows[0]["speedup"] == pytest.approx(expected_tokens(0.5, 2))
         assert rows[0]["ops_increase"] == pytest.approx(ops_factor(0.5, 2, 0.0))
 
@@ -358,7 +411,7 @@ class TestSweeps:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            sweep("fig2_tokens", alphas=[])
+            sweep("fig2", alphas=[])
 
     def test_csv_emission(self):
         rows = sweep("table1")

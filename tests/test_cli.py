@@ -11,8 +11,10 @@ import zlib
 import pytest
 
 from specdec.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
-from specdec.engine import DecodeResult
-from specdec.model_io import FORMAT_VERSION, MAGIC
+from specdec.engine import SpecConfig, decode
+from specdec.model_io import FORMAT_VERSION, MAGIC, load_model
+from specdec.models import random_model
+from specdec.tokenizers import ByteTokenizer
 
 
 @pytest.fixture
@@ -102,10 +104,14 @@ class TestDecode:
                                     "--max-tokens", "30", "--json"])
         assert code == EXIT_OK
         payload = json.loads(out)
-        result = DecodeResult.from_dict(payload)
+        # The same request in process: the payload is its to_dict().
+        tok = ByteTokenizer()
+        result = decode(load_model(model_file), random_model(258), tok.encode("the cat"),
+                        SpecConfig(gamma=2, seed=3, max_new_tokens=30), bos_token=tok.BOS)
         assert json.loads(json.dumps(result.to_dict())) == {
             k: payload[k] for k in ("tokens", "traces", "totals")
         }
+        assert payload["text"] == tok.decode(result.tokens)
         emitted = sum(t["accepted_n"] + 1 for t in payload["traces"])
         assert payload["totals"]["tokens_emitted"] <= emitted
         assert payload["totals"]["target_calls"] <= payload["totals"]["tokens_emitted"]
@@ -467,6 +473,20 @@ class TestInputErrors:
         (["simulate", "--stateless-alpha", "2", "--gamma", "2"], "alpha"),
         (["simulate", "--stateless-alpha", "0.5", "--gamma", "2", "--n-tokens", "100",
           "--c-hat", "-1"], "c_hat"),
+        (["decode", "--target", "uniform:0", "--draft", "same"], "vocab_size"),
+        (["decode", "--target", "copy:0", "--draft", "same"], "vocab_size"),
+        (["decode", "--target", "copy:1.5", "--draft", "same"], "'1.5'"),
+        (["decode", "--target", "copy:4,2.7", "--draft", "same"], "'2.7'"),
+        (["verify", "--suite", "exactness", "--pairs", "0"], "--pairs"),
+        (["verify", "--suite", "exactness", "--pairs", "-5"], "--pairs"),
+        (["verify", "--suite", "rejection", "--pairs", "0"], "--pairs"),
+        (["verify", "--suite", "rejection", "--pairs", "-5"], "--pairs"),
+        # every command that takes two models or raw prompt ids checks them
+        (["beam", "--target", "uniform:4", "--draft", "uniform:6"], "vocab mismatch"),
+        (["beam", "--target", "uniform:4", "--draft", "same", "--prompt-tokens=9,-2"],
+         "[9, -2] outside vocab 4"),
+        (["simulate", "--target", "uniform:4", "--draft", "uniform:6", "--gamma", "2"],
+         "vocab mismatch"),
     ])
     def test_bad_value_exits_2(self, capsys, argv, needle):
         code, out, err = run(capsys, argv)

@@ -349,6 +349,12 @@ class TestStatelessAndUniform:
         m = random_model(5)
         np.testing.assert_allclose(m.evaluate([1, 2, 3]), np.full(5, 0.2))
 
+    @pytest.mark.parametrize("make", [random_model, CopyModel], ids=["uniform", "copy"])
+    @pytest.mark.parametrize("vocab", [0, -1])
+    def test_empty_vocab_rejected(self, make, vocab):
+        with pytest.raises(ValueError, match="vocab_size"):
+            make(vocab)
+
     def test_uniform_draft_alpha_is_positive(self):
         target = StatelessModel(np.array([0.9, 0.1]))
         alpha = beta(

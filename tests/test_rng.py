@@ -45,12 +45,3 @@ def test_draw_counter():
     r.uniform_block(10)
     r.uniform()
     assert r.n_drawn == 12
-
-
-def test_split_is_reproducible_and_independent():
-    base = RandomStream(5)
-    a, b = base.split(0), base.split(1)
-    a2 = RandomStream(5).split(0)
-    assert [a.uniform() for _ in range(5)] == [a2.uniform() for _ in range(5)]
-    assert RandomStream(5).split(0).uniform() != RandomStream(5).split(1).uniform()
-    assert b.uniform() != base.uniform()
