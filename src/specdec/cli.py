@@ -136,10 +136,11 @@ def _builtin_model(kind: str, params: str) -> LanguageModel:
         return random_model(int(params))
     if kind == "stateless":
         return StatelessModel(normalize(np.array(_parse_list(params, float))).probs)
-    parts = params.split(",")
-    min_match = int(parts[1]) if len(parts) > 1 else 2
-    copy_mass = float(parts[2]) if len(parts) > 2 else 0.9
-    return CopyModel(int(parts[0]), min_match=min_match, copy_mass=copy_mass)
+    fields = params.split(",")
+    if len(fields) > 3:
+        raise ValueError(f"copy: takes at most 3 fields (V,min_match,copy_mass), got {params!r}")
+    vocab, min_match, copy_mass = fields + ["2", "0.9"][len(fields) - 1:]
+    return CopyModel(int(vocab), min_match=int(min_match), copy_mass=float(copy_mass))
 
 
 def _model_pair(args: argparse.Namespace) -> tuple[LanguageModel, LanguageModel]:
@@ -298,6 +299,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 def _verify_exactness(args: argparse.Namespace) -> tuple[bool, str]:
     _at_least(args, "--pairs", 1)
+    if args.vocab > harness.MAX_ENUMERABLE_VOCAB:
+        raise CliError(f"--vocab must be at most {harness.MAX_ENUMERABLE_VOCAB} for the "
+                       f"exactness oracle, got {args.vocab}")
     worst, worst_lenient = harness.exactness_check(args.pairs, args.vocab, args.seed)
     ok = worst < 1e-12 and worst_lenient <= 1e-12
     return ok, (f"exactness: pairs={args.pairs} vocab={args.vocab} "
@@ -346,13 +350,18 @@ def _verify_rejection(args: argparse.Namespace) -> tuple[bool, str]:
 def cmd_verify(args: argparse.Namespace) -> int:
     _at_least(args, "--vocab", 1)
     # Each suite checks its flags, runs, and returns its verdict and line; the
-    # header is printed only then, so a usage error leaves stdout empty.
-    ok, line = {
+    # header is printed only then, so a usage error leaves stdout empty. Too
+    # few samples to test the law is a usage error too.
+    suite = {
         "exactness": _verify_exactness,
         "equivalence": _verify_equivalence,
         "geometric": _verify_geometric,
         "rejection": _verify_rejection,
-    }[args.suite](args)
+    }[args.suite]
+    try:
+        ok, line = suite(args)
+    except harness.TooFewSamplesError as exc:
+        raise CliError(exc) from exc
     _print_header(args, sys.stdout)
     print(line)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL

@@ -30,7 +30,6 @@ __all__ = [
     "standardize",
     "standardize_rows",
     "sample",
-    "sample_many",
     "inverse_cdf",
     "inverse_cdf_many",
     "residual",
@@ -196,11 +195,6 @@ def normalize(raw: np.ndarray) -> Distribution:
     return Distribution(r / total)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _descending(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices into ``p.ravel()`` that sort each row in descending order (stable:
     ties keep the lower token index), and the sorted values as a fresh array."""
@@ -217,12 +211,12 @@ def _unsort(p: np.ndarray, order: np.ndarray, ranked: np.ndarray) -> np.ndarray:
     return kept / kept.sum(axis=-1, keepdims=True)
 
 
-def _apply_policy(s: np.ndarray, policy: SamplingPolicy, from_logits: bool) -> np.ndarray:
+def _apply_policy(s: np.ndarray, policy: SamplingPolicy) -> np.ndarray:
     """The policy's transforms along the last axis of a float64 score array:
     each row comes out exactly as it would on its own."""
     if not np.isfinite(s).all():
         raise NonFiniteError("scores contain non-finite entries")
-    if not from_logits and (s < 0).any():
+    if (s < 0).any():
         raise NegativeEntryError("probability scores contain negative entries")
 
     if policy.is_argmax:
@@ -230,17 +224,16 @@ def _apply_policy(s: np.ndarray, policy: SamplingPolicy, from_logits: bool) -> n
         mask = (s == s.max(axis=-1, keepdims=True)).astype(np.float64)
         return mask / mask.sum(axis=-1, keepdims=True)
 
+    total = s.sum(axis=-1, keepdims=True)
+    if (total <= 0.0).any():
+        raise AllZeroError("probability scores sum to zero")
+    p = s / total
     t = policy.temperature
-    if from_logits:
-        p = _softmax(s / t) if t != 1.0 else _softmax(s)
-    else:
-        total = s.sum(axis=-1, keepdims=True)
-        if (total <= 0.0).any():
-            raise AllZeroError("probability scores sum to zero")
-        p = s / total
-        if t != 1.0:
-            p = p ** (1.0 / t)
-            p = p / p.sum(axis=-1, keepdims=True)
+    if t != 1.0:
+        # Scaled so each row's largest entry is 1: the power cannot underflow
+        # a whole row to zero at a low temperature.
+        p = (p / p.max(axis=-1, keepdims=True)) ** (1.0 / t)
+        p = p / p.sum(axis=-1, keepdims=True)
 
     if policy.top_k is not None:
         k = policy.top_k
@@ -261,37 +254,27 @@ def _apply_policy(s: np.ndarray, policy: SamplingPolicy, from_logits: bool) -> n
     return p
 
 
-def standardize(
-    scores: np.ndarray,
-    policy: SamplingPolicy = IDENTITY_POLICY,
-    *,
-    from_logits: bool = False,
-) -> Distribution:
+def standardize(scores: np.ndarray, policy: SamplingPolicy = IDENTITY_POLICY) -> Distribution:
     """Cast raw model scores into the adjusted distribution a policy samples from.
 
-    ``scores`` are either logits (softmax applied at temperature) or
-    non-negative probability weights (power-renormalized ``p**(1/t)``;
-    the probability-input temperature path is an extension beyond plain
-    softmax semantics and is exercised only when ``from_logits=False``).
-    Argmax puts uniform mass on all entries tied for the maximum.
+    ``scores`` are non-negative probability weights. Temperature t
+    power-renormalizes them, ``p**(1/t)``, which equals softmax(logits / t)
+    when p is softmax(logits). Argmax puts uniform mass on all entries tied
+    for the maximum.
     """
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 1 or s.shape[0] == 0:
         raise ValueError("scores must be a non-empty 1-D vector")
-    return Distribution(_apply_policy(s, policy, from_logits))
+    return Distribution(_apply_policy(s, policy))
 
 
 def standardize_rows(
-    scores: np.ndarray,
-    policy: SamplingPolicy = IDENTITY_POLICY,
-    *,
-    from_logits: bool = False,
+    scores: np.ndarray, policy: SamplingPolicy = IDENTITY_POLICY
 ) -> list[Distribution]:
     """``standardize`` for each row of a 2-D block, every transform and check run
     once over the block: row ``i`` is bitwise equal to ``standardize(scores[i],
-    policy, from_logits=...)``, and a bad row raises what it would raise."""
-    s = np.asarray(scores, dtype=np.float64)
-    return Distribution.rows(_apply_policy(s, policy, from_logits))
+    policy)``, and a bad row raises what it would raise."""
+    return Distribution.rows(_apply_policy(np.asarray(scores, dtype=np.float64), policy))
 
 
 def inverse_cdf(d: Distribution, u: float) -> int:
@@ -308,11 +291,6 @@ def inverse_cdf(d: Distribution, u: float) -> int:
 def sample(d: Distribution, rng: RandomStream) -> int:
     """Draw one token, consuming exactly one uniform variate."""
     return inverse_cdf(d, rng.uniform())
-
-
-def sample_many(d: Distribution, rng: RandomStream, n: int) -> np.ndarray:
-    """Draw ``n`` tokens, consuming exactly ``n`` variates."""
-    return inverse_cdf_many(d, rng.uniform_block(n))
 
 
 def inverse_cdf_many(d: Distribution, u: np.ndarray) -> np.ndarray:

@@ -369,9 +369,7 @@ def _target_views(target, prefixes, policy, argmax_lenient):
     if not argmax_lenient:
         return target.next_distribution_batch(prefixes, policy), None
     scores = target.evaluate_batch(prefixes)
-    from_logits = target.score_kind == "logits"
-    return (standardize_rows(scores, policy, from_logits=from_logits),
-            standardize_rows(scores, IDENTITY_POLICY, from_logits=from_logits))
+    return standardize_rows(scores, policy), standardize_rows(scores, IDENTITY_POLICY)
 
 
 def _prob_of(dists, group, tokens) -> np.ndarray:

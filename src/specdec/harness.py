@@ -2,11 +2,13 @@
 
 The centerpiece is :func:`exact_step_distribution`: an analytic integration
 of one speculative token that must reproduce the target distribution
-bit-for-bit (to 1e-12) at lenience 1. Around it sit statistical equivalence
-tests against the sampled engine (with deliberate engine mutations to prove
-the tests have teeth), a goodness-of-fit check of the tokens-per-step law,
-a cost-model walltime simulation reporting expected-vs-empirical speedups,
-and the rejection-sampling baseline with its comparison.
+bit-for-bit (to 1e-12) at lenience 1. Around it sit two sampled checks that
+share one chi-square goodness of fit to a known law: the engine's tokens
+against the target's exact distribution (with deliberate engine mutations
+to prove the test has teeth), and tokens-per-step against the capped
+geometric law. Then a cost-model walltime simulation reporting
+expected-vs-empirical speedups, and the rejection-sampling baseline with
+its comparison.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 from .analysis import CostModel, beta, expected_tokens, trace_accept_rate, walltime_factor
-from .distmath import Distribution, IDENTITY_POLICY, SamplingPolicy, normalize, sample, sample_many
+from .distmath import Distribution, IDENTITY_POLICY, SamplingPolicy, normalize, sample
 from .engine import DecodeResult, SpecConfig, StepTrace, _check_vocab, decode, speculative_steps
 from .engine import speculative_step  # unused here, but the traced benchmark wraps it here
 from .models import LanguageModel, stateless_pair
@@ -30,6 +32,8 @@ __all__ = [
     "RunStats",
     "SimReport",
     "MIN_SAMPLES",
+    "MAX_ENUMERABLE_VOCAB",
+    "TooFewSamplesError",
     "random_pair",
     "exact_step_distribution",
     "exactness_check",
@@ -42,14 +46,19 @@ __all__ = [
     "rejection_baseline_step",
 ]
 
-# Enumeration guard for the analytic oracle.
-_MAX_ENUMERABLE_VOCAB = 4096
+# The largest vocabulary the analytic oracle enumerates.
+MAX_ENUMERABLE_VOCAB = 4096
 
-# Bins with expected count below this are pooled before chi-square.
+# Outcomes expected fewer times than this are pooled before chi-square.
 _MIN_EXPECTED = 5.0
 
-# The fewest samples per arm equivalence_test accepts.
+# The fewest samples equivalence_test accepts.
 MIN_SAMPLES = 10_000
+
+
+class TooFewSamplesError(ValueError):
+    """A sample too small for chi-square: with every rare outcome pooled,
+    fewer than two bins are left of a law with two or more outcomes."""
 
 
 @dataclass(frozen=True)
@@ -62,18 +71,24 @@ class ContextResult:
 
 @dataclass
 class EquivalenceReport:
-    """Outcome of a statistical equivalence check.
+    """Outcome of a sampled check over one or more contexts.
 
-    ``verdict`` passes iff the (Bonferroni-combined) p-value exceeds the
-    configured threshold.
+    ``p_value`` is the Bonferroni combination of the contexts' p-values, and
+    ``verdict`` passes iff it exceeds the configured threshold.
     """
 
     per_context: list[ContextResult]
-    p_value: float
     threshold: float
     n_samples: int
-    max_tv_distance: float
     extras: dict = field(default_factory=dict)
+
+    @property
+    def p_value(self) -> float:
+        return min(1.0, min(r.p_value for r in self.per_context) * len(self.per_context))
+
+    @property
+    def max_tv_distance(self) -> float:
+        return max(r.tv_distance for r in self.per_context)
 
     @property
     def verdict(self) -> bool:
@@ -83,7 +98,7 @@ class EquivalenceReport:
         state = "PASS" if self.verdict else "FAIL"
         return (
             f"{state}: combined p={self.p_value:.3g} (threshold {self.threshold}), "
-            f"max TV={self.max_tv_distance:.3g}, n={self.n_samples} per arm, "
+            f"max TV={self.max_tv_distance:.3g}, n={self.n_samples}, "
             f"{len(self.per_context)} context(s)"
         )
 
@@ -97,8 +112,8 @@ def exact_step_distribution(p: Distribution, q: Distribution, lenience: float = 
     """
     if p.vocab_size != q.vocab_size:
         raise ValueError("vocab sizes differ")
-    if p.vocab_size > _MAX_ENUMERABLE_VOCAB:
-        raise ValueError(f"vocab {p.vocab_size} exceeds enumeration guard {_MAX_ENUMERABLE_VOCAB}")
+    if p.vocab_size > MAX_ENUMERABLE_VOCAB:
+        raise ValueError(f"vocab {p.vocab_size} exceeds enumeration guard {MAX_ENUMERABLE_VOCAB}")
     if not (0.0 < lenience <= 1.0):
         raise ValueError("lenience must lie in (0, 1]")
     accept_mass = np.minimum(q.probs, p.probs / lenience)
@@ -133,29 +148,31 @@ def exactness_check(pairs: int, vocab: int, seed: int) -> tuple[float, float]:
     return worst, worst_lenient
 
 
-def _pooled_chi2_two_sample(counts_a: np.ndarray, counts_b: np.ndarray) -> ContextResult:
-    """Two-sample homogeneity chi-square with small-bin pooling."""
-    combined = counts_a + counts_b
-    keep = combined > 0
-    a, b = counts_a[keep].astype(float), counts_b[keep].astype(float)
-    comb = combined[keep].astype(float)
-    # Pool bins whose expected count (under equal arms) falls below the
-    # threshold into a single overflow bin, smallest first.
-    order = np.argsort(comb, kind="stable")
-    a, b, comb = a[order], b[order], comb[order]
-    n_total = comb.sum()
-    expected_share = comb * (a.sum() / n_total)
-    small = expected_share < _MIN_EXPECTED
-    if small.any():
-        big_a = np.concatenate(([a[small].sum()], a[~small]))
-        big_b = np.concatenate(([b[small].sum()], b[~small]))
-        a, b = big_a, big_b
-    if a.shape[0] < 2:
-        return ContextResult(statistic=0.0, dof=0, p_value=1.0, tv_distance=0.0)
-    table = np.stack([a, b])
-    stat, p, dof, _ = scipy_stats.chi2_contingency(table, correction=False)
-    tv = 0.5 * float(np.abs(counts_a / counts_a.sum() - counts_b / counts_b.sum()).sum())
-    return ContextResult(statistic=float(stat), dof=int(dof), p_value=float(p), tv_distance=tv)
+def _fit(counts: np.ndarray, probs: np.ndarray) -> ContextResult:
+    """Chi-square goodness of fit of the histogram ``counts`` to the law ``probs``.
+
+    Mass on an outcome of probability 0 fails outright. The outcomes
+    expected fewer than ``_MIN_EXPECTED`` times are pooled into one bin at
+    the end, and TV is taken from the raw counts. A law with one possible
+    outcome fits with p = 1; raises ``TooFewSamplesError`` when a law with
+    more pools into one bin.
+    """
+    n = counts.sum()
+    tv = 0.5 * float(np.abs(counts / n - probs).sum())
+    if counts[probs == 0.0].any():
+        return ContextResult(float("inf"), 0, 0.0, tv)
+    possible = probs > 0.0
+    observed, expected = counts[possible].astype(float), probs[possible] * n
+    rare = expected < _MIN_EXPECTED
+    if rare.any():
+        observed = np.append(observed[~rare], observed[rare].sum())
+        expected = np.append(expected[~rare], expected[rare].sum())
+    if len(observed) < 2 and possible.sum() > 1:
+        raise TooFewSamplesError(f"{n} samples pool into one bin of {possible.sum()} outcomes")
+    if len(observed) < 2:
+        return ContextResult(0.0, 0, 1.0, tv)
+    stat, p_value = scipy_stats.chisquare(observed, expected)
+    return ContextResult(float(stat), len(observed) - 1, float(p_value), tv)
 
 
 def equivalence_test(
@@ -167,38 +184,27 @@ def equivalence_test(
     threshold: float = 0.001,
     mutation: str | None = None,
 ) -> EquivalenceReport:
-    """Compare next-token samples from the engine against plain target sampling.
+    """Fit next-token samples from the engine to the target's exact distribution.
 
     For each context, draws ``n_samples`` first tokens from fresh
-    speculative steps and ``n_samples`` tokens directly from the target's
-    standardized distribution, then runs a two-sample chi-square per
-    context with Bonferroni combination. A correct engine passes; the
-    seeded engine mutations must fail.
+    speculative steps and chi-squares their histogram against the target's
+    standardized distribution (see :func:`_fit`), with Bonferroni
+    combination over contexts. A correct engine passes; the seeded engine
+    mutations must fail. Raises ``TooFewSamplesError`` when ``n_samples``
+    is too few for the target's law to be tested.
     """
     if n_samples < MIN_SAMPLES:
         raise ValueError("n_samples must be at least 10^4 for a meaningful test")
     if not context_set:
         raise ValueError("need at least one context")
-    vocab = target.vocab_size
     results: list[ContextResult] = []
     for ci, context in enumerate(context_set):
         rng = RandomStream(config.seed, stream=2 * ci)
         steps = speculative_steps(target, draft, context, config, rng, n_samples,
                                   _mutation=mutation)
-        engine_counts = np.bincount(steps.tokens_at(0), minlength=vocab)
-        ref_rng = RandomStream(config.seed, stream=2 * ci + 1)
         p = target.next_distribution(list(context), config.policy)
-        ref_tokens = sample_many(p, ref_rng, n_samples)
-        ref_counts = np.bincount(ref_tokens, minlength=vocab)
-        results.append(_pooled_chi2_two_sample(engine_counts, ref_counts))
-    combined = min(1.0, min(r.p_value for r in results) * len(results))
-    return EquivalenceReport(
-        per_context=results,
-        p_value=combined,
-        threshold=threshold,
-        n_samples=n_samples,
-        max_tv_distance=max(r.tv_distance for r in results),
-    )
+        results.append(_fit(np.bincount(steps.tokens_at(0), minlength=p.vocab_size), p.probs))
+    return EquivalenceReport(results, threshold, n_samples)
 
 
 def geometric_fit_test(
@@ -220,39 +226,16 @@ def geometric_fit_test(
     config = SpecConfig(gamma=gamma, seed=seed)
     steps = speculative_steps(target, draft, [0], config, RandomStream(seed), n_steps)
     counts = np.bincount(steps.accepted_n, minlength=gamma + 1)  # index k-1 holds "k tokens"
-
     probs = np.array(
         [(1.0 - alpha) * alpha ** k for k in range(gamma)] + [alpha ** gamma]
     )
-    expected = probs * n_steps
-    observed = counts.astype(float)
-    if observed[expected == 0.0].sum() > 0:
-        # Mass on an impossible outcome: fail outright.
-        stat, p_value, dof = float("inf"), 0.0, 0
-    else:
-        nonzero = expected > 0.0
-        observed, expected_kept = observed[nonzero], expected[nonzero]
-        # Pool small-expectation bins to keep the chi-square valid.
-        keep = expected_kept >= _MIN_EXPECTED
-        if not keep.all():
-            observed = np.concatenate((observed[keep], [observed[~keep].sum()]))
-            expected_kept = np.concatenate((expected_kept[keep], [expected_kept[~keep].sum()]))
-        if observed.shape[0] >= 2:
-            stat, p_value = scipy_stats.chisquare(observed, expected_kept)
-            dof = observed.shape[0] - 1
-        else:
-            stat, p_value, dof = 0.0, 1.0, 0
-    tv = 0.5 * float(np.abs(counts / n_steps - probs).sum())
-
     mean_tokens = float((counts * np.arange(1, gamma + 2)).sum() / n_steps)
     expected_mean = expected_tokens(alpha, gamma)
     rel_gap = abs(mean_tokens - expected_mean) / expected_mean
     return EquivalenceReport(
-        per_context=[ContextResult(float(stat), dof, float(p_value), tv)],
-        p_value=float(p_value),
-        threshold=threshold,
-        n_samples=n_steps,
-        max_tv_distance=tv,
+        [_fit(counts, probs)],
+        threshold,
+        n_steps,
         extras={
             "mean_tokens": mean_tokens,
             "expected_mean": expected_mean,

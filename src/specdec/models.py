@@ -35,12 +35,11 @@ class CorpusTooShortError(ValueError):
 
 
 class LanguageModel(ABC):
-    """Maps a token prefix to a raw next-token score vector.
-
-    ``score_kind`` declares whether ``evaluate`` returns probability weights
-    or logits, so callers know how to standardize. Batching is strictly a
-    performance contract: ``evaluate_batch(prefixes)[i]`` must be elementwise
-    identical to ``evaluate(prefixes[i])``, and evaluation is deterministic.
+    """Maps a token prefix to raw next-token scores: non-negative probability
+    weights (a model with logits returns their softmax). Batching is strictly
+    a performance contract: ``evaluate_batch(prefixes)[i]`` must be
+    elementwise identical to ``evaluate(prefixes[i])``, and evaluation is
+    deterministic.
 
     ``context_window`` is another performance contract: the number of
     trailing prefix tokens that ``evaluate`` reads. A model declaring ``w``
@@ -51,7 +50,6 @@ class LanguageModel(ABC):
     prefix may matter and callers must pass it all.
     """
 
-    score_kind: str = "probs"  # or "logits"
     context_window: int | None = None
 
     @property
@@ -70,23 +68,21 @@ class LanguageModel(ABC):
     def next_distribution(self, prefix: Sequence[int], policy: SamplingPolicy) -> Distribution:
         if self.context_window == 0:
             return self._fixed_distribution(policy)
-        return standardize(self.evaluate(prefix), policy, from_logits=self.score_kind == "logits")
+        return standardize(self.evaluate(prefix), policy)
 
     def next_distribution_batch(
         self, prefixes: Sequence[Sequence[int]], policy: SamplingPolicy
     ) -> list[Distribution]:
         if self.context_window == 0:
             return [self._fixed_distribution(policy)] * len(prefixes)
-        return standardize_rows(self.evaluate_batch(prefixes), policy,
-                                from_logits=self.score_kind == "logits")
+        return standardize_rows(self.evaluate_batch(prefixes), policy)
 
     def _fixed_distribution(self, policy: SamplingPolicy) -> Distribution:
         """A window-0 model's distribution under ``policy``, memoized per instance."""
         memo = self.__dict__.setdefault("_by_policy", {})
         d = memo.get(policy)
         if d is None:
-            d = memo[policy] = standardize(self.evaluate(()), policy,
-                                           from_logits=self.score_kind == "logits")
+            d = memo[policy] = standardize(self.evaluate(()), policy)
         return d
 
 

@@ -161,6 +161,14 @@ class TestDecode:
         assert code == EXIT_OK
         assert json.loads(out)["tokens"] == [1]
 
+    def test_low_temperature_decodes(self, capsys):
+        # Every 0.25 ** 1000 underflows to 0.0: the policy must not divide by it.
+        code, out, _ = run(capsys, ["decode", "--target", "uniform:4", "--draft", "same",
+                                    "--prompt-tokens", "0", "--temperature", "0.001",
+                                    "--max-tokens", "8", "--json"])
+        assert code == EXIT_OK
+        assert len(json.loads(out)["tokens"]) == 8
+
 
 class TestVerify:
     def test_exactness_passes(self, capsys):
@@ -487,6 +495,13 @@ class TestInputErrors:
          "[9, -2] outside vocab 4"),
         (["simulate", "--target", "uniform:4", "--draft", "uniform:6", "--gamma", "2"],
          "vocab mismatch"),
+        (["decode", "--target", "copy:4,2,0.9,7", "--draft", "same", "--prompt-tokens", "0"],
+         "at most 3 fields"),
+        # inputs the verify suites cannot check
+        (["verify", "--suite", "exactness", "--vocab", "5000", "--pairs", "1"], "--vocab"),
+        (["verify", "--suite", "equivalence", "--vocab", "100000", "--samples", "10000",
+          "--mutate", "skip-residual"], "pool into one bin"),
+        (["verify", "--suite", "geometric", "--steps", "2"], "pool into one bin"),
     ])
     def test_bad_value_exits_2(self, capsys, argv, needle):
         code, out, err = run(capsys, argv)

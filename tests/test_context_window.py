@@ -45,10 +45,6 @@ class FullPrefix(LanguageModel):
     def vocab_size(self) -> int:
         return self.inner.vocab_size
 
-    @property
-    def score_kind(self) -> str:
-        return self.inner.score_kind
-
     def evaluate(self, prefix):
         return self.inner.evaluate(prefix)
 

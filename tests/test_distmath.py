@@ -21,10 +21,10 @@ from specdec.distmath import (
     SamplingPolicy,
     VocabMismatchError,
     inverse_cdf,
+    inverse_cdf_many,
     normalize,
     residual,
     sample,
-    sample_many,
     standardize,
     standardize_rows,
 )
@@ -102,18 +102,21 @@ class TestStandardize:
         d = standardize(np.array([0.5, 0.3, 0.2]), SamplingPolicy(top_p=0.8))
         assert d.probs[2] == 0.0
 
-    def test_temperature_logits_matches_softmax(self):
-        logits = np.array([1.0, -0.5, 2.0, 0.0])
-        t = 0.7
-        d = standardize(logits, SamplingPolicy(temperature=t), from_logits=True)
-        e = np.exp(logits / t)
-        np.testing.assert_allclose(d.probs, e / e.sum(), atol=1e-14)
-
     def test_temperature_probs_power_renormalizes(self):
         p = np.array([0.5, 0.3, 0.2])
         d = standardize(p, SamplingPolicy(temperature=0.5))
         expect = p**2 / (p**2).sum()
         np.testing.assert_allclose(d.probs, expect, atol=1e-14)
+
+    def test_low_temperature_does_not_underflow(self):
+        # 0.25 ** 1000 and 0.2 ** 1000 are 0.0 in float64: without scaling each
+        # row by its largest entry the power leaves nothing to renormalize.
+        policy = SamplingPolicy(temperature=1e-3)
+        scores = np.array([[0.25, 0.25, 0.25, 0.25], [0.2, 0.3, 0.3, 0.2]])
+        expect = np.array([[0.25, 0.25, 0.25, 0.25], [0.0, 0.5, 0.5, 0.0]])
+        for row, want, d in zip(scores, expect, standardize_rows(scores, policy)):
+            np.testing.assert_allclose(standardize(row, policy).probs, want, atol=1e-150)
+            assert d.probs.tobytes() == standardize(row, policy).probs.tobytes()
 
     def test_composition_order_temperature_topk_topp(self):
         # Temperature sharpens first, then top-k trims, then top-p trims again.
@@ -148,30 +151,25 @@ class TestStandardize:
         np.testing.assert_allclose(d.probs, p, atol=1e-12)
 
 
-def reference_standardize(scores, policy, from_logits=False) -> Distribution:
+def reference_standardize(scores, policy) -> Distribution:
     """Oracle: ``standardize`` as it was written for one vector, before its
     transforms were shared with ``standardize_rows``."""
     s = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(s)):
         raise NonFiniteError("scores contain non-finite entries")
-    if not from_logits and np.any(s < 0):
+    if np.any(s < 0):
         raise NegativeEntryError("probability scores contain negative entries")
     if policy.is_argmax:
         mask = (s == s.max()).astype(np.float64)
         return Distribution(mask / mask.sum())
+    total = float(s.sum())
+    if total <= 0.0:
+        raise AllZeroError("probability scores sum to zero")
+    p = s / total
     t = policy.temperature
-    if from_logits:
-        z = s / t if t != 1.0 else s
-        e = np.exp(z - z.max())
-        p = e / e.sum()
-    else:
-        total = float(s.sum())
-        if total <= 0.0:
-            raise AllZeroError("probability scores sum to zero")
-        p = s / total
-        if t != 1.0:
-            p = p ** (1.0 / t)
-            p = p / p.sum()
+    if t != 1.0:
+        p = (p / p.max()) ** (1.0 / t)
+        p = p / p.sum()
     if policy.top_k is not None:
         k = policy.top_k
         if k > p.shape[0]:
@@ -243,16 +241,13 @@ class TestStandardizeRows:
         for policy in ROW_POLICIES:
             if policy.top_k is not None and policy.top_k > block.shape[1]:
                 continue
-            for from_logits, scores in ((False, block), (True, block - 1.5)):
-                rows = standardize_rows(scores, policy, from_logits=from_logits)
-                assert len(rows) == len(scores)
-                for row, d in zip(scores, rows):
-                    one = standardize(row, policy, from_logits=from_logits).probs.tobytes()
-                    assert d.probs.tobytes() == one
-                    ref = reference_standardize(row, policy, from_logits=from_logits)
-                    assert one == ref.probs.tobytes()
+            rows = standardize_rows(block, policy)
+            assert len(rows) == len(block)
+            for row, d in zip(block, rows):
+                one = standardize(row, policy).probs.tobytes()
+                assert d.probs.tobytes() == one
+                assert one == reference_standardize(row, policy).probs.tobytes()
 
-    @pytest.mark.parametrize("from_logits", [False, True])
     @pytest.mark.parametrize("policy", [IDENTITY_POLICY, SamplingPolicy(argmax=True),
                                         SamplingPolicy(temperature=0.7, top_p=0.9),
                                         SamplingPolicy(top_k=2)])
@@ -262,20 +257,19 @@ class TestStandardizeRows:
         ([0.0] * 5, AllZeroError),
         (None, PolicyConflictError),  # top_k larger than the vocabulary
     ], ids=["nan", "negative", "all-zero", "top-k-over-vocab"])
-    def test_bad_row_raises_like_1d(self, bad, named, policy, from_logits):
+    def test_bad_row_raises_like_1d(self, bad, named, policy):
         block = np.array([[0.1, 0.2, 0.3, 0.25, 0.15], [0.5, 0.1, 0.1, 0.2, 0.1],
                           [0.2, 0.2, 0.2, 0.2, 0.2]])
         if bad is None:
             policy = SamplingPolicy(top_k=6)
         else:
             block[1] = bad
-        one = [_outcome(lambda r=r: standardize(r, policy, from_logits=from_logits))
-               for r in block]
+        one = [_outcome(lambda r=r: standardize(r, policy)) for r in block]
         errors = [o for o in one if isinstance(o, type)]
         expected = errors[0] if errors else [o[0] for o in one]
-        got = _outcome(lambda: standardize_rows(block, policy, from_logits=from_logits))
+        got = _outcome(lambda: standardize_rows(block, policy))
         assert got == expected
-        if (not from_logits and policy == IDENTITY_POLICY) or bad is None:
+        if policy == IDENTITY_POLICY or bad is None:
             assert expected is named
 
     def test_rejects_non_block(self):
@@ -339,18 +333,16 @@ class TestSample:
         d = Distribution(p)
         rng = RandomStream(1234)
         n = 1_000_000
-        tokens = sample_many(d, rng, n)
+        tokens = inverse_cdf_many(d, rng.uniform_block(n))
         freqs = np.bincount(tokens, minlength=3) / n
         sigma = np.sqrt(p * (1 - p) / n)
         assert np.all(np.abs(freqs - p) <= 3 * sigma)
 
-    def test_sample_many_matches_sequential(self):
+    def test_inverse_cdf_many_matches_sequential(self):
         d = Distribution(np.array([0.1, 0.2, 0.3, 0.4]))
-        seq = [sample(d, RandomStream(7, stream=3)) for _ in [0]]
-        rng_a, rng_b = RandomStream(7), RandomStream(7)
-        block = sample_many(d, rng_a, 100)
-        singles = [sample(d, rng_b) for _ in range(100)]
-        assert list(block) == singles and seq  # streams identical either way
+        block = inverse_cdf_many(d, RandomStream(7).uniform_block(100))
+        rng = RandomStream(7)
+        assert list(block) == [sample(d, rng) for _ in range(100)]
 
 
 class TestResidual:

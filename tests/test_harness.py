@@ -119,6 +119,40 @@ class TestEquivalence:
         report = equivalence_test(mp, mq, SpecConfig(gamma=1, seed=5), 20_000, [[0]])
         assert report.verdict == (report.p_value > report.threshold)
 
+    def test_fits_the_target_law(self, model_pair):
+        # The statistic is the goodness of fit of the engine's counts to n * p.
+        mp, mq = model_pair
+        config, n = SpecConfig(gamma=2, seed=6), 20_000
+        report = equivalence_test(mp, mq, config, n, [[0]])
+        counts = np.bincount(speculative_steps(mp, mq, [0], config, RandomStream(6), n)
+                             .tokens_at(0), minlength=16)
+        p = mp.next_distribution([0], config.policy).probs
+        assert report.max_tv_distance == 0.5 * np.abs(counts / n - p).sum()
+        assert (n * p >= 5.0).all()  # no pooling on this pair: chisquare sees every bin
+        stat, p_value = scipy_stats.chisquare(counts, n * p)
+        assert report.per_context[0] == harness.ContextResult(stat, 15, p_value,
+                                                              report.max_tv_distance)
+
+    @pytest.mark.parametrize("mutation", MUTATIONS[1:])
+    def test_mass_on_an_impossible_token_fails_outright(self, mutation):
+        # A token of target probability 0 that the engine emits: p = 0, whatever n.
+        target = StatelessModel(np.array([0.6, 0.4, 0.0]))
+        draft = StatelessModel(np.array([0.2, 0.3, 0.5]))
+        report = equivalence_test(target, draft, SpecConfig(gamma=2, seed=0), 10_000, [[0]],
+                                  mutation=mutation)
+        assert report.per_context[0].statistic == float("inf")
+        assert report.p_value == 0.0 and not report.verdict
+
+    @pytest.mark.parametrize("mutation", [None, *MUTATIONS])
+    def test_too_few_samples_for_the_law_raise(self, mutation):
+        # 10^4 samples of a 10^5-token law pool into one bin: there is
+        # nothing to test, and no verdict is given.
+        p, q = random_pair(RandomStream(11), 100_000)
+        target, draft = StatelessModel(p.probs), StatelessModel(q.probs)
+        with pytest.raises(harness.TooFewSamplesError):
+            equivalence_test(target, draft, SpecConfig(gamma=2), 10_000, [[0]],
+                             mutation=mutation)
+
 
 def _markov_text(rng: RandomStream, vocab: int, stride: int, n: int = 2000) -> list[int]:
     """Text where each token mostly follows its predecessor plus ``stride``."""
@@ -167,6 +201,9 @@ class TestGeometricFit:
         assert report.extras["histogram"][0] == 5000
         assert report.extras["mean_tokens"] == 1.0
         assert report.verdict
+        # One possible outcome fits with p = 1 however few the steps.
+        for n in (1, 2):
+            assert geometric_fit_test(0.0, gamma=3, n_steps=n, seed=6).p_value == 1.0
 
     def test_hand_mean_alpha_07_gamma_3(self):
         # (1 - 0.7^4) / 0.3 = 2.533
@@ -184,6 +221,23 @@ class TestGeometricFit:
     def test_histogram_sums_to_steps(self):
         report = geometric_fit_test(0.5, gamma=4, n_steps=2000, seed=9)
         assert sum(report.extras["histogram"]) == 2000
+
+    # Pinned bit for bit: the shared fit must not move these values. The
+    # last case pools its four rarest outcomes into one bin.
+    @pytest.mark.parametrize("alpha,gamma,n,seed,p_value,tv,dof", [
+        (0.7, 3, 50_000, 7, 0.7892807641902624, 0.0021200000000000524, 3),
+        (0.8, 5, 50_000, 8, 0.6536944917892882, 0.0035400000000000292, 5),
+        (0.3, 10, 3_000, 12, 0.7535119023983368, 0.005965666666666701, 6),
+    ], ids=["a0.7-g3", "a0.8-g5", "a0.3-g10-pooled"])
+    def test_pinned_fit_values(self, alpha, gamma, n, seed, p_value, tv, dof):
+        report = geometric_fit_test(alpha, gamma, n, seed=seed)
+        assert report.p_value == p_value
+        assert report.max_tv_distance == tv
+        assert report.per_context[0].dof == dof
+
+    def test_too_few_steps_raise(self):
+        with pytest.raises(harness.TooFewSamplesError):
+            geometric_fit_test(0.8, gamma=5, n_steps=2)
 
 
 class TestSimulateWalltime:

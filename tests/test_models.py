@@ -424,21 +424,20 @@ class TestBatchingContract:
         np.testing.assert_array_equal(cached.probs, direct.probs)
 
 
-class FixedLogits(LanguageModel):
-    """A bare window-0 model with logit scores."""
+class FixedScores(LanguageModel):
+    """A bare window-0 model with unnormalized probability scores."""
 
     context_window = 0
-    score_kind = "logits"
     vocab_size = 4
 
     def evaluate(self, prefix):
-        return np.array([0.5, -1.0, 2.0, 0.0])
+        return np.array([0.5, 0.1, 2.0, 0.4])
 
 
 WINDOW_ZERO = {
     "stateless": lambda: StatelessModel(np.array([0.1, 0.2, 0.3, 0.4])),
     "ngram1": lambda: train_ngram([0, 1, 2, 3, 3, 2, 3, 1, 3], order=1, vocab_size=4),
-    "bare": FixedLogits,
+    "bare": FixedScores,
 }
 MEMO_POLICIES = [
     IDENTITY_POLICY,
@@ -458,7 +457,7 @@ class TestWindowZeroMemo:
     def test_one_distribution_per_policy(self, make, policy):
         m = make()
         d = m.next_distribution([], policy)
-        ref = standardize(m.evaluate(()), policy, from_logits=m.score_kind == "logits")
+        ref = standardize(m.evaluate(()), policy)
         assert d.probs.tobytes() == ref.probs.tobytes()
         assert all(m.next_distribution(prefix, policy) is d for prefix in ([], [0], [3, 1, 2]))
         rows = m.next_distribution_batch([[0], [], [1, 2, 3], [0]], policy)
@@ -485,11 +484,11 @@ class TestWindowZeroMemo:
         assert calls == [IDENTITY_POLICY, SamplingPolicy(top_k=2)]
 
     def test_policies_and_instances_do_not_share(self):
-        a, b = StatelessModel(np.array([0.1, 0.2, 0.3, 0.4])), FixedLogits()
+        a, b = StatelessModel(np.array([0.1, 0.2, 0.3, 0.4])), FixedScores()
         twin = StatelessModel(np.array([0.1, 0.2, 0.3, 0.4]))
         for policy in MEMO_POLICIES:
             for m in (a, b):
-                ref = standardize(m.evaluate(()), policy, from_logits=m.score_kind == "logits")
+                ref = standardize(m.evaluate(()), policy)
                 assert m.next_distribution([], policy) == ref
             assert twin.next_distribution([], policy) is not a.next_distribution([], policy)
         top2 = a.next_distribution([], SamplingPolicy(top_k=2))
