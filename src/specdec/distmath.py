@@ -95,28 +95,14 @@ class Distribution:
         self._cdf = None
 
     @classmethod
-    def rows(cls, probs: np.ndarray) -> list["Distribution"]:
-        """One distribution per row of a 2-D block, with ``__init__``'s checks and
-        renormalization run once over the block; each holds a read-only row view."""
-        p = np.asarray(probs, dtype=np.float64)
-        if p.ndim != 2 or 0 in p.shape:
-            raise ValueError("distribution block must be a non-empty 2-D array")
-        if not np.isfinite(p).all():
-            raise NonFiniteError("distribution contains non-finite entries")
-        if (p < 0).any():
-            raise NegativeEntryError("distribution contains negative entries")
-        total = p.sum(axis=1, keepdims=True)
-        if (total == 0.0).any():
-            raise AllZeroError("distribution sums to zero")
-        worst = float(total.flat[np.abs(total - 1.0).argmax()])
-        if abs(worst - 1.0) > _SUM_SLACK:
-            raise ValueError(f"distribution sums to {worst!r}, not 1 (beyond 1e-6 slack)")
-        p = p / total  # x / 1.0 == x: rows that already sum to one stay as they are
+    def _checked(cls, p: np.ndarray) -> "Distribution":
+        """Wrap ``p``, read-only, with no checks: the caller owns ``p`` and has
+        already made it a finite, non-negative 1-D vector normalized as
+        ``__init__`` would leave it."""
         p.flags.writeable = False
-        dists = [object.__new__(cls) for _ in range(len(p))]
-        for d, row in zip(dists, p):
-            d.probs, d._cdf = row, None
-        return dists
+        d = object.__new__(cls)
+        d.probs, d._cdf = p, None
+        return d
 
     @property
     def vocab_size(self) -> int:
@@ -160,8 +146,8 @@ class SamplingPolicy:
     argmax: bool = False
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise PolicyConflictError("temperature must be non-negative")
+        if not 0.0 <= self.temperature < np.inf:  # also rejects NaN
+            raise PolicyConflictError("temperature must be finite and non-negative")
         if self.is_argmax and (self.top_k is not None or self.top_p is not None):
             raise PolicyConflictError("argmax (temperature 0) excludes top-k/top-p")
         if self.top_k is not None and self.top_k < 1:
@@ -274,7 +260,12 @@ def standardize_rows(
     """``standardize`` for each row of a 2-D block, every transform and check run
     once over the block: row ``i`` is bitwise equal to ``standardize(scores[i],
     policy)``, and a bad row raises what it would raise."""
-    return Distribution.rows(_apply_policy(np.asarray(scores, dtype=np.float64), policy))
+    s = np.asarray(scores, dtype=np.float64)
+    if s.ndim != 2 or 0 in s.shape:
+        raise ValueError("scores must be a non-empty 2-D block")
+    p = _apply_policy(s, policy)  # finite, non-negative, rows sum to one up to rounding
+    p = p / p.sum(axis=1, keepdims=True)  # as __init__ renormalizes; x / 1.0 == x
+    return [Distribution._checked(row) for row in p]
 
 
 def inverse_cdf(d: Distribution, u: float) -> int:
@@ -320,4 +311,8 @@ def residual(p: Distribution, q: Distribution, lenience: float = 1.0) -> Distrib
     total = float(raw.sum())
     if total <= 0.0:
         raise AllZeroError("residual has no mass: p <= lenience*q everywhere")
-    return Distribution(raw / total)
+    # Built from two checked distributions: finite and non-negative, so only
+    # __init__'s renormalization is left to run.
+    r = raw / total
+    total = float(r.sum())
+    return Distribution._checked(r if total == 1.0 else r / total)

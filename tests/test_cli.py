@@ -521,6 +521,15 @@ class TestInputErrors:
         assert code == EXIT_USAGE
         assert out == "" and "zebra" in err
 
+    @pytest.mark.parametrize("target", ["uniform:8", "trigram"])
+    @pytest.mark.parametrize("temperature", ["nan", "inf", "-inf"])
+    def test_non_finite_temperature_exits_2(self, capsys, model_file, target, temperature):
+        target = model_file if target == "trigram" else target
+        code, out, err = run(capsys, ["decode", "--target", target, "--draft", "same",
+                                      f"--temperature={temperature}"])
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error:") and "temperature" in err
+
     @pytest.mark.parametrize("smoothing", ["nan", "inf"])
     def test_non_finite_smoothing_exits_2(self, capsys, corpus_file, tmp_path, smoothing):
         code, out, err = run(capsys, ["train", "--corpus", corpus_file, "--order", "2",

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specdec.analysis import beta
@@ -139,6 +139,12 @@ class TestStandardize:
             SamplingPolicy(argmax=True, top_k=3)
         with pytest.raises(PolicyConflictError):
             SamplingPolicy(temperature=0.0, top_p=0.5)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
+    def test_temperature_must_be_finite_and_non_negative(self, t):
+        # nan < 0 is false, and inf turns every weight, zeros too, into 0**0 == 1.
+        with pytest.raises(PolicyConflictError, match="temperature"):
+            SamplingPolicy(temperature=t)
 
     def test_top_k_exceeds_vocab(self):
         with pytest.raises(PolicyConflictError):
@@ -278,37 +284,6 @@ class TestStandardizeRows:
                 standardize_rows(scores)
 
 
-def _drifted_block(rows: int, vocab: int, seed: int) -> np.ndarray:
-    """Rows that sum to one up to a drift inside the 1e-6 slack."""
-    g = np.random.default_rng(seed)
-    block = g.random((rows, vocab))
-    return block / block.sum(axis=1, keepdims=True) * (1.0 + g.uniform(-9e-7, 9e-7, (rows, 1)))
-
-
-drifted_blocks = st.builds(
-    _drifted_block, st.integers(1, 6), st.sampled_from([2, 3, 16, 258]), st.integers(0, 2**32 - 1)
-)
-
-
-class TestDistributionRows:
-    @given(drifted_blocks)
-    @settings(max_examples=200, deadline=None)
-    def test_rows_equal_one_at_a_time_bitwise(self, block):
-        before = block.copy()
-        rows = Distribution.rows(block)
-        for row, d in zip(block, rows):
-            assert d.probs.tobytes() == Distribution(row).probs.tobytes()
-            assert not d.probs.flags.writeable
-        assert np.array_equal(block, before) and block.flags.writeable
-
-    @pytest.mark.parametrize("bad", [[np.nan, 1.0], [-0.1, 1.1], [0.0, 0.0], [0.5, 0.5 + 2e-6]],
-                             ids=["nan", "negative", "all-zero", "beyond-slack"])
-    def test_bad_row_raises_like_init(self, bad):
-        block = np.array([[0.5, 0.5], bad, [0.25, 0.75]])
-        assert _outcome(lambda: Distribution.rows(block)) == _outcome(
-            lambda: Distribution(np.array(bad)))
-
-
 class TestSample:
     def test_point_mass(self):
         d = Distribution(np.array([0.0, 1.0, 0.0]))
@@ -377,6 +352,20 @@ class TestResidual:
         positive = p.probs > lenience * q.probs
         assert np.all(r.probs[~positive] == 0.0)
         assert np.all(r.probs[positive] > 0.0)
+
+    @given(paired_probs_strategy(), st.floats(min_value=0.05, max_value=1.0))
+    @example((np.array([0.1, 0.1, 0.8]),) * 2, 0.7)  # 0.3*p / sum rounds off 1: renormalized
+    @settings(max_examples=150, deadline=None)
+    def test_equals_checked_construction_bitwise(self, pq, lenience):
+        # residual skips Distribution's checks but not its renormalization.
+        p, q = (Distribution(x) for x in pq)
+        raw = np.maximum(p.probs - lenience * q.probs, 0)
+        total = float(raw.sum())
+        if total == 0.0:
+            return  # AllZeroError: test_support_exactly_where_p_exceeds_lq
+        r = residual(p, q, lenience)
+        assert r.probs.tobytes() == Distribution(raw / total).probs.tobytes()
+        assert not r.probs.flags.writeable
 
 
 class TestDlk:

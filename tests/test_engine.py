@@ -21,6 +21,9 @@ from specdec import engine
 from specdec.distmath import (
     AllZeroError,
     Distribution,
+    IDENTITY_POLICY,
+    NegativeEntryError,
+    NonFiniteError,
     SamplingPolicy,
     VocabMismatchError,
     inverse_cdf,
@@ -429,6 +432,41 @@ class TestSpeculativeSteps:
             speculative_steps(p, StatelessModel(np.ones(3) / 3), [0], config, RandomStream(0), 3)
         empty = speculative_steps(p, q, [0], config, RandomStream(0), 0)
         assert empty.drafts.shape == (0, 2) and empty.tokens_at(0).shape == (0,)
+
+
+class BadAfterPrompt(LanguageModel):
+    """Good scores at the one-token prompt and ``bad`` ones at every longer
+    prefix, so only the prefixes that end in drafted tokens see them."""
+
+    vocab_size = 3
+
+    def __init__(self, bad):
+        self.bad = np.array(bad)
+
+    def evaluate(self, prefix):
+        return self.bad if len(prefix) > 1 else np.array([0.2, 0.3, 0.5])
+
+
+class TestBadTargetScores:
+    # Scores are checked once, where they enter distmath; a target's bad row at
+    # a drafted prefix must still raise its named error on every policy path.
+    @pytest.mark.parametrize("bad, named", [
+        ([np.nan, 0.5, 0.5], NonFiniteError),
+        ([-0.1, 0.6, 0.5], NegativeEntryError),
+        ([0.0, 0.0, 0.0], AllZeroError),
+    ], ids=["nan", "negative", "all-zero"])
+    @pytest.mark.parametrize("policy, lenience", [
+        (IDENTITY_POLICY, 1.0),
+        (SamplingPolicy(temperature=0.7, top_k=2), 0.6),
+        (SamplingPolicy(argmax=True), 0.5),  # argmax-lenient: raw and argmax views
+    ], ids=["identity", "temperature-top-k", "argmax-lenient"])
+    def test_raises_named_error(self, bad, named, policy, lenience):
+        draft = StatelessModel(np.array([0.2, 0.3, 0.5]))
+        config = SpecConfig(gamma=2, policy=policy, lenience=lenience)
+        with pytest.raises(named):
+            speculative_step(BadAfterPrompt(bad), draft, [0], config, RandomStream(0))
+        with pytest.raises(named):
+            speculative_steps(BadAfterPrompt(bad), draft, [0], config, RandomStream(0), 8)
 
 
 class TestDecode:

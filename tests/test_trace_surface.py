@@ -39,8 +39,8 @@ def test_traced_run_installs_and_restores(tracing):
 def test_traced_decode_sees_every_sample_and_draw(tracing):
     # The traced view must keep seeing a step's sampling and its draws: every
     # drafted and final token is an inverse_cdf (or sample) span under its
-    # step, a step draws 2*gamma+1 variates, and the order-1 draft
-    # standardizes once per policy.
+    # step, a step draws 2*gamma+1 variates, the order-1 draft standardizes
+    # once per policy, and every rejected step builds one residual.
     corpus = [0, 1, 2, 3, 3, 2, 3, 1, 3, 0, 2, 2, 1, 0, 3]
     target = train_ngram(corpus, order=2, vocab_size=4)
     draft = train_ngram(corpus[3:], order=1, vocab_size=4)
@@ -59,6 +59,12 @@ def test_traced_decode_sees_every_sample_and_draw(tracing):
     assert sampled == sum(gamma + (t.correction_source != "draft_fallback") for t in traces)
     assert tracer.counts["rng.step_draws"] == steps * (2 * gamma + 1)
     assert table.count("distmath.standardize") == 2
+    # The benchmark's distmath.residual metrics count one residual per
+    # rejected step (a draft_fallback step's raises AllZeroError inside it).
+    rejected = sum(t.accepted_n < gamma for t in traces)
+    assert rejected > 0
+    assert table.under("distmath.residual", "engine.step").sum() == rejected
+    assert table.count("distmath.residual") == rejected
 
 
 def test_traced_harness_runs_in_blocks(tracing):
