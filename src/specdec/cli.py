@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import analysis, harness
+from . import analysis, harness, models
 from .beam import speculative_beam_search, standard_beam_search
 from .distmath import SamplingPolicy, normalize
 from .engine import MUTATIONS, DecodeResult, SpecConfig, decode
@@ -349,6 +349,8 @@ def _verify_rejection(args: argparse.Namespace) -> tuple[bool, str]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _at_least(args, "--vocab", 1)
+    if args.vocab > models.MAX_VOCAB:
+        raise CliError(f"--vocab must be at most {models.MAX_VOCAB}, got {args.vocab}")
     # Each suite checks its flags, runs, and returns its verdict and line; the
     # header is printed only then, so a usage error leaves stdout empty. Too
     # few samples to test the law is a usage error too.

@@ -69,7 +69,10 @@ class Distribution:
 
     Entries are non-negative and sum to one (re-normalized on construction
     when within ``1e-6`` of one, rejected otherwise). The CDF is cached
-    lazily for repeated inverse-CDF sampling.
+    lazily for repeated inverse-CDF sampling. It is built in one of three
+    ways, each checking once: ``Distribution(arr)`` for a vector from outside,
+    :func:`standardize_rows` or its one-row cases for model scores, and
+    :func:`residual` from two checked distributions.
     """
 
     __slots__ = ("probs", "_cdf")
@@ -165,20 +168,9 @@ IDENTITY_POLICY = SamplingPolicy()
 
 
 def normalize(raw: np.ndarray) -> Distribution:
-    """Scale a non-negative vector to sum one.
-
-    Raises ``AllZeroError`` when there is no mass at all; callers decide
-    what a degenerate residual means in their context.
-    """
-    r = np.asarray(raw, dtype=np.float64)
-    if not np.all(np.isfinite(r)):
-        raise NonFiniteError("cannot normalize non-finite entries")
-    if np.any(r < 0):
-        raise NegativeEntryError("cannot normalize negative entries")
-    total = float(r.sum())
-    if total <= 0.0:
-        raise AllZeroError("cannot normalize an all-zero vector")
-    return Distribution(r / total)
+    """Scale a non-negative vector to sum one (``standardize`` with no policy);
+    raises ``NonFiniteError``, ``NegativeEntryError``, or ``AllZeroError``."""
+    return standardize(raw)
 
 
 def _descending(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -200,8 +192,9 @@ def _unsort(p: np.ndarray, order: np.ndarray, ranked: np.ndarray) -> np.ndarray:
 def _apply_policy(s: np.ndarray, policy: SamplingPolicy) -> np.ndarray:
     """The policy's transforms along the last axis of a float64 score array:
     each row comes out exactly as it would on its own."""
-    if not np.isfinite(s).all():
-        raise NonFiniteError("scores contain non-finite entries")
+    total = s.sum(axis=-1, keepdims=True)
+    if not np.isfinite(total).all():  # a NaN or infinite score, or a sum that overflows
+        raise NonFiniteError("scores contain or sum to non-finite values")
     if (s < 0).any():
         raise NegativeEntryError("probability scores contain negative entries")
 
@@ -210,7 +203,6 @@ def _apply_policy(s: np.ndarray, policy: SamplingPolicy) -> np.ndarray:
         mask = (s == s.max(axis=-1, keepdims=True)).astype(np.float64)
         return mask / mask.sum(axis=-1, keepdims=True)
 
-    total = s.sum(axis=-1, keepdims=True)
     if (total <= 0.0).any():
         raise AllZeroError("probability scores sum to zero")
     p = s / total
@@ -251,7 +243,7 @@ def standardize(scores: np.ndarray, policy: SamplingPolicy = IDENTITY_POLICY) ->
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 1 or s.shape[0] == 0:
         raise ValueError("scores must be a non-empty 1-D vector")
-    return Distribution(_apply_policy(s, policy))
+    return standardize_rows(s[None], policy)[0]
 
 
 def standardize_rows(

@@ -17,7 +17,7 @@ keeps stream positions, and therefore whole traces, comparable across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -39,6 +39,7 @@ from .models import LanguageModel
 from .rng import RandomStream
 
 __all__ = [
+    "MAX_GAMMA",
     "SpecConfig",
     "DraftedToken",
     "StepTrace",
@@ -49,14 +50,16 @@ __all__ = [
     "speculative_steps",
     "decode",
     "standard_decode",
-    "argmax_lenient_accept",
 ]
 
 # Valid test-only fault injections for speculative_step.
 MUTATIONS = ("skip_residual", "resample_q", "accept_off_by_one")
 
-# Steps per uniform_block in speculative_steps: a few MiB of working arrays.
-_STEPS_PER_BLOCK = 1 << 15
+# The longest draft a SpecConfig takes: a step draws its 2*gamma+1 variates at once.
+MAX_GAMMA = 1 << 10
+
+# Variates per uniform_block in speculative_steps: per-step arrays stay this size at any gamma.
+_VARIATES_PER_BLOCK = 9 << 15
 
 
 @dataclass(frozen=True)
@@ -71,8 +74,8 @@ class SpecConfig:
     stop_token: int | None = None
 
     def __post_init__(self):
-        if self.gamma < 1:
-            raise ValueError("gamma must be >= 1")
+        if not 1 <= self.gamma <= MAX_GAMMA:
+            raise ValueError(f"gamma must lie in [1, {MAX_GAMMA}], got {self.gamma}")
         if not (0.0 < self.lenience <= 1.0):
             raise ValueError("lenience must lie in (0, 1]")
         if self.max_new_tokens < 1:
@@ -126,11 +129,7 @@ class DecodeTotals:
     tokens_emitted: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "target_calls": self.target_calls,
-            "draft_calls": self.draft_calls,
-            "tokens_emitted": self.tokens_emitted,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -162,17 +161,15 @@ def _tail(prefix: Sequence[int], window: int | None) -> list[int]:
     return list(prefix[-window:]) if window else []
 
 
-def argmax_lenient_accept(p: Distribution, draft: int, lenience: float) -> bool:
-    """Lenient acceptance for argmax decoding, applied before standardizing.
+def _rejects(u, p_x, q_x, lenience):
+    """The ratio test, on floats (one step) or on arrays of rows (a block)."""
+    return u > p_x / (lenience * q_x)
 
-    Accepts the drafted token iff ``p[draft] >= lenience * max(p)`` on the
-    raw (un-argmaxed) target distribution; ties at the boundary accept.
-    With lenience 1 only tokens tied for the maximum pass, and as lenience
-    approaches 0 anything with positive probability passes.
-    """
-    if not (0.0 < lenience <= 1.0):
-        raise ValueError("lenience must lie in (0, 1]")
-    return bool(p.probs[draft] >= lenience * float(p.probs.max()))
+
+def _lenient_rejects(p_x, p_max, lenience):
+    """The argmax-lenient test on the raw target, as :func:`_rejects`: ties at
+    the boundary accept, and as lenience nears 0 any support passes."""
+    return p_x < lenience * p_max
 
 
 def speculative_step(
@@ -224,15 +221,15 @@ def speculative_step(
     for i in range(gamma):
         x = drafts[i]
         if argmax_lenient:
-            accepted = argmax_lenient_accept(raw_dists[i], x, lenience)
+            raw = raw_dists[i].probs
+            rejected = _lenient_rejects(float(raw[x]), float(raw.max()), lenience)
         else:
             q_x = float(q_dists[i].probs[x])
             # A drafted token always has positive draft probability.
             if not q_x > 0.0:
                 raise RuntimeError("drafted token with zero draft probability")
-            ratio = float(p_dists[i].probs[x]) / (lenience * q_x)
-            accepted = not (u[gamma + i] > ratio)
-        if not accepted:
+            rejected = _rejects(u[gamma + i], float(p_dists[i].probs[x]), q_x, lenience)
+        if rejected:
             n = i
             break
     if _mutation == "accept_off_by_one" and n < gamma:
@@ -292,9 +289,9 @@ def speculative_steps(target: LanguageModel, draft: LanguageModel, prefix: Seque
     _check_vocab(target, draft)
     if n == 0:  # no rows to group, and a model may not be asked about no prefixes
         return StepBlock(np.empty((0, config.gamma), dtype=np.int64), *np.empty((2, 0), np.int64))
-    blocks = [_step_block(target, draft, prefix, config, rng, min(_STEPS_PER_BLOCK, n - start),
-                          _mutation)
-              for start in range(0, n, _STEPS_PER_BLOCK)]
+    rows = max(1, _VARIATES_PER_BLOCK // (2 * config.gamma + 1))
+    blocks = [_step_block(target, draft, prefix, config, rng, min(rows, n - start), _mutation)
+              for start in range(0, n, rows)]
     return StepBlock(*map(np.concatenate, zip(*blocks)))
 
 
@@ -318,16 +315,16 @@ def _step_block(target, draft, prefix, config, rng, rows, mutation) -> StepBlock
         raw_at.append(raw_dists)
 
     qx = np.column_stack([_prob_of(*q_at[i], drafts[:, i]) for i in range(gamma)])
-    if argmax_lenient:  # argmax_lenient_accept, row by row
-        accepted = np.column_stack([
-            _prob_of(raw_at[i], p_at[i][1], drafts[:, i])
-            >= lenience * np.array([d.probs.max() for d in raw_at[i]])[p_at[i][1]]
+    if argmax_lenient:
+        rejected = np.column_stack([
+            _lenient_rejects(_prob_of(raw_at[i], p_at[i][1], drafts[:, i]),
+                             np.array([d.probs.max() for d in raw_at[i]])[p_at[i][1]], lenience)
             for i in range(gamma)])
     else:
         px = np.column_stack([_prob_of(*p_at[i], drafts[:, i]) for i in range(gamma)])
         with np.errstate(divide="ignore", invalid="ignore"):
-            accepted = ~(u[:, gamma:2 * gamma] > px / (lenience * qx))
-    n_acc = np.where(accepted.all(axis=1), gamma, accepted.argmin(axis=1))
+            rejected = _rejects(u[:, gamma:2 * gamma], px, qx, lenience)
+    n_acc = np.where(rejected.any(axis=1), rejected.argmax(axis=1), gamma)
     # The scalar step checks each drafted token up to its first rejection.
     if not argmax_lenient and not (qx > 0.0)[np.arange(gamma) <= n_acc[:, None]].all():
         raise RuntimeError("drafted token with zero draft probability")
@@ -337,7 +334,7 @@ def _step_block(target, draft, prefix, config, rng, rows, mutation) -> StepBlock
     # Each row's last token, sampled by groups of rows with the same (p, q).
     u_final, final = u[:, 2 * gamma], np.empty(rows, dtype=np.int64)
     no_q = ([None], np.zeros(rows, dtype=np.int64))
-    for k in range(gamma + 1):
+    for k in np.unique(n_acc).tolist():  # the accept counts some row has
         (p_dists, p_group), (q_dists, q_group) = p_at[k], q_at[k] if k < gamma else no_q
         at = np.flatnonzero(n_acc == k)
         pairs, pair = np.unique(np.column_stack((p_group[at], q_group[at])), axis=0,
@@ -358,6 +355,8 @@ def _tails(model, prefix, drafted) -> tuple[list[list[int]], np.ndarray]:
     window, i = model.context_window, drafted.shape[1]
     read = i if window is None else min(i, window)
     base = _tail(prefix, None if window is None else window - read)
+    if read == 0:
+        return [base], np.zeros(len(drafted), dtype=np.int64)
     cols, group = np.unique(drafted[:, i - read:], axis=0, return_inverse=True)
     return [base + row for row in cols.tolist()], group.reshape(-1)
 
@@ -417,7 +416,6 @@ def decode(
     budget is truncated the same way. The number of batched target calls
     never exceeds the number of tokens kept.
     """
-    _check_vocab(target, draft)
     return _generate(lambda seq, rng: speculative_step(target, draft, seq, config, rng),
                      prompt, config, bos_token, keep_traces)
 

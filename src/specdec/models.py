@@ -18,6 +18,7 @@ import numpy as np
 from .distmath import Distribution, SamplingPolicy, standardize, standardize_rows
 
 __all__ = [
+    "MAX_VOCAB",
     "LanguageModel",
     "NGramModel",
     "CopyModel",
@@ -28,6 +29,10 @@ __all__ = [
     "random_model",
     "stateless_pair",
 ]
+
+
+# The largest vocabulary a model takes; a dense float64 row of it is 8 MiB.
+MAX_VOCAB = 1 << 20
 
 
 class CorpusTooShortError(ValueError):
@@ -126,8 +131,8 @@ class NGramModel(LanguageModel):
     ):
         if order < 1:
             raise ValueError("order must be >= 1")
-        if vocab_size < 1:
-            raise ValueError("vocab_size must be >= 1")
+        if not 1 <= vocab_size <= MAX_VOCAB:
+            raise ValueError(f"vocab_size must lie in [1, {MAX_VOCAB}], got {vocab_size}")
         if not 0 < smoothing_k < math.inf:  # also rejects NaN
             raise ValueError("smoothing_k must be positive and finite")
         self.order = order
@@ -213,8 +218,8 @@ class CopyModel(LanguageModel):
     _KEEP = 16  # lets a draft of up to 15 tokens fork back to any position
 
     def __init__(self, vocab_size: int, min_match: int = 2, copy_mass: float = 0.9):
-        if vocab_size < 1:
-            raise ValueError("vocab_size must be >= 1")
+        if not 1 <= vocab_size <= MAX_VOCAB:
+            raise ValueError(f"vocab_size must lie in [1, {MAX_VOCAB}], got {vocab_size}")
         if min_match < 1:
             raise ValueError("min_match must be >= 1")
         if not (0.0 < copy_mass < 1.0):
@@ -323,8 +328,8 @@ def copy_predict(model: CopyModel, prefix: Sequence[int]) -> np.ndarray:
 
 def random_model(vocab_size: int) -> StatelessModel:
     """Uniform proposal over the vocabulary: the weakest useful draft model."""
-    if vocab_size < 1:
-        raise ValueError("vocab_size must be >= 1")
+    if not 1 <= vocab_size <= MAX_VOCAB:
+        raise ValueError(f"vocab_size must lie in [1, {MAX_VOCAB}], got {vocab_size}")
     return StatelessModel(np.full(vocab_size, 1.0 / vocab_size))
 
 

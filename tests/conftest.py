@@ -2,21 +2,31 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from specdec.distmath import Distribution, normalize
+from specdec.harness import random_pair  # noqa: F401  (imported by the test modules)
 from specdec.rng import RandomStream
 
 
-def random_distribution(rng: RandomStream, vocab: int, floor: float = 1e-12) -> Distribution:
-    """Full-support random distribution (floor keeps every entry positive)."""
-    return normalize(rng.uniform_block(vocab) + floor)
-
-
-def random_pair(rng: RandomStream, vocab: int) -> tuple[Distribution, Distribution]:
-    return random_distribution(rng, vocab), random_distribution(rng, vocab)
+def run_limited(script: str, *args: str, limit: int = 1 << 30) -> subprocess.CompletedProcess:
+    """Run ``script`` with ``args`` in a fresh interpreter whose address space
+    is capped at ``limit`` bytes, so that an oversized allocation fails there
+    at once instead of taking the machine's memory. One BLAS thread keeps the
+    interpreter well inside the cap."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    cap = f"import resource; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+    return subprocess.run([sys.executable, "-c", cap + script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def probs_strategy(min_size=2, max_size=16):

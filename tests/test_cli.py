@@ -16,6 +16,8 @@ from specdec.model_io import FORMAT_VERSION, MAGIC, load_model
 from specdec.models import random_model
 from specdec.tokenizers import ByteTokenizer
 
+from conftest import run_limited
+
 
 @pytest.fixture
 def corpus_file(tmp_path):
@@ -30,6 +32,24 @@ def model_file(tmp_path, corpus_file):
     code = main(["train", "--corpus", corpus_file, "--order", "3", "--out", path])
     assert code == EXIT_OK
     return path
+
+
+# Runs main on each argv of a JSON list and prints each exit code (or the
+# exception that escaped main) with the captured stdout and stderr.
+_CLI_CASES = """
+import contextlib, io, json, sys
+from specdec.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except Exception as exc:
+        code = repr(exc)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
 
 
 def run(capsys, argv):
@@ -502,6 +522,12 @@ class TestInputErrors:
         (["verify", "--suite", "equivalence", "--vocab", "100000", "--samples", "10000",
           "--mutate", "skip-residual"], "pool into one bin"),
         (["verify", "--suite", "geometric", "--steps", "2"], "pool into one bin"),
+        # a draft length whose 2*gamma+1 variates would not fit in memory
+        (["decode", "--target", "uniform:4", "--draft", "same", "--gamma", "99999999999"],
+         "gamma"),
+        (["simulate", "--stateless-alpha", "0.5", "--gamma", "99999999999"], "gamma"),
+        (["verify", "--suite", "geometric", "--gamma", "99999999999"], "gamma"),
+        (["verify", "--suite", "equivalence", "--gamma", "99999999999"], "gamma"),
     ])
     def test_bad_value_exits_2(self, capsys, argv, needle):
         code, out, err = run(capsys, argv)
@@ -551,6 +577,25 @@ class TestInputErrors:
         code, out, err = run(capsys, ["decode", "--target", str(path), "--draft", "same"])
         assert code == EXIT_USAGE
         assert out == "" and err.startswith("error:") and "bad header" in err
+
+    def test_huge_vocabulary_exits_2(self, tmp_path):
+        # Each of these once asked for a dense 4e8-entry float64 row (3 GB).
+        # They run under a 1 GiB address-space cap, where such a row fails.
+        body = MAGIC + struct.pack("<HIdIQ", FORMAT_VERSION, 2, 0.01, 400_000_000, 0)
+        path = tmp_path / "huge.sdng"
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        cases = [
+            (["decode", "--target", "uniform:400000000", "--draft", "same"], "vocab_size"),
+            (["decode", "--target", "copy:400000000", "--draft", "same"], "vocab_size"),
+            (["decode", "--target", str(path), "--draft", "same"], "vocab_size"),
+            (["verify", "--suite", "equivalence", "--vocab", "400000000"], "--vocab"),
+            (["verify", "--suite", "rejection", "--vocab", "400000000"], "--vocab"),
+        ]
+        proc = run_limited(_CLI_CASES, json.dumps([argv for argv, _ in cases]))
+        assert proc.returncode == 0, proc.stderr
+        for (argv, needle), (code, out, err) in zip(cases, json.loads(proc.stdout)):
+            assert code == EXIT_USAGE, (argv, code)
+            assert out == "" and err.startswith("error:") and needle in err, (argv, err)
 
     def test_corpus_too_short_exits_2(self, capsys, tmp_path):
         corpus = tmp_path / "tiny.txt"

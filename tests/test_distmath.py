@@ -76,6 +76,29 @@ class TestNormalize:
     def test_non_finite(self):
         with pytest.raises(NonFiniteError):
             normalize(np.array([np.inf, 1.0]))
+        with pytest.raises(NonFiniteError):
+            normalize(np.array([np.nan, 1.0]))
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=1, max_size=300)
+           .filter(lambda xs: sum(xs) > 0.0))
+    @example([0.1, 0.1, 0.8])
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_as_checked_construction(self, xs):
+        # Scale by the total, then construct, which renormalizes once more
+        # when that sum is not exactly 1.0.
+        r = np.array(xs)
+        assert normalize(r).probs.tobytes() == Distribution(r / r.sum()).probs.tobytes()
+
+    @pytest.mark.parametrize("policy", [IDENTITY_POLICY, SamplingPolicy(temperature=0.5)])
+    def test_overflowing_sum_is_non_finite(self, policy):
+        # Finite scores whose sum overflows: dividing by it would zero every
+        # entry and leave NaN after renormalizing.
+        big = np.array([1e308, 1e308])
+        with np.errstate(over="ignore"):
+            for build in (lambda: normalize(big), lambda: standardize(big, policy),
+                          lambda: standardize_rows(np.array([[0.5, 0.5], big]), policy)):
+                with pytest.raises(NonFiniteError):
+                    build()
 
 
 class TestStandardize:

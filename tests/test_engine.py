@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from specdec import engine
 from specdec.distmath import (
     AllZeroError,
-    Distribution,
     IDENTITY_POLICY,
     NegativeEntryError,
     NonFiniteError,
@@ -32,7 +31,7 @@ from specdec.distmath import (
 from specdec.engine import (
     MUTATIONS,
     SpecConfig,
-    argmax_lenient_accept,
+    _lenient_rejects,
     decode,
     speculative_step,
     speculative_steps,
@@ -290,7 +289,8 @@ class TestSpeculativeSteps:
         loop_rng, block_rng = RandomStream(seed), RandomStream(seed)
         steps = scalar_steps(ZOO[target], ZOO[draft], prompt, config, loop_rng, n, mutation)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "_STEPS_PER_BLOCK", 16)  # n up to 40 spans up to three blocks
+            # 16 steps a block: n up to 40 spans up to three blocks
+            mp.setattr(engine, "_VARIATES_PER_BLOCK", 16 * (2 * gamma + 1))
             block = speculative_steps(ZOO[target], ZOO[draft], prompt, config, block_rng, n,
                                       _mutation=mutation)
         assert_block_equals_loop(block, steps)
@@ -315,8 +315,8 @@ class TestSpeculativeSteps:
 
     def test_crosses_the_real_block_boundary(self):
         p, q = stateless_pair(0.7, vocab_size=3)
-        config = SpecConfig(gamma=2)
-        n = engine._STEPS_PER_BLOCK + 5
+        config = SpecConfig(gamma=4)
+        n = engine._VARIATES_PER_BLOCK // (2 * config.gamma + 1) + 5
         loop_rng, block_rng = RandomStream(8), RandomStream(8)
         steps = scalar_steps(p, q, [0], config, loop_rng, n)
         assert_block_equals_loop(speculative_steps(p, q, [0], config, block_rng, n), steps)
@@ -397,6 +397,19 @@ class TestSpeculativeSteps:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_block_memory_does_not_grow_with_gamma(self):
+        # A block holds a bounded number of variates, not of steps: at gamma
+        # 300 a step draws 601, and one block of all 1500 steps peaks at 31 MiB.
+        p, q = stateless_pair(0.8)
+        tracemalloc.start()
+        try:
+            block = speculative_steps(p, q, [0], SpecConfig(gamma=300), RandomStream(1), 1500)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert block.drafts.shape == (1500, 300)
+        assert peak < 20 * 2**20
 
     def test_zero_probability_checked_up_to_first_rejection(self, monkeypatch):
         # A sampler that always returns token 1 drafts it at position 1 with
@@ -593,21 +606,25 @@ class TestStandardDecode:
         assert res.tokens == [2]
 
 
+def lenient_rejects_each(p, lenience):
+    """``_lenient_rejects`` for every token of ``p``, asked one float at a time
+    (as the step asks) and as one array (as a block asks); both must agree."""
+    scalar = [_lenient_rejects(float(x), float(p.max()), lenience) for x in p]
+    block = _lenient_rejects(p, np.full(len(p), p.max()), lenience)
+    assert block.tolist() == scalar
+    return scalar
+
+
 class TestArgmaxLenientAccept:
     def test_strict_lenience_accepts_only_max_ties(self):
-        p = Distribution(np.array([0.5, 0.5, 0.0]))
-        assert argmax_lenient_accept(p, 0, 1.0)
-        assert argmax_lenient_accept(p, 1, 1.0)
-        assert not argmax_lenient_accept(p, 2, 1.0)
+        assert lenient_rejects_each(np.array([0.5, 0.5, 0.0]), 1.0) == [False, False, True]
 
     def test_tiny_lenience_accepts_any_support(self):
-        p = Distribution(np.array([0.999, 0.001]))
-        assert argmax_lenient_accept(p, 1, 1e-9)
+        assert lenient_rejects_each(np.array([0.999, 0.001]), 1e-9) == [False, False]
 
     def test_boundary_ties_accept(self):
-        p = Distribution(np.array([0.6, 0.3, 0.1]))
-        assert argmax_lenient_accept(p, 1, 0.5)  # 0.3 >= 0.5 * 0.6
-        assert not argmax_lenient_accept(p, 2, 0.5)
+        # 0.3 >= 0.5 * 0.6 exactly: a tie at the boundary accepts
+        assert lenient_rejects_each(np.array([0.6, 0.3, 0.1]), 0.5) == [False, False, True]
 
     def test_argmax_decode_with_lenience_one_is_greedy(self):
         target = StatelessModel(np.array([0.6, 0.3, 0.1]))

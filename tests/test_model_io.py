@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import struct
 import zlib
 
@@ -22,6 +23,8 @@ from specdec.model_io import (
     serialize_model,
 )
 from specdec.models import NGramModel, StatelessModel, train_ngram
+
+from conftest import run_limited
 
 
 @pytest.fixture
@@ -113,3 +116,56 @@ def test_unigram_round_trip(tmp_path):
     save_model(model, str(path))
     loaded = load_model(str(path))
     np.testing.assert_array_equal(loaded.evaluate([]), model.evaluate([]))
+
+
+# Byte mutations of a valid model file, each with its CRC recomputed so that
+# the structure, not the checksum, is what the reader must judge. Prints the
+# count loaded, the count rejected, and every case that raised anything else.
+_FUZZ = """
+import json, random, struct, sys, zlib
+from specdec.model_io import ModelFormatError, deserialize_model, serialize_model
+from specdec.models import train_ngram
+
+seed, cases = int(sys.argv[1]), int(sys.argv[2])
+body = serialize_model(train_ngram([0, 1, 2, 0, 1, 3, 4, 1, 0, 2, 2, 5], 3, 6))[:-4]
+rng = random.Random(seed)
+loaded = rejected = 0
+failures = []
+for case in range(cases):
+    b = bytearray(body)
+    kind = rng.randrange(3)
+    if kind == 0:  # a few bytes set at random
+        for _ in range(rng.randint(1, 4)):
+            b[rng.randrange(len(b))] = rng.randrange(256)
+    elif kind == 1:  # one 4- or 8-byte field set to an extreme or random value
+        width = rng.choice((4, 8))
+        at = rng.randrange(len(b) - width + 1)
+        value = rng.choice((0, 1, 2**(8 * width) - 1, rng.getrandbits(8 * width)))
+        b[at:at + width] = value.to_bytes(width, "little")
+    else:  # a run of bytes deleted or inserted
+        at = rng.randrange(len(b))
+        run = rng.randint(1, 12)
+        if rng.random() < 0.5:
+            del b[at:at + run]
+        else:
+            b[at:at] = rng.randbytes(run)
+    blob = bytes(b) + struct.pack("<I", zlib.crc32(b))
+    try:
+        deserialize_model(blob)
+        loaded += 1
+    except ModelFormatError:
+        rejected += 1
+    except Exception as exc:
+        failures.append([case, repr(exc)[:200]])
+print(json.dumps([loaded, rejected, failures]))
+"""
+
+
+def test_fuzzed_files_load_or_raise_model_format_error():
+    # Under a 1 GiB address-space cap, so a header that asks for a huge
+    # allocation fails fast rather than taking the machine's memory.
+    proc = run_limited(_FUZZ, "20240613", "20000")
+    assert proc.returncode == 0, proc.stderr
+    loaded, rejected, failures = json.loads(proc.stdout)
+    assert failures == []
+    assert loaded > 0 and rejected > 0
