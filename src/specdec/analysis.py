@@ -182,8 +182,8 @@ def expected_tokens(alpha: float, gamma: int) -> float:
 def walltime_factor(alpha: float, gamma: int, c: float, batch_cost: float = 1.0) -> float:
     """Expected walltime improvement: (1-alpha^(gamma+1)) / ((1-alpha)(gamma*c + batch_cost))."""
     _check_cost("c", c)
-    if not math.isfinite(batch_cost) or batch_cost <= 0:
-        raise DomainError("batch_cost must be finite and positive")
+    if not math.isfinite(gamma * c + batch_cost) or batch_cost <= 0:
+        raise DomainError("batch_cost must be positive, and gamma*c + batch_cost finite")
     return expected_tokens(alpha, gamma) / (gamma * c + batch_cost)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import analysis, harness, models
 from .beam import speculative_beam_search, standard_beam_search
 from .distmath import SamplingPolicy, normalize
-from .engine import MUTATIONS, DecodeResult, SpecConfig, decode
+from .engine import MUTATIONS, DecodeResult, SpecConfig, check_pair, decode
 from .model_io import ModelFormatError, load_model, save_model
 from .models import CopyModel, LanguageModel, StatelessModel, random_model, stateless_pair, train_ngram
 from .rng import RandomStream
@@ -191,7 +191,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             data = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read corpus: {exc}") from exc
-    text = data if args.tokenizer == "byte" else data.decode("utf-8")
+    text = data if args.tokenizer == "byte" else _from_flags(data.decode, "utf-8")
     if args.tokenizer == "word" and not args.vocab_file:
         tok = WordTokenizer.from_corpus(text)
         vocab_out = args.out + ".vocab"
@@ -203,7 +203,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         print(f"wrote vocabulary to {vocab_out}", file=sys.stderr)
     else:
         tok = _tokenizer(args)
-    corpus = tok.encode(text)
+    corpus = _from_flags(tok.encode, text)
 
     model = _from_flags(train_ngram, corpus, args.order, tok.vocab_size, smoothing_k=args.smoothing)
     try:
@@ -271,6 +271,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     )
     if config.policy.top_k is not None and config.policy.top_k > target.vocab_size:
         raise CliError(f"--top-k {config.policy.top_k} exceeds vocab size {target.vocab_size}")
+    _from_flags(check_pair, target, draft, config.gamma)
     result = decode(target, draft, prompt, config, bos_token=bos)
 
     if args.json:
@@ -314,6 +315,7 @@ def _verify_equivalence(args: argparse.Namespace) -> tuple[bool, str]:
     config = _from_flags(SpecConfig, gamma=args.gamma, seed=args.seed, lenience=args.lenience)
     p, q = harness.random_pair(RandomStream(args.seed), args.vocab)
     target, draft = StatelessModel(p.probs), StatelessModel(q.probs)
+    _from_flags(check_pair, target, draft, config.gamma)
     mutation = args.mutate.replace("-", "_") if args.mutate else None
     report = harness.equivalence_test(
         target, draft, config, args.samples, context_set=[[0]], mutation=mutation
@@ -412,7 +414,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _at_least(args, "--n-tokens", 1)
     _at_least(args, "--runs", 1)
     cost = _from_flags(analysis.CostModel, c=args.c, batch_penalty=args.batch_penalty)
+    # The prediction at this gamma must be finite; checked before the runs.
+    _from_flags(analysis.walltime_factor, 0.0, args.gamma, cost.c, cost.batch_cost(args.gamma))
     config = _from_flags(SpecConfig, gamma=args.gamma, seed=args.seed, lenience=args.lenience)
+    _from_flags(check_pair, target, draft, config.gamma)
     report = harness.simulate_walltime(target, draft, cost, config,
                                        n_tokens=args.n_tokens, n_runs=args.runs)
     ops = _from_flags(analysis.ops_factor, report.alpha_hat, args.gamma, args.c_hat)

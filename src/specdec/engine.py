@@ -40,6 +40,8 @@ from .rng import RandomStream
 
 __all__ = [
     "MAX_GAMMA",
+    "MAX_BLOCK",
+    "check_pair",
     "SpecConfig",
     "DraftedToken",
     "StepTrace",
@@ -57,6 +59,10 @@ MUTATIONS = ("skip_residual", "resample_q", "accept_off_by_one")
 
 # The longest draft a SpecConfig takes: a step draws its 2*gamma+1 variates at once.
 MAX_GAMMA = 1 << 10
+
+# The most floats a step's dense block of (gamma+1) rows of V may hold (128 MiB
+# of float64): the batched target call alone returns that many.
+MAX_BLOCK = 1 << 24
 
 # Variates per uniform_block in speculative_steps: per-step arrays stay this size at any gamma.
 _VARIATES_PER_BLOCK = 9 << 15
@@ -146,11 +152,16 @@ class DecodeResult:
         }
 
 
-def _check_vocab(target: LanguageModel, draft: LanguageModel) -> None:
+def check_pair(target: LanguageModel, draft: LanguageModel, gamma: int = 0) -> None:
+    """Raise a ``ValueError`` unless both models have one vocabulary of V
+    tokens with (gamma+1) * V at most ``MAX_BLOCK``."""
     if target.vocab_size != draft.vocab_size:
         raise VocabMismatchError(
             f"target vocab {target.vocab_size} != draft vocab {draft.vocab_size}"
         )
+    if (gamma + 1) * target.vocab_size > MAX_BLOCK:
+        raise ValueError(f"(gamma+1) * vocab must be at most {MAX_BLOCK}, "
+                         f"got ({gamma}+1) * {target.vocab_size}")
 
 
 def _tail(prefix: Sequence[int], window: int | None) -> list[int]:
@@ -189,7 +200,7 @@ def speculative_step(
     """
     if _mutation is not None and _mutation not in MUTATIONS:
         raise ValueError(f"unknown mutation {_mutation!r}")
-    _check_vocab(target, draft)
+    check_pair(target, draft, config.gamma)
     gamma, lenience, policy = config.gamma, config.lenience, config.policy
 
     # Argmax-lenient mode judges drafts on the raw target distribution
@@ -286,7 +297,7 @@ def speculative_steps(target: LanguageModel, draft: LanguageModel, prefix: Seque
         raise ValueError(f"unknown mutation {_mutation!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    _check_vocab(target, draft)
+    check_pair(target, draft, config.gamma)
     if n == 0:  # no rows to group, and a model may not be asked about no prefixes
         return StepBlock(np.empty((0, config.gamma), dtype=np.int64), *np.empty((2, 0), np.int64))
     rows = max(1, _VARIATES_PER_BLOCK // (2 * config.gamma + 1))

@@ -21,7 +21,7 @@ from scipy import stats as scipy_stats
 
 from .analysis import CostModel, beta, expected_tokens, trace_accept_rate, walltime_factor
 from .distmath import Distribution, IDENTITY_POLICY, SamplingPolicy, normalize, sample
-from .engine import DecodeResult, SpecConfig, StepTrace, _check_vocab, decode, speculative_steps
+from .engine import DecodeResult, SpecConfig, StepTrace, check_pair, decode, speculative_steps
 from .engine import speculative_step  # unused here, but the traced benchmark wraps it here
 from .models import LanguageModel, stateless_pair
 from .rng import RandomStream
@@ -382,7 +382,7 @@ def rejection_baseline_step(
     but the acceptance probability is 1/M (over q's support), never above
     the overlap sum(min(p, q)) that speculative sampling achieves.
     """
-    _check_vocab(target, draft)
+    check_pair(target, draft)
     p = target.next_distribution(prefix, policy)
     q = draft.next_distribution(prefix, policy)
     m = _rejection_bound(p, q)

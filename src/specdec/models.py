@@ -206,16 +206,26 @@ class CopyModel(LanguageModel):
     knobs, so it costs nothing to deploy next to any target model. It may
     read the whole prefix, so ``context_window`` stays ``None``.
 
-    Calls are incremental: the model keeps a copy of the last prefix and
-    the match lengths of its last ``_KEEP`` call lengths. A prefix that
-    extends one of those by k tokens costs an O(n) list copy and compare
-    plus k numpy passes of length n; any other prefix one O(n) pass in
-    Python, as :func:`copy_predict`. ``next_distribution`` reuses one
-    distribution per (policy, copied token). This state makes a
-    ``CopyModel`` unsafe to share between threads.
+    Calls are incremental. The model keeps the last prefix, each token's
+    positions in it, and the match lengths (see :func:`_common_suffixes`)
+    at up to ``_KEEP`` call lengths: the latest ones and the base of the
+    current run of one-token extensions, so a draft of any length can fork
+    back. Only earlier occurrences of the last token have a nonzero match
+    length, so a state is ``{position: length}`` over those, or a dense
+    array. A prefix that extends a kept one costs an O(n) list copy and
+    compare plus, per appended token, O(its earlier occurrences) up to
+    ``_SPARSE_MAX`` and one numpy pass of length n above it; any other
+    prefix one O(n) pass in Python, as :func:`copy_predict`.
+    ``next_distribution`` reuses one distribution per (policy, copied
+    token). This state makes a ``CopyModel`` unsafe to share between threads.
     """
 
-    _KEEP = 16  # lets a draft of up to 15 tokens fork back to any position
+    _KEEP = 16  # kept call lengths, the base of the current run among them
+    # Above this many earlier occurrences of the appended token, one numpy pass
+    # replaces the loop over them. Measured on 2 shared vCPUs, the loop costs
+    # 1.3 us + 0.25 us per occurrence, the pass 7-9 us at n 100-250 and 16 us
+    # at n 3000: they cross at 24-32, less what a hand-off between them costs.
+    _SPARSE_MAX = 16
 
     def __init__(self, vocab_size: int, min_match: int = 2, copy_mass: float = 0.9):
         if not 1 <= vocab_size <= MAX_VOCAB:
@@ -228,8 +238,12 @@ class CopyModel(LanguageModel):
         self.min_match = min_match
         self.copy_mass = copy_mass
         self._path: list[int] = []
-        self._tokens = np.empty(0, dtype=np.int64)  # self._path as an array
-        self._lengths: dict[int, np.ndarray] = {}  # prefix length -> match lengths
+        self._tokens = np.empty(0, dtype=np.int64)  # self._path as an array, in part
+        self._where: dict[int, list[int]] = defaultdict(list)  # token -> its positions
+        # prefix length -> match lengths, dense or sparse, in increasing length order
+        self._lengths: dict[int, np.ndarray | dict[int, int]] = {}
+        self._base = 0  # the first call length of the current run of one-token extensions
+        self._synced = 0  # how many leading entries of self._tokens hold self._path
         self._dists: dict[tuple[SamplingPolicy, int | None], Distribution] = {}
 
     @property
@@ -249,28 +263,53 @@ class CopyModel(LanguageModel):
     def _copied(self, prefix: Sequence[int]) -> int | None:
         """The token :func:`copy_predict` would copy for ``prefix``, or None."""
         path = list(prefix)
-        n = len(path)
-        # The longest kept length whose tokens are a prefix of this call's;
-        # contents are compared, since callers may grow one list in place.
-        m = next((k for k in sorted(self._lengths, reverse=True)
-                  if k <= n and path[:k] == self._path[:k]), None)
+        n, k, where = len(path), len(self._path), self._where
+        # The longest kept length whose tokens are a prefix of this call's, the
+        # last call's first; contents are compared, since callers may grow one
+        # list in place.
+        m = k if self._lengths and path[:k] == self._path else next(
+            (j for j in reversed(self._lengths) if j <= n and path[:j] == self._path[:j]), None)
         if m is None:
-            same, m, lcs = 0, n, _common_suffixes(path)
+            lcs, self._lengths, where = _common_suffixes(path), {}, defaultdict(list)
+            for j, t in enumerate(path):
+                where[t].append(j)
+            m, self._where, self._base, self._synced = n, where, n, 0
         else:
-            same, lcs = m, self._lengths[m]
-        if same < len(self._path):  # drop what was kept for the old path past `same`
-            self._lengths = {k: v for k, v in self._lengths.items() if k <= same}
-        if len(self._tokens) < n:
-            self._tokens = np.resize(self._tokens, 2 * n)
-        self._tokens[same:n] = path[same:]
+            lcs = self._lengths[m]
+            if m < k:  # drop what was kept for the old path past m
+                for t in reversed(self._path[m:]):
+                    where[t].pop()
+                self._lengths = {j: v for j, v in self._lengths.items() if j <= m}
+                self._synced = min(self._synced, m)
+            self._base = n if m < k or n > k + 1 else self._base
         for i in range(m, n):
             # Appending t: the match ending at j extends the one ending at j-1.
-            lcs = (self._tokens[: i + 1] == self._tokens[i]) * np.concatenate(([1], lcs + 1))
+            t = path[i]
+            occ = where[t]
+            if len(occ) > self._SPARSE_MAX:
+                if isinstance(lcs, dict):  # lcs[-1] stays 0: no earlier match reads it
+                    lcs, sparse = np.zeros(i, dtype=np.int64), lcs
+                    lcs[list(sparse)] = list(sparse.values())
+                if self._synced < n:  # self._tokens is read here only
+                    if len(self._tokens) < n:
+                        self._tokens = np.resize(self._tokens, 2 * n)
+                    self._tokens[self._synced:n] = path[self._synced:]
+                    self._synced = n
+                lcs = (self._tokens[: i + 1] == t) * np.concatenate(([1], lcs + 1))
+            elif isinstance(lcs, dict):
+                lcs = {j: lcs.get(j - 1, 0) + 1 for j in occ}
+            else:
+                lcs = {j: int(lcs[j - 1]) + 1 if j else 1 for j in occ}
+            occ.append(i)
         self._path = path
         self._lengths[n] = lcs
         while len(self._lengths) > self._KEEP:
-            del self._lengths[next(iter(self._lengths))]
-        return _copied_token(path, lcs, self.min_match)
+            del self._lengths[next(j for j in self._lengths if j != self._base)]
+        if not isinstance(lcs, dict):
+            return _copied_token(path, lcs, self.min_match)
+        # The longest earlier match, the most recent among equals.
+        length, j = max(zip(lcs.values(), lcs), default=(0, 0))
+        return path[j + 1] if length >= self.min_match else None
 
 
 def _common_suffixes(tokens: list[int]) -> np.ndarray:

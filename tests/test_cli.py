@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import csv
 import json
+import random
 import struct
 import zlib
 
 import pytest
 
-from specdec.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
+from specdec.cli import _COMMANDS, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 from specdec.engine import SpecConfig, decode
 from specdec.model_io import FORMAT_VERSION, MAGIC, load_model
 from specdec.models import random_model
@@ -34,19 +35,35 @@ def model_file(tmp_path, corpus_file):
     return path
 
 
-# Runs main on each argv of a JSON list and prints each exit code (or the
-# exception that escaped main) with the captured stdout and stderr.
+# Runs main on each argv of a JSON list inside the directory given second,
+# each case under a CPU-time limit (the third argument, in seconds), and
+# prints [code, stdout, stderr] per case: "timeout" for a case that ran out
+# of time, the repr of an exception that escaped main.
 _CLI_CASES = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, signal, sys
 from specdec.cli import main
+
+class Timeout(BaseException):
+    pass
+
+def stop(*_):
+    raise Timeout
+
+signal.signal(signal.SIGPROF, stop)
+os.chdir(sys.argv[2])
 results = []
 for argv in json.loads(sys.argv[1]):
     out, err = io.StringIO(), io.StringIO()
+    signal.setitimer(signal.ITIMER_PROF, float(sys.argv[3]))
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
+    except Timeout:
+        code = "timeout"
     except Exception as exc:
         code = repr(exc)
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
     results.append([code, out.getvalue(), err.getvalue()])
 print(json.dumps(results))
 """
@@ -579,8 +596,9 @@ class TestInputErrors:
         assert out == "" and err.startswith("error:") and "bad header" in err
 
     def test_huge_vocabulary_exits_2(self, tmp_path):
-        # Each of these once asked for a dense 4e8-entry float64 row (3 GB).
-        # They run under a 1 GiB address-space cap, where such a row fails.
+        # Each of these once asked for a dense 4e8-entry float64 row (3 GB),
+        # or for 8 GiB of rows in one step. They run under a 1 GiB
+        # address-space cap, where such an allocation fails.
         body = MAGIC + struct.pack("<HIdIQ", FORMAT_VERSION, 2, 0.01, 400_000_000, 0)
         path = tmp_path / "huge.sdng"
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
@@ -590,8 +608,14 @@ class TestInputErrors:
             (["decode", "--target", str(path), "--draft", "same"], "vocab_size"),
             (["verify", "--suite", "equivalence", "--vocab", "400000000"], "--vocab"),
             (["verify", "--suite", "rejection", "--vocab", "400000000"], "--vocab"),
+            # In range apart, but a step's block would be (1024+1) rows of 8 MiB.
+            (["decode", "--target", "copy:1048576", "--draft", "same", "--gamma", "1024",
+              "--prompt-tokens", "1,2", "--max-tokens", "4"], "gamma"),
+            (["simulate", "--target", "copy:1048576", "--draft", "same", "--gamma", "1024",
+              "--n-tokens", "4"], "gamma"),
         ]
-        proc = run_limited(_CLI_CASES, json.dumps([argv for argv, _ in cases]))
+        proc = run_limited(_CLI_CASES, json.dumps([argv for argv, _ in cases]), str(tmp_path),
+                           "60")
         assert proc.returncode == 0, proc.stderr
         for (argv, needle), (code, out, err) in zip(cases, json.loads(proc.stdout)):
             assert code == EXIT_USAGE, (argv, code)
@@ -619,3 +643,61 @@ class TestInputErrors:
         monkeypatch.setattr(f"{module}.{attr}", broken)
         with pytest.raises(ValueError, match="internal fault"):
             main(argv)
+
+
+# A small valid run of each subcommand, which the fuzz cases start from.
+_FUZZ_BASE = {
+    "train": ["--corpus=corpus.txt", "--order=2", "--out=m.sdng"],
+    "decode": ["--target=uniform:8", "--draft=same", "--prompt-tokens=0", "--max-tokens=8"],
+    "verify": ["--suite=rejection", "--pairs=20", "--samples=10000", "--steps=2000",
+               "--vocab=8"],
+    "sweep": ["--kind=table1"],
+    "simulate": ["--stateless-alpha=0.8", "--gamma=2", "--n-tokens=200"],
+    "beam": ["--target=uniform:8", "--draft=same", "--steps=2"],
+}
+# Hostile values by option type; a string option also gets model specs.
+_HOSTILE = {
+    int: ["-1", "0", "99999999999", "", "x", "nan", "1.5"],
+    float: ["-1", "0", "nan", "inf", "-inf", "1e308", "99999999999", "", "x"],
+    str: ["", "-1", "0", "nan", "x", "uniform:0", "uniform:-1", "copy:nan", "copy:8,0",
+          "stateless:", "stateless:nan,1", "stateless:-1,2", "0,-1", "inf"],
+}
+
+
+def _fuzz_argvs(n: int, seed: int) -> list[list[str]]:
+    """``n`` argvs: a subcommand's small valid run with one to three options
+    from its table in ``cli._COMMANDS`` set to hostile values (a flag
+    toggled, a choice replaced)."""
+    rng = random.Random(seed)
+    argvs = []
+    for _ in range(n):
+        name = rng.choice(sorted(_COMMANDS))
+        options = _COMMANDS[name][2]
+        argv = [name, *_FUZZ_BASE[name]]
+        for flag in rng.sample(sorted(options), rng.randint(1, 3)):
+            spec = options[flag]
+            if spec.get("action") == "store_true":
+                argv.append(flag)
+            elif "choices" in spec and rng.random() < 0.5:
+                argv.append(f"{flag}={rng.choice(spec['choices'])}")
+            else:
+                argv.append(f"{flag}={rng.choice(_HOSTILE[spec.get('type', str)])}")
+        argvs.append(argv)
+    return argvs
+
+
+def test_fuzzed_argv_exits_cleanly(tmp_path):
+    # Every case ends in 0, in 2 with nothing on stdout, or in 1 with a
+    # verification FAIL; a case that only runs long (a huge count) is cut
+    # off and passes. Under a 1 GiB address-space cap.
+    (tmp_path / "corpus.txt").write_text("the cat sat on the mat. " * 20)
+    argvs = _fuzz_argvs(300, seed=5)
+    proc = run_limited(_CLI_CASES, json.dumps(argvs), str(tmp_path), "0.2")
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    for argv, (code, out, err) in zip(argvs, results):
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, "timeout"), (argv, code, err)
+        assert code != EXIT_USAGE or out == "", (argv, out)
+        assert code != EXIT_VERIFY_FAIL or "FAIL" in out, (argv, out)
+    codes = [code for code, _, _ in results]
+    assert codes.count(EXIT_OK) > 20 and codes.count(EXIT_USAGE) > 100

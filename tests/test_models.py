@@ -288,12 +288,111 @@ class TestIncrementalCopy:
     def test_state_stays_bounded_over_a_long_decode(self):
         vocab = 8
         model = CopyModel(vocab, min_match=2)
+
+        def check(longest):
+            # The latest call lengths and the base of their run, each state
+            # with at most one entry per position; one position per token.
+            assert len(model._lengths) <= model._KEEP and model._base in model._lengths
+            assert all(len(lcs) <= k for k, lcs in model._lengths.items())
+            assert sum(map(len, model._where.values())) == len(model._path) <= longest
+            assert len(model._dists) <= vocab + 1
+            assert len(model._tokens) <= 2 * longest
+
         res = standard_decode(model, [0, 1, 2, 3, 0, 1], SpecConfig(gamma=1, max_new_tokens=3000))
         assert len(res.tokens) == 3000
-        assert len(model._lengths) <= model._KEEP
-        assert all(len(lcs) <= 3006 for lcs in model._lengths.values())
-        assert len(model._dists) <= vocab + 1
-        assert len(model._tokens) <= 2 * 3006
+        check(3006)
+        target = train_ngram(res.tokens, order=3, vocab_size=vocab, smoothing_k=0.05)
+        decode(target, model, [0, 1, 2, 3, 0, 1], SpecConfig(gamma=20, max_new_tokens=1000))
+        check(3006)  # shorter prefixes now, but the token array keeps its size
+
+    def test_long_drafts_scan_each_prompt_once(self, monkeypatch):
+        # A draft of 20 tokens outgrows the 16 latest kept states, so a step
+        # that keeps fewer than 4 drafts forks back behind them.
+        scans = []
+        scan = models._common_suffixes
+        monkeypatch.setattr(models, "_common_suffixes", lambda t: scans.append(len(t)) or scan(t))
+        rng = RandomStream(7)
+        corpus = [int(u * 6) for u in rng.uniform_block(400)]
+        target = train_ngram(corpus, order=3, vocab_size=6, smoothing_k=0.05)
+        draft = CopyModel(6, min_match=2)
+        for k in range(3):
+            prompt = [k] + corpus[40 * k: 40 * k + 30]  # each starts with another token
+            res = decode(target, draft, prompt, SpecConfig(gamma=20, seed=k, max_new_tokens=300))
+            assert sum(t.accepted_n < 4 for t in res.traces) > 10
+            assert scans == [31] * (k + 1)
+
+    @pytest.mark.parametrize("period", [1, 2, 4])
+    def test_cyclic_prefixes_match_oracle_bitwise(self, period):
+        # A cycle's tokens recur more than _SPARSE_MAX times, so each append
+        # takes the dense pass; drafts of 3 rarer tokens break in between,
+        # and each hand-off between the two paths happens.
+        rng = RandomStream(period)
+        u = iter(rng.uniform_block(5000))
+        model = _KindLog(period + 3, min_match=2)
+        cycle = list(range(period))
+
+        def draw(at):  # the cycle's token at position `at`, or one of 3 rarer tokens
+            x = next(u)
+            return period + int((x - 0.9) * 30) if x >= 0.9 else at % period
+
+        seq = cycle * 10
+        ops = []
+        while len(seq) < 650:
+            keep = int(next(u) * 5)
+            kept = min(keep, 4)
+            toks = [draw(len(seq) + i) for i in range(4)] + [0, draw(len(seq) + kept)]
+            ops.append(("step", 4, keep, toks))
+            seq = seq + toks[:kept] + [toks[-1]]
+        _run_copy_ops(model, cycle * 10, ops, oracle=copy_predict)
+        assert model.kinds == EVERY_HAND_OFF
+
+    def test_cases_reach_both_paths_and_hand_offs(self):
+        # The long decode-like run passes _SPARSE_MAX as it is.
+        long_run = _KindLog(6, min_match=2)
+        rng = RandomStream(11)
+        u = iter(rng.uniform_block(4000))
+        ops = [("step", 4, int(next(u) * 6), [int(next(u) * 6) for _ in range(6)])
+               for _ in range(150)]
+        _run_copy_ops(long_run, [int(next(u) * 6) for _ in range(20)], ops, oracle=copy_predict)
+        assert long_run.kinds == EVERY_HAND_OFF
+        # The property cases are too short to pass it, so they run again,
+        # against the scan, with a crossover of 2.
+        kinds = set()
+
+        @given(st.integers(2, 4), st.integers(1, 3), st.lists(st.integers(0, 3), max_size=30),
+               copy_ops)
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        def check(vocab, min_match, start, ops):
+            model = _KindLog(vocab, min_match=min_match, sparse_max=2)
+            _run_copy_ops(model, start, ops)
+            kinds.update(model.kinds)
+
+        check()
+        assert kinds == EVERY_HAND_OFF
+
+
+EVERY_HAND_OFF = {(a, b) for a in ("sparse", "dense") for b in ("sparse", "dense")}
+
+
+class _KindLog(CopyModel):
+    """Records, for each call that extends the last one by one token, the
+    kind of state it started from and the kind it made: ``sparse`` or
+    ``dense``. ``sparse_max`` sets the crossover between the two paths."""
+
+    def __init__(self, *args, sparse_max=CopyModel._SPARSE_MAX, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._SPARSE_MAX = sparse_max
+        self.kinds = set()
+
+    def _copied(self, prefix):
+        last = self._lengths.get(len(self._path))
+        extends = list(prefix[:-1]) == self._path and len(prefix) == len(self._path) + 1
+        out = super()._copied(prefix)
+        if extends and last is not None:
+            kind = [("sparse" if isinstance(s, dict) else "dense")
+                    for s in (last, self._lengths[len(prefix)])]
+            self.kinds.add(tuple(kind))
+        return out
 
 
 class StatelessCopy(LanguageModel):
