@@ -147,10 +147,7 @@ def _model_pair(args: argparse.Namespace) -> tuple[LanguageModel, LanguageModel]
     """``--target`` and ``--draft`` resolved; a vocab mismatch is a usage error."""
     target = resolve_model(args.target)
     draft = resolve_model(args.draft, other=target)
-    if target.vocab_size != draft.vocab_size:
-        raise CliError(
-            f"vocab mismatch: target {target.vocab_size} vs draft {draft.vocab_size}"
-        )
+    _from_flags(check_pair, target, draft)
     return target, draft
 
 

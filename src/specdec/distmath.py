@@ -119,16 +119,10 @@ class Distribution:
             self._cdf = c
         return self._cdf
 
-    def __len__(self) -> int:
-        return self.probs.shape[0]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Distribution):
             return NotImplemented
         return np.array_equal(self.probs, other.probs)
-
-    def __hash__(self) -> int:  # pragma: no cover
-        return hash(self.probs.tobytes())
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Distribution({np.array2string(self.probs, precision=4, threshold=8)})"

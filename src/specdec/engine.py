@@ -117,25 +117,12 @@ class StepTrace:
     def emitted(self) -> int:
         return self.accepted_n + 1
 
-    def to_dict(self) -> dict:
-        return {
-            "drafted": [list(d) for d in self.drafted],
-            "accepted_n": self.accepted_n,
-            "correction": self.correction,
-            "correction_source": self.correction_source,
-            "target_calls": self.target_calls,
-            "draft_calls": self.draft_calls,
-        }
-
 
 @dataclass
 class DecodeTotals:
     target_calls: int = 0
     draft_calls: int = 0
     tokens_emitted: int = 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -145,11 +132,9 @@ class DecodeResult:
     totals: DecodeTotals = field(default_factory=DecodeTotals)
 
     def to_dict(self) -> dict:
-        return {
-            "tokens": self.tokens,
-            "traces": [t.to_dict() for t in self.traces],
-            "totals": self.totals.to_dict(),
-        }
+        """The result as plain data; ``json.dumps`` writes each ``DraftedToken``
+        as a list."""
+        return asdict(self)
 
 
 def check_pair(target: LanguageModel, draft: LanguageModel, gamma: int = 0) -> None:
@@ -157,7 +142,7 @@ def check_pair(target: LanguageModel, draft: LanguageModel, gamma: int = 0) -> N
     tokens with (gamma+1) * V at most ``MAX_BLOCK``."""
     if target.vocab_size != draft.vocab_size:
         raise VocabMismatchError(
-            f"target vocab {target.vocab_size} != draft vocab {draft.vocab_size}"
+            f"vocab mismatch: target {target.vocab_size} vs draft {draft.vocab_size}"
         )
     if (gamma + 1) * target.vocab_size > MAX_BLOCK:
         raise ValueError(f"(gamma+1) * vocab must be at most {MAX_BLOCK}, "
@@ -228,41 +213,29 @@ def speculative_step(
     p_dists, raw_dists = _target_views(target, [target_base + drafts[:i] for i in range(gamma + 1)],
                                        policy, argmax_lenient)
 
+    q_x = [float(d.probs[x]) for d, x in zip(q_dists, drafts)]
+    p_x = [float(d.probs[x]) for d, x in zip(p_dists, drafts)]
     n = gamma
     for i in range(gamma):
-        x = drafts[i]
         if argmax_lenient:
             raw = raw_dists[i].probs
-            rejected = _lenient_rejects(float(raw[x]), float(raw.max()), lenience)
+            rejected = _lenient_rejects(float(raw[drafts[i]]), float(raw.max()), lenience)
         else:
-            q_x = float(q_dists[i].probs[x])
             # A drafted token always has positive draft probability.
-            if not q_x > 0.0:
+            if not q_x[i] > 0.0:
                 raise RuntimeError("drafted token with zero draft probability")
-            rejected = _rejects(u[gamma + i], float(p_dists[i].probs[x]), q_x, lenience)
+            rejected = _rejects(u[gamma + i], p_x[i], q_x[i], lenience)
         if rejected:
             n = i
             break
-    if _mutation == "accept_off_by_one" and n < gamma:
-        n += 1  # deliberately accepts the rejected draft as well
+    if _mutation == "accept_off_by_one":
+        n += n < gamma  # deliberately accepts the rejected draft as well
 
     d, source = _last_token_dist(p_dists[n], q_dists[n] if n < gamma else None, lenience,
                                  _mutation, argmax_lenient)
     final = drafts[n] if d is None else inverse_cdf(d, u[2 * gamma])
-
-    tokens = drafts[:n] + [final]
-    trace = StepTrace(
-        drafted=[
-            DraftedToken(drafts[i], float(q_dists[i].probs[drafts[i]]), float(p_dists[i].probs[drafts[i]]))
-            for i in range(gamma)
-        ],
-        accepted_n=n,
-        correction=final,
-        correction_source=source,
-        target_calls=1,
-        draft_calls=gamma,
-    )
-    return tokens, trace
+    drafted = list(map(DraftedToken, drafts, q_x, p_x))
+    return drafts[:n] + [final], StepTrace(drafted, n, final, source, draft_calls=gamma)
 
 
 class StepBlock(NamedTuple):
@@ -459,23 +432,23 @@ def _generate(step, prompt, config, bos_token, keep_traces) -> DecodeResult:
         if bos_token is None:
             raise ValueError("empty prompt and no bos_token to inject")
         seq = [bos_token]
+    start = len(seq)
     rng = RandomStream(config.seed)
-    tokens: list[int] = []
     traces: list[StepTrace] = []
     totals = DecodeTotals()
-    while len(tokens) < config.max_new_tokens:
+    while len(seq) - start < config.max_new_tokens:
         step_tokens, trace = step(seq, rng)
         totals.target_calls += trace.target_calls
         totals.draft_calls += trace.draft_calls
         if keep_traces:
             traces.append(trace)
         for t in step_tokens:
-            tokens.append(t)
             seq.append(t)
-            if t == config.stop_token or len(tokens) >= config.max_new_tokens:
+            if t == config.stop_token or len(seq) - start >= config.max_new_tokens:
                 break
-        if tokens[-1] == config.stop_token:
+        if seq[-1] == config.stop_token:
             break
+    tokens = seq[start:]
     totals.tokens_emitted = len(tokens)
     if totals.target_calls > totals.tokens_emitted:
         raise RuntimeError("worst-case call guarantee violated")

@@ -4,8 +4,11 @@ machine-readable outputs."""
 from __future__ import annotations
 
 import csv
+import hashlib
+import itertools
 import json
 import random
+import re
 import struct
 import zlib
 
@@ -15,7 +18,7 @@ from specdec.cli import _COMMANDS, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 from specdec.engine import SpecConfig, decode
 from specdec.model_io import FORMAT_VERSION, MAGIC, load_model
 from specdec.models import random_model
-from specdec.tokenizers import ByteTokenizer
+from specdec.tokenizers import ByteTokenizer, WordTokenizer
 
 from conftest import run_limited
 
@@ -115,6 +118,50 @@ class TestTrain:
         assert err.startswith("error:")
 
 
+_PINNED_JSON_SHA256 = "5c39571bad34620e62a27c2e58c1c742e91449f02120dd0cfe5be615eb0b01bd"
+
+# A colored trace line: green accepted drafts, a struck red rejected draft,
+# then the blue correction, each span closed by a reset.
+_SPAN = re.compile(r"\x1b\[(32|31|34)m(\x1b\[9m)?(.*?)\x1b\[0m")
+_COLOR = {"32": "green", "31": "red", "34": "blue"}
+
+
+def trace_matches_json(capsys, argv, tok) -> dict:
+    """Check ``argv``'s colored trace against the traces of its ``--json`` run:
+    one line per step, the accepted drafts shown in green up to the budget,
+    the rejected draft struck in red, the correction in blue, and green and
+    blue together spelling the kept tokens. Counts the rejected drafts and
+    the steps the budget cut short."""
+    code, out, _ = run(capsys, argv + ["--trace", "--color", "always"])
+    assert code == EXIT_OK
+    code, js, _ = run(capsys, argv + ["--json"])
+    assert code == EXIT_OK
+    payload = json.loads(js)
+    header, *lines = out.splitlines()
+    assert header.startswith("# specdec decode")
+    assert len(lines) == len(payload["traces"])
+    kept, stats = [], {"rejected": 0, "cut": 0}
+    for line, trace in zip(lines, payload["traces"]):
+        spans = _SPAN.findall(line)
+        assert "".join(f"\x1b[{c}m{s}{t}\x1b[0m" for c, s, t in spans) == line
+        assert all((c == "31") == bool(s) for c, s, _ in spans)  # struck only if red
+        shown = {color: [t for c, _, t in spans if _COLOR[c] == color]
+                 for color in ("green", "red", "blue")}
+        assert [_COLOR[c] for c, _, _ in spans] == sorted(
+            (_COLOR[c] for c, _, _ in spans), key=["green", "red", "blue"].index)
+        n, drafted = trace["accepted_n"], [d[0] for d in trace["drafted"]]
+        assert shown["green"] == [tok.render_token(x) for x in drafted[:len(shown["green"])]]
+        assert len(shown["green"]) <= n
+        assert shown["red"] == [tok.render_token(x) for x in drafted[n:n + 1]]
+        assert shown["blue"] in ([], [tok.render_token(trace["correction"])])
+        assert not shown["blue"] or len(shown["green"]) == n
+        kept += shown["green"] + shown["blue"]
+        stats["rejected"] += len(shown["red"])
+        stats["cut"] += len(shown["green"]) + len(shown["blue"]) < n + 1
+    assert kept == [tok.render_token(x) for x in payload["tokens"]]
+    return stats
+
+
 class TestDecode:
     def test_seeded_run_is_byte_identical(self, capsys, model_file):
         argv = ["decode", "--target", model_file, "--draft", "same",
@@ -167,6 +214,40 @@ class TestDecode:
                                     "--max-tokens", "12", "--trace", "--color", "auto"])
         assert code == EXIT_OK
         assert "\x1b[" not in out  # capsys is not a terminal
+
+    def test_trace_shows_rejections_and_cuts_as_json_traces_say(self, capsys):
+        # Seed 1 accepts all four drafts at its third step, so budgets 3-5 cut
+        # that step among its accepted drafts; seed 3 rejects at every step.
+        seen = {"rejected": 0, "cut": 0}
+        for seed, max_tokens in itertools.product((1, 3), range(1, 9)):
+            argv = ["decode", "--target", "uniform:8", "--draft", "stateless:8,1,1,1,1,1,1,1",
+                    "--gamma", "4", "--seed", str(seed), "--max-tokens", str(max_tokens)]
+            stats = trace_matches_json(capsys, argv, ByteTokenizer())
+            for k in seen:
+                seen[k] += stats[k]
+        assert seen["rejected"] > 0 and seen["cut"] > 0
+
+    def test_word_trace_shows_words(self, capsys, tmp_path):
+        corpus = tmp_path / "words.txt"
+        corpus.write_text("a b c a b c a c a b b\n")
+        model = str(tmp_path / "w.sdng")
+        assert main(["train", "--corpus", str(corpus), "--order", "2",
+                     "--tokenizer", "word", "--out", model]) == EXIT_OK
+        argv = ["decode", "--target", model, "--draft", "uniform:5", "--prompt", "a",
+                "--tokenizer", "word", "--vocab-file", model + ".vocab",
+                "--gamma", "3", "--seed", "2", "--max-tokens", "12"]
+        stats = trace_matches_json(capsys, argv, WordTokenizer(["a", "b", "c"]))
+        assert stats["rejected"] > 0
+
+    def test_json_bytes_are_pinned(self, capsys):
+        # The exact stdout of one small request: traces, floats, key order and
+        # spacing. The round-trip test above compares parsed values only.
+        code, out, _ = run(capsys, ["decode", "--target", "uniform:8",
+                                    "--draft", "stateless:8,1,1,1,1,1,1,1", "--gamma", "4",
+                                    "--seed", "3", "--max-tokens", "8", "--json"])
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_JSON_SHA256
+
 
     def test_vocab_mismatch_exits_2(self, capsys, model_file):
         code, _, err = run(capsys, ["decode", "--target", model_file,

@@ -342,6 +342,17 @@ class TestSample:
         rng = RandomStream(7)
         assert list(block) == [sample(d, rng) for _ in range(100)]
 
+    def test_variate_past_the_cdf_lands_on_the_last_supported_token(self):
+        # Rounding leaves this CDF at 1 - 2**-53, the largest variate below 1,
+        # so that variate is past it; the walk-back must skip the
+        # zero-probability token 4.
+        d = Distribution(np.array([0.31626976648835176, 0.17862992253734838,
+                                   0.3227458180253081, 0.1823544929489919, 0.0]))
+        u = np.nextafter(1.0, 0.0)
+        assert d.cdf[-1] == u
+        assert inverse_cdf(d, float(u)) == 3
+        assert inverse_cdf_many(d, np.array([u, 0.5, u])).tolist() == [3, 2, 3]
+
 
 class TestResidual:
     def test_basic(self):

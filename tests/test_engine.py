@@ -529,7 +529,7 @@ class TestDecode:
         a = decode(mp, mq, [0], cfg)
         b = decode(mp, mq, [0], cfg)
         assert a.tokens == b.tokens
-        assert [t.to_dict() for t in a.traces] == [t.to_dict() for t in b.traces]
+        assert a.traces == b.traces
 
     def test_determinism_independent_of_batch_internals(self, ngram_pair):
         mp, mq = ngram_pair
