@@ -180,20 +180,36 @@ def train_ngram(
     vocab_size: int,
     smoothing_k: float = 0.01,
 ) -> NGramModel:
-    """Count all length-``order`` sliding windows of the corpus."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    """Count the corpus's length-``order`` windows, every token range-checked, with one numpy
+    sort over their int64 codes in base ``vocab_size``, renumbered where a fold could overflow."""
+    model = NGramModel(order, vocab_size, smoothing_k)  # checks the arguments
     if len(corpus) < order:
         raise CorpusTooShortError(f"corpus of {len(corpus)} tokens cannot train order {order}")
-    counts: dict[tuple[int, ...], dict[int, int]] = defaultdict(lambda: defaultdict(int))
-    for i in range(len(corpus) - order + 1):
-        ctx = tuple(corpus[i : i + order - 1])
-        nxt = int(corpus[i + order - 1])
-        if not 0 <= nxt < vocab_size:
-            raise ValueError(f"corpus token {nxt} outside vocab of {vocab_size}")
-        counts[ctx][nxt] += 1
-    frozen = {ctx: dict(tbl) for ctx, tbl in counts.items()}
-    return NGramModel(order, vocab_size, smoothing_k, counts=frozen)
+    try:
+        a = np.array(corpus, dtype=np.int64)
+        bad = a[(a < 0) | (a >= vocab_size)][:1].tolist()
+    except OverflowError:  # a token outside int64 is outside every vocabulary
+        bad = [next(t for t in corpus if not 0 <= t < vocab_size)]
+    if bad:
+        raise ValueError(f"corpus token {bad[0]} outside vocab of {vocab_size}")
+    code, ranks = a[: len(a) - order + 1].copy(), {}  # ranks[j]: what fold j's ids stand for
+    for j in range(1, order):
+        if code.max() >= (1 << 63) // vocab_size:  # the fold could pass int64
+            ranks[j], code = np.unique(code, return_inverse=True)
+        code *= vocab_size
+        code += a[j : j + len(code)]
+    del a  # np.unique sorts a copy of code; rebinding code frees it too
+    code, counts = np.unique(code, return_counts=True)
+    code, nxt = np.divmod(code, vocab_size)  # each window's context code and next token
+    start = np.flatnonzero(np.diff(code, prepend=-1))  # each context's first window
+    code, ctx = code[start], np.empty((len(start), order - 1), dtype=np.int64)
+    for j in range(order - 1, 0, -1):  # undo the folds, last first
+        code = ranks[j][code] if j in ranks else code
+        code, ctx[:, j - 1] = np.divmod(code, vocab_size)
+    cut, nxt, counts = np.append(start, len(nxt)).tolist(), nxt.tolist(), counts.tolist()
+    model.counts = {tuple(c): dict(zip(nxt[s:e], counts[s:e]))
+                    for c, s, e in zip(ctx.tolist(), cut, cut[1:])}
+    return model
 
 
 class CopyModel(LanguageModel):

@@ -55,27 +55,21 @@ class WordTokenizer:
     @classmethod
     def from_vocab_file(cls, path: str) -> "WordTokenizer":
         with open(path, "r", encoding="utf-8") as fh:
-            words = [line.strip() for line in fh if line.strip()]
-        return cls(words)
+            return cls([line.strip() for line in fh if line.strip()])
 
     @classmethod
     def from_corpus(cls, text: str) -> "WordTokenizer":
-        seen: dict[str, None] = {}
-        for w in text.split():
-            seen.setdefault(w)
-        return cls(list(seen))
+        return cls(list(dict.fromkeys(text.split())))
 
     @property
     def vocab_size(self) -> int:
         return len(self._words) + 2  # + BOS, EOS
 
     def encode(self, text: str) -> list[int]:
-        out = []
-        for w in text.split():
-            if w not in self._ids:
-                raise UnknownTokenError(w)
-            out.append(self._ids[w])
-        return out
+        try:
+            return [self._ids[w] for w in text.split()]
+        except KeyError as exc:  # the first unknown word
+            raise UnknownTokenError(exc.args[0]) from None
 
     def decode(self, tokens: Sequence[int]) -> str:
         return " ".join(self._words[t] for t in tokens if t < len(self._words))

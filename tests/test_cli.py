@@ -117,6 +117,28 @@ class TestTrain:
         assert code == EXIT_USAGE
         assert err.startswith("error:")
 
+    def test_model_files_are_pinned(self, capsys, tmp_path):
+        # Exact bytes of the files train writes for one seeded corpus: a change
+        # in the counts, or in context or entry order, shows up here.
+        rng = random.Random(16)
+        words = ["the", "cat", "sat", "on", "a", "mat", "hat", "ran", "and", "dog"]
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(" ".join(rng.choice(words) for _ in range(3000)) + "\n")
+        for name, argv in _PINNED_TRAIN.items():
+            code, _, _ = run(capsys, ["train", "--corpus", str(corpus), *argv,
+                                      "--out", str(tmp_path / name)])
+            assert code == EXIT_OK
+        for name, digest in _PINNED_TRAIN_SHA256.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+_PINNED_TRAIN = {"byte.sdng": ["--order", "3"],
+                 "word.sdng": ["--order", "2", "--tokenizer", "word"]}
+_PINNED_TRAIN_SHA256 = {
+    "byte.sdng": "ac26f1eb14ed7c5d9f8263bdecd8d752268c4cbc0146c97df0ca2e25ccd0531c",
+    "word.sdng": "f64ba13840f4cc49b225a05b4c2d1bc244a9d405bb56a1321447b12bb9d7254c",
+    "word.sdng.vocab": "47f4f23f2ed3c4fec5696ef8b663a56831d4176762481c7344561135b0f77a99",
+}
 
 _PINNED_JSON_SHA256 = "5c39571bad34620e62a27c2e58c1c742e91449f02120dd0cfe5be615eb0b01bd"
 

@@ -3,6 +3,10 @@ tokenizers, and the batching/standardization contracts."""
 
 from __future__ import annotations
 
+import random
+import tracemalloc
+from collections import defaultdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +16,9 @@ from specdec import engine, models
 from specdec.analysis import beta
 from specdec.distmath import Distribution, IDENTITY_POLICY, SamplingPolicy, standardize
 from specdec.engine import SpecConfig, decode, standard_decode
+from specdec.model_io import serialize_model
 from specdec.models import (
+    MAX_VOCAB,
     CopyModel,
     CorpusTooShortError,
     LanguageModel,
@@ -36,6 +42,50 @@ def brute_force_conditional(corpus, order, vocab, k, context):
         return np.full(vocab, 1.0 / vocab)  # uniform backoff
     smoothed = totals + k
     return smoothed / smoothed.sum()
+
+
+def loop_counts(corpus, order, vocab):
+    """Reference counter: the per-window loop that ``train_ngram`` replaced."""
+    counts = defaultdict(lambda: defaultdict(int))
+    for i in range(len(corpus) - order + 1):
+        ctx = tuple(corpus[i : i + order - 1])
+        nxt = int(corpus[i + order - 1])
+        assert 0 <= nxt < vocab
+        counts[ctx][nxt] += 1
+    return {ctx: dict(tbl) for ctx, tbl in counts.items()}
+
+
+def assert_counts_match_loop(corpus, order, vocab):
+    model = train_ngram(corpus, order, vocab)
+    expected = loop_counts(corpus, order, vocab)
+    assert model.counts == expected
+    assert all(type(x) is int
+               for ctx, tbl in model.counts.items() for x in (*ctx, *tbl, *tbl.values()))
+    assert serialize_model(model) == serialize_model(
+        models.NGramModel(order, vocab, model.smoothing_k, counts=expected))
+
+
+@st.composite
+def ngram_corpora(draw):
+    """(corpus, order, vocab): tokens from a small alphabet anywhere in the
+    vocabulary, so windows repeat even when the vocabulary is large."""
+    vocab = draw(st.one_of(st.integers(1, 5), st.integers(1, MAX_VOCAB)))
+    alphabet = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=6))
+    order = draw(st.integers(1, 6))
+    corpus = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=300))
+    return corpus, order, vocab
+
+
+def _repetitive_corpus(vocab: int, size: int, seed: int) -> list[int]:
+    """A corpus that repeats one block with a few substitutions, over tokens
+    that include the top of the vocabulary, so long windows recur."""
+    rng = random.Random(seed)
+    alphabet = sorted({0, 1, vocab // 2, vocab - 2, vocab - 1} & set(range(vocab)))
+    block = [rng.choice(alphabet) for _ in range(61)]
+    corpus = (block * (size // len(block) + 1))[:size]
+    for i in rng.sample(range(size), size // 20):
+        corpus[i] = rng.choice(alphabet)
+    return corpus
 
 
 class TestNGram:
@@ -79,9 +129,65 @@ class TestNGram:
         for prefix in ([0], [1], [5]):
             assert np.all(model.evaluate(prefix) > 0)
 
-    def test_rejects_out_of_vocab_token(self):
-        with pytest.raises(ValueError):
-            train_ngram([0, 9], order=1, vocab_size=4)
+    @pytest.mark.parametrize("corpus, vocab, bad", [
+        ([0, 9], 4, 9),
+        ([300, 1, 2, 3], 10, 300),  # a context-only position
+        ([-1, 1, 2, 3], 10, -1),
+        ([1, 2, 2**63, 3], 10, 2**63),  # outside int64
+        ([1, -2**63 - 1, 3], 10, -2**63 - 1),
+        ([1, 11, 2**64, -1], 10, 11),  # the first in corpus order
+        ([1, 2**64, 11, -1], 10, 2**64),
+    ])
+    def test_rejects_out_of_vocab_token(self, corpus, vocab, bad):
+        with pytest.raises(ValueError, match=rf"^corpus token {bad} outside vocab of {vocab}$"):
+            train_ngram(corpus, order=2, vocab_size=vocab)
+
+    @given(ngram_corpora())
+    @settings(max_examples=150, deadline=None)
+    def test_counts_match_window_loop(self, case):
+        corpus, order, vocab = case
+        if len(corpus) < order:
+            with pytest.raises(CorpusTooShortError):
+                train_ngram(corpus, order, vocab)
+        else:
+            assert_counts_match_loop(corpus, order, vocab)
+
+    @pytest.mark.parametrize("vocab, order", [(MAX_VOCAB, 4), (MAX_VOCAB, 6), (258, 9), (3, 40)])
+    def test_counts_match_window_loop_past_int64(self, vocab, order):
+        # vocab ** order exceeds 2**63, so the window codes are renumbered
+        # before the fold that would overflow.
+        assert vocab ** order > 2**63
+        corpus = _repetitive_corpus(vocab, 3000, seed=order)
+        assert max(corpus) == vocab - 1
+        assert_counts_match_loop(corpus, order, vocab)
+        assert max(c for tbl in loop_counts(corpus, order, vocab).values() for c in tbl.values()) > 1
+
+    @pytest.mark.parametrize("last", [1, 2])
+    def test_counts_match_window_loop_at_the_int64_edge(self, last):
+        # The context's code is 2**63 // 3, so with a last token of 1 the
+        # window's code is 2**63 - 1, and with 2 it would pass int64.
+        code, ctx = (1 << 63) // 3, []
+        while code:
+            code, digit = divmod(code, 3)
+            ctx.insert(0, digit)
+        assert_counts_match_loop(ctx + [last], len(ctx) + 1, 3)
+
+    def test_training_memory_is_bounded(self):
+        # Set-up memory is gated end to end (peak_rss_mb). On this corpus, over
+        # the 32 symbols of the benchmark's byte text, the per-window loop
+        # peaks at 2.5 MB and the numpy count at 4.2 MB; one that also asks
+        # np.unique for each window's first index, and keeps the corpus array
+        # to read the windows back, peaks at 9.3 MB.
+        alphabet = np.frombuffer(b"abcdefghijklmnopqrstuvwxyz .,;:!", dtype=np.uint8)
+        corpus = np.random.default_rng(16).choice(alphabet, 200_000).tolist()
+        tracemalloc.start()
+        try:
+            model = train_ngram(corpus, order=3, vocab_size=258)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(map(sum, (t.values() for t in model.counts.values()))) == 200_000 - 2
+        assert peak <= 6 * 10**6
 
 
 class TestCopyModel:
@@ -626,8 +732,9 @@ class TestTokenizers:
         assert tok.encode("world hello") == [1, 0]
         assert tok.decode([0, 1]) == "hello world"
         assert tok.vocab_size == 4  # two words + BOS + EOS
-        with pytest.raises(UnknownTokenError):
-            tok.encode("unknown")
+        with pytest.raises(UnknownTokenError) as err:
+            tok.encode("hello unknown world other")
+        assert err.value.args == ("unknown",)
 
     def test_word_tokenizer_from_corpus(self):
         tok = WordTokenizer.from_corpus("a b a c")
