@@ -64,7 +64,8 @@ MAX_GAMMA = 1 << 10
 # of float64): the batched target call alone returns that many.
 MAX_BLOCK = 1 << 24
 
-# Variates per uniform_block in speculative_steps: per-step arrays stay this size at any gamma.
+# Variates per uniform_block in speculative_steps, and at most MAX_BLOCK // V of them since
+# each row keeps distributions of V floats: block memory grows with neither gamma nor V.
 _VARIATES_PER_BLOCK = 9 << 15
 
 
@@ -273,7 +274,8 @@ def speculative_steps(target: LanguageModel, draft: LanguageModel, prefix: Seque
     check_pair(target, draft, config.gamma)
     if n == 0:  # no rows to group, and a model may not be asked about no prefixes
         return StepBlock(np.empty((0, config.gamma), dtype=np.int64), *np.empty((2, 0), np.int64))
-    rows = max(1, _VARIATES_PER_BLOCK // (2 * config.gamma + 1))
+    variates = min(_VARIATES_PER_BLOCK, MAX_BLOCK // target.vocab_size)
+    rows = max(1, variates // (2 * config.gamma + 1))
     blocks = [_step_block(target, draft, prefix, config, rng, min(rows, n - start), _mutation)
               for start in range(0, n, rows)]
     return StepBlock(*map(np.concatenate, zip(*blocks)))

@@ -233,7 +233,8 @@ class CopyModel(LanguageModel):
     ``_SPARSE_MAX`` and one numpy pass of length n above it; any other
     prefix one O(n) pass in Python, as :func:`copy_predict`.
     ``next_distribution`` reuses one distribution per (policy, copied
-    token). This state makes a ``CopyModel`` unsafe to share between threads.
+    token), and drops them all before they would pass ``MAX_VOCAB`` floats.
+    This state makes a ``CopyModel`` unsafe to share between threads.
     """
 
     _KEEP = 16  # kept call lengths, the base of the current run among them
@@ -273,6 +274,8 @@ class CopyModel(LanguageModel):
         key = (policy, self._copied(prefix))
         d = self._dists.get(key)
         if d is None:
+            if (len(self._dists) + 1) * self._vocab_size > MAX_VOCAB:
+                self._dists.clear()
             d = self._dists[key] = standardize(_copy_scores(self, key[1]), policy)
         return d
 

@@ -14,17 +14,16 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_BUFFER_SIZE = 4096
 
 
 class RandomStream:
     """Uniform [0, 1) stream over Philox, keyed by (seed, stream index).
 
-    Draws are buffered internally; the visible sequence is identical to
-    drawing one variate at a time. ``n_drawn`` counts variates handed out.
+    The generator yields the same sequence whether variates are drawn one
+    at a time or ``n`` at once. ``n_drawn`` counts variates handed out.
     """
 
-    __slots__ = ("seed", "stream", "n_drawn", "_gen", "_buf", "_pos")
+    __slots__ = ("seed", "stream", "n_drawn", "_gen")
 
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed)
@@ -32,32 +31,17 @@ class RandomStream:
         key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
         self.n_drawn = 0
-        self._buf = np.empty(0, dtype=np.float64)
-        self._pos = 0
 
     def uniform(self) -> float:
         """Draw exactly one uniform variate in [0, 1)."""
-        if self._pos >= self._buf.shape[0]:
-            self._buf = self._gen.random(_BUFFER_SIZE)
-            self._pos = 0
-        u = self._buf[self._pos]
-        self._pos += 1
+        u = self._gen.random()
         self.n_drawn += 1
-        return float(u)
+        return u
 
     def uniform_block(self, n: int) -> np.ndarray:
         """Draw ``n`` variates at once; consumes the same stream positions
         as ``n`` successive :meth:`uniform` calls."""
-        out = np.empty(n, dtype=np.float64)
-        filled = 0
-        while filled < n:
-            if self._pos >= self._buf.shape[0]:
-                self._buf = self._gen.random(_BUFFER_SIZE)
-                self._pos = 0
-            take = min(n - filled, self._buf.shape[0] - self._pos)
-            out[filled : filled + take] = self._buf[self._pos : self._pos + take]
-            self._pos += take
-            filled += take
+        out = self._gen.random(n)
         self.n_drawn += n
         return out
 

@@ -17,7 +17,7 @@ import pytest
 from specdec.cli import _COMMANDS, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 from specdec.engine import SpecConfig, decode
 from specdec.model_io import FORMAT_VERSION, MAGIC, load_model
-from specdec.models import random_model
+from specdec.models import MAX_VOCAB, random_model
 from specdec.tokenizers import ByteTokenizer, WordTokenizer
 
 from conftest import run_limited
@@ -311,9 +311,9 @@ class TestDecode:
 
 
 class TestVerify:
-    def test_exactness_passes(self, capsys):
-        code, out, _ = run(capsys, ["verify", "--suite", "exactness", "--pairs", "200",
-                                    "--seed", "1"])
+    @pytest.mark.parametrize("sizes", [["--pairs", "200"], ["--pairs", "20", "--vocab", "5000"]])
+    def test_exactness_passes(self, capsys, sizes):
+        code, out, _ = run(capsys, ["verify", "--suite", "exactness", *sizes, "--seed", "1"])
         assert code == EXIT_OK
         assert "PASS" in out
 
@@ -638,7 +638,8 @@ class TestInputErrors:
         (["decode", "--target", "copy:4,2,0.9,7", "--draft", "same", "--prompt-tokens", "0"],
          "at most 3 fields"),
         # inputs the verify suites cannot check
-        (["verify", "--suite", "exactness", "--vocab", "5000", "--pairs", "1"], "--vocab"),
+        (["verify", "--suite", "exactness", "--vocab", str(MAX_VOCAB + 1), "--pairs", "1"],
+         "--vocab"),
         (["verify", "--suite", "equivalence", "--vocab", "100000", "--samples", "10000",
           "--mutate", "skip-residual"], "pool into one bin"),
         (["verify", "--suite", "geometric", "--steps", "2"], "pool into one bin"),

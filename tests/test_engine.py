@@ -322,6 +322,26 @@ class TestSpeculativeSteps:
         assert_block_equals_loop(speculative_steps(p, q, [0], config, block_rng, n), steps)
         assert block_rng.n_drawn == loop_rng.n_drawn
 
+    def test_blocks_bounded_by_max_block(self, monkeypatch):
+        # Each row keeps distributions of V floats: a whole-prefix copy draft
+        # reads a different tail per row. With MAX_BLOCK at 9 * V * 8, blocks
+        # are 8 rows at gamma 4; 300 rows in one block peak near 7 MiB.
+        vocab, config, n = 1024, SpecConfig(gamma=4), 300
+        corpus = (RandomStream(1).uniform_block(4000) * vocab).astype(int).tolist()
+        target, prompt = train_ngram(corpus, 3, vocab), corpus[:40] + corpus[:20]
+        monkeypatch.setattr(engine, "MAX_BLOCK", 9 * vocab * 8)
+        loop_rng, block_rng = RandomStream(1), RandomStream(1)
+        steps = scalar_steps(target, CopyModel(vocab), prompt, config, loop_rng, n)
+        tracemalloc.start()
+        try:
+            block = speculative_steps(target, CopyModel(vocab), prompt, config, block_rng, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert_block_equals_loop(block, steps)
+        assert block_rng.n_drawn == loop_rng.n_drawn
+        assert peak <= 3 * 2**20
+
     def test_draft_fallback_matches(self, monkeypatch):
         # A residual with no mass takes float underflow to reach honestly, so
         # every residual is made to have none: each rejected draft then stands.

@@ -5,15 +5,22 @@ acceptance variates, one final variate; see ``specdec.engine``). The oracle
 splits [0, 1)^(2*gamma+1) into cells on which that function is constant:
 
 - each draft variate at the CDF breakpoints of q at its drafted prefix;
-- each acceptance variate at min(1, p(x)/q(x));
-- the final variate at the breakpoints of ``residual(p, q)`` at the first
+- each acceptance variate at min(1, p(x)/(l*q(x))) for lenience l;
+- the final variate at the breakpoints of ``residual(p, q, l)`` at the first
   rejection, or of the target's extra position when every draft is accepted.
+
+Under argmax at l < 1 a draft is judged on the raw target instead, whatever
+its acceptance variate, and a rejection is corrected from p; the oracle
+splits the same way from its own copy of that rule.
 
 It runs the kernel at each cell's midpoint through a scripted stream, weights
 the emitted tokens by the cell's volume, and recurses into the next step from
 each distinct output until k tokens are out. For a correct kernel the sum is
-its exact law of the first k tokens, which must equal the target's chain of
-next-token probabilities to 1e-12, at every position and across steps.
+its exact law of the first k tokens. At l = 1 it must equal the target's
+chain of next-token probabilities to 1e-12, at every position and across
+steps. At l < 1 each position's conditional law must stay within p/l, and
+under argmax every emitted token must pass the lenient test on the raw
+target.
 
 Variates that cannot change the first k tokens are not split and are held at
 0.5: the drafts and acceptance tests after the first rejection, and every
@@ -84,24 +91,28 @@ class Oracle:
 
     def __init__(self, target, draft, config, kernel):
         self.target, self.draft, self.config, self.kernel = target, draft, config, kernel
-        self._p, self._q = {}, {}
+        self._memo = {}
+
+    def _dist(self, model, prefix, policy):
+        key = (model is self.target, policy, tuple(prefix))
+        if key not in self._memo:
+            self._memo[key] = model.next_distribution(prefix, policy)
+        return self._memo[key]
 
     def p(self, prefix):
-        key = tuple(prefix)
-        if key not in self._p:
-            self._p[key] = self.target.next_distribution(prefix, self.config.policy)
-        return self._p[key]
+        return self._dist(self.target, prefix, self.config.policy)
 
     def q(self, prefix):
-        key = tuple(prefix)
-        if key not in self._q:
-            self._q[key] = self.draft.next_distribution(prefix, self.config.policy)
-        return self._q[key]
+        return self._dist(self.draft, prefix, self.config.policy)
+
+    def raw_p(self, prefix):
+        return self._dist(self.target, prefix, IDENTITY_POLICY)
 
     def step_cells(self, prefix, need):
         """Every cell of one step from ``prefix`` that can change its first
         ``need`` tokens: (its row of variates, its volume)."""
-        gamma = self.config.gamma
+        gamma, lenience = self.config.gamma, self.config.lenience
+        argmax_lenient = self.config.policy.is_argmax and lenience < 1.0
         cells = []
 
         def walk(i, row, volume, drafted):
@@ -115,12 +126,17 @@ class Oracle:
                 return
             q = self.q(prefix + drafted)
             for x, (mid, w) in _cells_of(q).items():
-                t = min(1.0, p.probs[x] / q.probs[x])
+                if argmax_lenient:
+                    raw = self.raw_p(prefix + drafted).probs
+                    t = float(raw[x] >= lenience * raw.max())
+                else:
+                    t = min(1.0, p.probs[x] / (lenience * q.probs[x]))
                 if t > 0.0:
                     walk(i + 1, _with(row, {i: mid, gamma + i: t / 2}), volume * w * t,
                          drafted + [x])
                 if t < 1.0:
-                    for mid_r, w_r in _cells_of(residual(p, q)).values():
+                    correction = p if argmax_lenient else residual(p, q, lenience)
+                    for mid_r, w_r in _cells_of(correction).values():
                         rejected = _with(row, {i: mid, gamma + i: (1 + t) / 2, 2 * gamma: mid_r})
                         cells.append((rejected, volume * w * (1 - t) * w_r))
 
@@ -201,3 +217,28 @@ def test_first_k_tokens_follow_target_law(kernel, policy, gamma, k):
     worst = max(abs(got.get(seq, 0.0) - prob) for seq, prob in expected.items())
     assert worst <= 1e-12, f"first {k} tokens off the target's law by {worst:.3g}"
 
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("gamma", [1, 2, 3])
+@pytest.mark.parametrize("lenience", [0.5, 0.8])
+def test_first_k_tokens_within_lenient_bound(kernel, policy, gamma, lenience):
+    target, draft = _pair()
+    config = SpecConfig(gamma=gamma, policy=POLICIES[policy], lenience=lenience)
+    oracle = Oracle(target, draft, config, KERNELS[kernel])
+    prompt = [0, 1]
+    law = oracle.law(prompt, 3)
+    assert abs(sum(law.values()) - 1.0) <= 1e-12
+    mass = defaultdict(float)  # the law's mass on each head of its sequences
+    for seq, prob in law.items():
+        for j in range(len(seq) + 1):
+            mass[seq[:j]] += prob
+    for seq in [seq for seq in mass if seq]:
+        head, x = seq[:-1], seq[-1]
+        context = prompt + list(head)
+        if config.policy.is_argmax:
+            raw = oracle.raw_p(context).probs
+            assert raw[x] >= lenience * raw.max(), f"{seq} emits a token the lenient test rejects"
+        else:
+            bound = oracle.p(context).probs[x] / lenience
+            assert mass[seq] / mass[head] <= bound + 1e-12, f"P({x} | {head}) exceeds {bound:.6g}"

@@ -10,7 +10,7 @@ from scipy import stats as scipy_stats
 
 from specdec import harness
 from specdec.analysis import CostModel, beta, expected_tokens, walltime_factor
-from specdec.distmath import Distribution, normalize
+from specdec.distmath import Distribution
 from specdec.engine import MUTATIONS, SpecConfig, speculative_step, speculative_steps
 from specdec.harness import (
     equivalence_test,
@@ -39,7 +39,7 @@ class TestExactStepDistribution:
 
     def test_identity_across_vocab_sizes(self):
         rng = RandomStream(101)
-        for vocab in (2, 3, 7, 64, 512):
+        for vocab in (2, 3, 7, 64, 512, 5000):
             p, q = random_pair(rng, vocab)
             out = exact_step_distribution(p, q, 1.0)
             np.testing.assert_allclose(out.probs, p.probs, atol=1e-12, rtol=0)
@@ -65,11 +65,6 @@ class TestExactStepDistribution:
         q = Distribution(np.array([0.5, 0.5]))
         out = exact_step_distribution(p, q, 1.0)
         np.testing.assert_allclose(out.probs, [0.8, 0.2], atol=1e-15)
-
-    def test_vocab_guard(self):
-        big = normalize(np.ones(5000))
-        with pytest.raises(ValueError):
-            exact_step_distribution(big, big, 1.0)
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@ tokenizers, and the batching/standardization contracts."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 import tracemalloc
 from collections import defaultdict
@@ -410,6 +411,26 @@ class TestIncrementalCopy:
         target = train_ngram(res.tokens, order=3, vocab_size=vocab, smoothing_k=0.05)
         decode(target, model, [0, 1, 2, 3, 0, 1], SpecConfig(gamma=20, max_new_tokens=1000))
         check(3006)  # shorter prefixes now, but the token array keeps its size
+
+    def test_distribution_cache_is_bounded(self):
+        # A repeated passage of distinct tokens copies a new token at every
+        # call: unbounded, the cache kept 1499 distributions (94 MiB).
+        vocab = 8192
+        passage = np.random.default_rng(5).permutation(vocab)[:1500].tolist()
+        model = CopyModel(vocab)
+        tracemalloc.start()
+        try:
+            digests = [hashlib.sha256(model.next_distribution(passage + passage[:j],
+                                                              IDENTITY_POLICY).probs).digest()
+                       for j in range(len(passage))]
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < len(model._dists) * vocab <= MAX_VOCAB
+        assert size <= 10 * 2**20
+        for j in {1, 2, *range(120, 136), *range(0, len(passage), 100)}:  # and the first clear
+            fresh = CopyModel(vocab).next_distribution(passage + passage[:j], IDENTITY_POLICY)
+            assert hashlib.sha256(fresh.probs).digest() == digests[j]
 
     def test_long_drafts_scan_each_prompt_once(self, monkeypatch):
         # A draft of 20 tokens outgrows the 16 latest kept states, so a step
