@@ -81,28 +81,25 @@ class Distribution:
         p = np.asarray(probs, dtype=np.float64)
         if p.ndim != 1 or p.shape[0] == 0:
             raise ValueError("distribution must be a non-empty 1-D vector")
-        if not np.isfinite(p).all():
+        lo, hi = float(np.minimum.reduce(p)), float(np.maximum.reduce(p))  # NaN in both
+        if not (-np.inf < lo and hi < np.inf):
             raise NonFiniteError("distribution contains non-finite entries")
-        if (p < 0).any():
+        if lo < 0:
             raise NegativeEntryError("distribution contains negative entries")
-        total = float(p.sum())
+        total = float(np.add.reduce(p))
         if total == 0.0:
             raise AllZeroError("distribution sums to zero")
         if abs(total - 1.0) > _SUM_SLACK:
             raise ValueError(f"distribution sums to {total!r}, not 1 (beyond 1e-6 slack)")
-        if total != 1.0:
-            p = p / total
-        p = p.copy() if p is probs else p
+        p = p / total  # a copy, and x / 1.0 == x
         p.flags.writeable = False
         self.probs = p
         self._cdf = None
 
     @classmethod
     def _checked(cls, p: np.ndarray) -> "Distribution":
-        """Wrap ``p``, read-only, with no checks: the caller owns ``p`` and has
-        already made it a finite, non-negative 1-D vector normalized as
-        ``__init__`` would leave it."""
-        p.flags.writeable = False
+        """Wrap ``p`` with no checks: the caller has already made it a read-only,
+        finite, non-negative 1-D vector normalized as ``__init__`` would leave it."""
         d = object.__new__(cls)
         d.probs, d._cdf = p, None
         return d
@@ -114,7 +111,7 @@ class Distribution:
     @property
     def cdf(self) -> np.ndarray:
         if self._cdf is None:
-            c = np.cumsum(self.probs)
+            c = self.probs.cumsum()
             c.flags.writeable = False
             self._cdf = c
         return self._cdf
@@ -180,32 +177,33 @@ def _unsort(p: np.ndarray, order: np.ndarray, ranked: np.ndarray) -> np.ndarray:
     """Put the sorted, partly zeroed rows back in token order, renormalized."""
     kept = np.empty(p.shape)
     kept.reshape(-1)[order] = ranked  # a view, since kept is contiguous
-    return kept / kept.sum(axis=-1, keepdims=True)
+    return kept / np.add.reduce(kept, axis=-1, keepdims=True)
 
 
 def _apply_policy(s: np.ndarray, policy: SamplingPolicy) -> np.ndarray:
     """The policy's transforms along the last axis of a float64 score array:
     each row comes out exactly as it would on its own."""
-    total = s.sum(axis=-1, keepdims=True)
-    if not np.isfinite(total).all():  # a NaN or infinite score, or a sum that overflows
+    total = np.add.reduce(s, axis=-1, keepdims=True)
+    lo, hi = float(np.minimum.reduce(total, axis=None)), float(np.maximum.reduce(total, axis=None))
+    if not (-np.inf < lo and hi < np.inf):  # a NaN or infinite score, or a sum that overflows
         raise NonFiniteError("scores contain or sum to non-finite values")
-    if (s < 0).any():
+    if np.minimum.reduce(s, axis=None) < 0:
         raise NegativeEntryError("probability scores contain negative entries")
 
     if policy.is_argmax:
         # Tie-aware: zero out non-max entries, normalize over the ties.
-        mask = (s == s.max(axis=-1, keepdims=True)).astype(np.float64)
-        return mask / mask.sum(axis=-1, keepdims=True)
+        mask = (s == np.maximum.reduce(s, axis=-1, keepdims=True)).astype(np.float64)
+        return mask / np.add.reduce(mask, axis=-1, keepdims=True)
 
-    if (total <= 0.0).any():
+    if lo <= 0.0:
         raise AllZeroError("probability scores sum to zero")
     p = s / total
     t = policy.temperature
     if t != 1.0:
         # Scaled so each row's largest entry is 1: the power cannot underflow
         # a whole row to zero at a low temperature.
-        p = (p / p.max(axis=-1, keepdims=True)) ** (1.0 / t)
-        p = p / p.sum(axis=-1, keepdims=True)
+        p = (p / np.maximum.reduce(p, axis=-1, keepdims=True)) ** (1.0 / t)
+        p = p / np.add.reduce(p, axis=-1, keepdims=True)
 
     if policy.top_k is not None:
         k = policy.top_k
@@ -250,13 +248,14 @@ def standardize_rows(
     if s.ndim != 2 or 0 in s.shape:
         raise ValueError("scores must be a non-empty 2-D block")
     p = _apply_policy(s, policy)  # finite, non-negative, rows sum to one up to rounding
-    p = p / p.sum(axis=1, keepdims=True)  # as __init__ renormalizes; x / 1.0 == x
-    return [Distribution._checked(row) for row in p]
+    p = p / np.add.reduce(p, axis=1, keepdims=True)  # as __init__ renormalizes; x / 1.0 == x
+    p.flags.writeable = False  # and so is every row view of it
+    return list(map(Distribution._checked, p))
 
 
 def inverse_cdf(d: Distribution, u: float) -> int:
     """Token at quantile ``u`` of ``d``; P(token = i) = d.probs[i] for u ~ U[0,1)."""
-    idx = int(np.searchsorted(d.cdf, u, side="right"))
+    idx = int(d.cdf.searchsorted(u, "right"))
     if idx >= d.vocab_size:
         # Reachable only when rounding leaves cdf[-1] slightly below 1.
         idx = d.vocab_size - 1
@@ -272,7 +271,7 @@ def sample(d: Distribution, rng: RandomStream) -> int:
 
 def inverse_cdf_many(d: Distribution, u: np.ndarray) -> np.ndarray:
     """``inverse_cdf`` of every variate in ``u`` at once, bitwise equal to it."""
-    idx = np.searchsorted(d.cdf, u, side="right")
+    idx = d.cdf.searchsorted(u, "right")
     np.minimum(idx, d.vocab_size - 1, out=idx)
     # Same float-edge guard as inverse_cdf: a variate above cdf[-1] must
     # not land on a zero-probability token.
@@ -292,13 +291,14 @@ def residual(p: Distribution, q: Distribution, lenience: float = 1.0) -> Distrib
         raise ValueError("lenience must lie in (0, 1]")
     if p.vocab_size != q.vocab_size:
         raise VocabMismatchError("residual requires equal vocab sizes")
-    raw = p.probs - lenience * q.probs
+    raw = p.probs - (q.probs if lenience == 1.0 else lenience * q.probs)  # 1.0 * x == x
     np.maximum(raw, 0.0, out=raw)
-    total = float(raw.sum())
+    total = float(np.add.reduce(raw))
     if total <= 0.0:
         raise AllZeroError("residual has no mass: p <= lenience*q everywhere")
     # Built from two checked distributions: finite and non-negative, so only
     # __init__'s renormalization is left to run.
-    r = raw / total
-    total = float(r.sum())
-    return Distribution._checked(r if total == 1.0 else r / total)
+    raw /= total
+    raw /= np.add.reduce(raw)  # x / 1.0 == x
+    raw.flags.writeable = False
+    return Distribution._checked(raw)

@@ -214,13 +214,13 @@ def speculative_step(
     p_dists, raw_dists = _target_views(target, [target_base + drafts[:i] for i in range(gamma + 1)],
                                        policy, argmax_lenient)
 
-    q_x = [float(d.probs[x]) for d, x in zip(q_dists, drafts)]
-    p_x = [float(d.probs[x]) for d, x in zip(p_dists, drafts)]
+    q_x = [d.probs.item(x) for d, x in zip(q_dists, drafts)]
+    p_x = [d.probs.item(x) for d, x in zip(p_dists, drafts)]
     n = gamma
     for i in range(gamma):
         if argmax_lenient:
             raw = raw_dists[i].probs
-            rejected = _lenient_rejects(float(raw[drafts[i]]), float(raw.max()), lenience)
+            rejected = _lenient_rejects(raw.item(drafts[i]), float(raw.max()), lenience)
         else:
             # A drafted token always has positive draft probability.
             if not q_x[i] > 0.0:
@@ -276,12 +276,14 @@ def speculative_steps(target: LanguageModel, draft: LanguageModel, prefix: Seque
         return StepBlock(np.empty((0, config.gamma), dtype=np.int64), *np.empty((2, 0), np.int64))
     variates = min(_VARIATES_PER_BLOCK, MAX_BLOCK // target.vocab_size)
     rows = max(1, variates // (2 * config.gamma + 1))
-    blocks = [_step_block(target, draft, prefix, config, rng, min(rows, n - start), _mutation)
+    # Only window-0 models' distributions outlive a block, so only their corrections are kept.
+    memo = {} if target.context_window == draft.context_window == 0 else None
+    blocks = [_step_block(target, draft, prefix, config, rng, min(rows, n - start), _mutation, memo)
               for start in range(0, n, rows)]
     return StepBlock(*map(np.concatenate, zip(*blocks)))
 
 
-def _step_block(target, draft, prefix, config, rng, rows, mutation) -> StepBlock:
+def _step_block(target, draft, prefix, config, rng, rows, mutation, memo) -> StepBlock:
     gamma, lenience, policy = config.gamma, config.lenience, config.policy
     argmax_lenient = policy.is_argmax and lenience < 1.0
     u = rng.uniform_block(rows * (2 * gamma + 1)).reshape(rows, 2 * gamma + 1)
@@ -290,8 +292,7 @@ def _step_block(target, draft, prefix, config, rng, rows, mutation) -> StepBlock
     for i in range(gamma):
         tails, group = _tails(draft, prefix, drafts[:, :i])
         q_at.append((draft.next_distribution_batch(tails, policy), group))
-        for g, d in enumerate(q_at[i][0]):
-            at = group == g
+        for d, at in zip(q_at[i][0], _rows_by_group(group, len(tails))):
             drafts[at, i] = inverse_cdf_many(d, u[at, i])
     p_at, raw_at = [], []  # as q_at for the target, and its raw views if argmax-lenient
     for i in range(gamma + 1):
@@ -318,19 +319,23 @@ def _step_block(target, draft, prefix, config, rng, rows, mutation) -> StepBlock
         n_acc += n_acc < gamma  # deliberately accepts the rejected draft as well
 
     # Each row's last token, sampled by groups of rows with the same (p, q).
-    u_final, final = u[:, 2 * gamma], np.empty(rows, dtype=np.int64)
-    no_q = ([None], np.zeros(rows, dtype=np.int64))
-    for k in np.unique(n_acc).tolist():  # the accept counts some row has
-        (p_dists, p_group), (q_dists, q_group) = p_at[k], q_at[k] if k < gamma else no_q
-        at = np.flatnonzero(n_acc == k)
-        pairs, pair = np.unique(np.column_stack((p_group[at], q_group[at])), axis=0,
-                                return_inverse=True)
-        pair = pair.reshape(-1)  # its shape varies across numpy 2.x releases
-        for j, (a, b) in enumerate(pairs.tolist()):
-            rows_j = at[pair == j]
-            d, _ = _last_token_dist(p_dists[a], q_dists[b], lenience, mutation, argmax_lenient)
-            final[rows_j] = drafts[rows_j, k] if d is None else inverse_cdf_many(d, u_final[rows_j])
+    u_final, final, r = u[:, 2 * gamma], np.empty(rows, dtype=np.int64), np.arange(rows)
+    q_at.append(([None], 0 * r))  # the extra position has no q
+    p_ix = np.stack([g for _, g in p_at])[n_acc, r]  # each row's p and q, as indices into
+    q_ix = np.stack([g for _, g in q_at])[n_acc, r]  # those of its accept count k
+    keys, key = np.unique((n_acc * rows + p_ix) * rows + q_ix, return_inverse=True)
+    for kab, rows_j in zip(keys.tolist(), _rows_by_group(key, len(keys))):
+        k, (a, b) = kab // rows ** 2, divmod(kab % rows ** 2, rows)
+        d, _ = _last_token_dist(p_at[k][0][a], q_at[k][0][b], lenience, mutation,
+                                argmax_lenient, memo)
+        final[rows_j] = drafts[rows_j, k] if d is None else inverse_cdf_many(d, u_final[rows_j])
     return StepBlock(drafts, n_acc, final)
+
+
+def _rows_by_group(group, n) -> list[np.ndarray]:
+    """Each of ``n`` groups' rows in ascending order, from one stable sort."""
+    order, ends = np.argsort(group, kind="stable"), np.bincount(group, minlength=n).cumsum()
+    return [order[a:b] for a, b in zip([0, *ends.tolist()], ends.tolist())]
 
 
 def _tails(model, prefix, drafted) -> tuple[list[list[int]], np.ndarray]:
@@ -358,17 +363,19 @@ def _target_views(target, prefixes, policy, argmax_lenient):
 
 
 def _prob_of(dists, group, tokens) -> np.ndarray:
-    return np.stack([d.probs for d in dists])[group, tokens]
+    probs = [d.probs for d in dists]
+    return probs[0][tokens] if len(probs) == 1 else np.stack(probs)[group, tokens]
 
 
 def _last_token_dist(
     p: Distribution, q: Distribution | None, lenience: float, mutation: str | None,
-    argmax_lenient: bool = False,
+    argmax_lenient: bool = False, memo: dict | None = None,
 ) -> tuple[Distribution | None, str]:
     """The distribution a step samples its last token from, and its source: the
     target's extra position ``p`` if every draft was accepted (``q`` None),
     else the correction for the rejected draft's ``p`` and ``q``. A ``None``
-    distribution means the draft token stands."""
+    distribution means the draft token stands. ``memo`` keeps corrections by the
+    identity of ``p`` and ``q`` (held too) until they and their CDFs pass ``MAX_BLOCK`` floats."""
     if q is None:
         return p, "extra"
     if mutation == "skip_residual":
@@ -377,12 +384,19 @@ def _last_token_dist(
         return q, "residual"
     if argmax_lenient:
         return p, "target_argmax"
+    if memo and (id(p), id(q)) in memo:
+        return memo[id(p), id(q)][2]
     try:
-        return residual(p, q, lenience), "residual"
+        out = residual(p, q, lenience), "residual"
     except AllZeroError:
         # p <= l*q everywhere up to float underflow: rejection had
         # probability ~0, so the draft token stands.
-        return None, "draft_fallback"
+        out = None, "draft_fallback"
+    if memo is not None:
+        if (len(memo) + 1) * 2 * p.vocab_size > MAX_BLOCK:
+            memo.clear()
+        memo[id(p), id(q)] = p, q, out
+    return out
 
 
 def decode(

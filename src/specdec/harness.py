@@ -110,9 +110,10 @@ def exact_step_distribution(p: Distribution, q: Distribution, lenience: float = 
         raise ValueError("vocab sizes differ")
     if not (0.0 < lenience <= 1.0):
         raise ValueError("lenience must lie in (0, 1]")
-    accept_mass = np.minimum(q.probs, p.probs / lenience)
+    # At lenience 1 the products are skipped, bitwise: x / 1.0 == 1.0 * x == x.
+    accept_mass = np.minimum(q.probs, p.probs if lenience == 1.0 else p.probs / lenience)
     accept_total = float(accept_mass.sum())
-    raw_residual = np.maximum(p.probs - lenience * q.probs, 0.0)
+    raw_residual = np.maximum(p.probs - (q.probs if lenience == 1.0 else lenience * q.probs), 0.0)
     residual_total = float(raw_residual.sum())
     if residual_total > 0.0:
         out = accept_mass + (1.0 - accept_total) * (raw_residual / residual_total)

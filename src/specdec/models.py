@@ -84,7 +84,7 @@ class LanguageModel(ABC):
 
     def _fixed_distribution(self, policy: SamplingPolicy) -> Distribution:
         """A window-0 model's distribution under ``policy``, memoized per instance."""
-        memo = self.__dict__.setdefault("_by_policy", {})
+        memo = self.__dict__.get("_by_policy") or self.__dict__.setdefault("_by_policy", {})
         d = memo.get(policy)
         if d is None:
             d = memo[policy] = standardize(self.evaluate(()), policy)

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,24 @@ from hypothesis import strategies as st
 
 from specdec.harness import random_pair  # noqa: F401  (imported by the test modules)
 from specdec.rng import RandomStream
+
+
+def _cpu_seconds() -> float:
+    """User plus system CPU time of this process and of its reaped children."""
+    return sum(r.ru_utime + r.ru_stime for r in (resource.getrusage(resource.RUSAGE_SELF),
+                                                 resource.getrusage(resource.RUSAGE_CHILDREN)))
+
+
+_START = (time.perf_counter(), _cpu_seconds())  # this file is imported as the run starts
+
+
+@pytest.hookimpl(trylast=True)  # after the slowest-durations list, just above the totals
+def pytest_terminal_summary(terminalreporter):
+    """CPU seconds beside wall seconds, so that time the suite spent waiting
+    while other work ran on the machine shows as the gap between them."""
+    wall, cpu = time.perf_counter() - _START[0], _cpu_seconds() - _START[1]
+    terminalreporter.write_line(f"session CPU {cpu:.1f} s (this process and reaped children), "
+                                f"wall {wall:.1f} s")
 
 
 def run_limited(script: str, *args: str, limit: int = 1 << 30) -> subprocess.CompletedProcess:

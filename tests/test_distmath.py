@@ -307,6 +307,57 @@ class TestStandardizeRows:
                 standardize_rows(scores)
 
 
+_NON_FINITE_SCORES = (NonFiniteError, "scores contain or sum to non-finite values")
+_NEGATIVE_SCORES = (NegativeEntryError, "probability scores contain negative entries")
+_NON_FINITE_DIST = (NonFiniteError, "distribution contains non-finite entries")
+_ARGMAX = SamplingPolicy(argmax=True)
+
+# One bad row, and what each validation site makes of it: Distribution(row),
+# standardize(row, policy) and standardize_rows with the row between two good
+# ones. None means the input is accepted. A Distribution takes no policy, so it
+# rejects the all-zero row in the last case as well.
+_VALIDATION_TABLE = [
+    ("nan", [0.5, np.nan, 0.5], IDENTITY_POLICY, _NON_FINITE_DIST, _NON_FINITE_SCORES),
+    ("+inf", [0.5, np.inf, 0.5], IDENTITY_POLICY, _NON_FINITE_DIST, _NON_FINITE_SCORES),
+    ("-inf", [0.5, -np.inf, 0.5], IDENTITY_POLICY, _NON_FINITE_DIST, _NON_FINITE_SCORES),
+    ("overflowing-sum", [1e308, 1e308, 0.0], IDENTITY_POLICY,
+     (ValueError, "distribution sums to inf, not 1 (beyond 1e-6 slack)"), _NON_FINITE_SCORES),
+    ("negative", [0.6, -0.1, 0.5], IDENTITY_POLICY,
+     (NegativeEntryError, "distribution contains negative entries"), _NEGATIVE_SCORES),
+    ("all-zero", [0.0, 0.0, 0.0], IDENTITY_POLICY,
+     (AllZeroError, "distribution sums to zero"),
+     (AllZeroError, "probability scores sum to zero")),
+    ("nan-and-negative", [np.nan, -0.1, 0.5], IDENTITY_POLICY, _NON_FINITE_DIST,
+     _NON_FINITE_SCORES),
+    ("all-zero-argmax", [0.0, 0.0, 0.0], _ARGMAX,
+     (AllZeroError, "distribution sums to zero"), None),
+]
+
+
+@pytest.mark.parametrize("row, policy, as_distribution, as_scores",
+                         [case[1:] for case in _VALIDATION_TABLE],
+                         ids=[case[0] for case in _VALIDATION_TABLE])
+def test_validation_sites_agree_on_class_message_and_read_only(row, policy, as_distribution,
+                                                               as_scores):
+    row = np.array(row)
+    block = np.array([[0.2, 0.3, 0.5], row, [0.25, 0.25, 0.5]])
+    sites = [(lambda: Distribution(row), as_distribution),
+             (lambda: standardize(row, policy), as_scores),
+             (lambda: standardize_rows(block, policy), as_scores)]
+    for build, expected in sites:
+        with np.errstate(over="ignore"):  # the overflowing sum
+            if expected is not None:
+                with pytest.raises(ValueError) as info:
+                    build()
+                assert (type(info.value), str(info.value)) == expected
+                continue
+            out = build()
+        rows = out if isinstance(out, list) else [None, out]
+        for d in filter(None, rows):
+            assert not d.probs.flags.writeable and not d.cdf.flags.writeable
+        assert rows[1].probs.tolist() == [1 / 3] * 3  # every entry ties for the maximum
+
+
 class TestSample:
     def test_point_mass(self):
         d = Distribution(np.array([0.0, 1.0, 0.0]))

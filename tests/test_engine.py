@@ -322,6 +322,22 @@ class TestSpeculativeSteps:
         assert_block_equals_loop(speculative_steps(p, q, [0], config, block_rng, n), steps)
         assert block_rng.n_drawn == loop_rng.n_drawn
 
+    @pytest.mark.parametrize("lenience", [1.0, 0.6])
+    def test_window_zero_pair_computes_its_residual_once_per_call(self, monkeypatch, lenience):
+        # A stateless pair returns the same two distributions in every block,
+        # so their residual is kept across the 13 blocks of 16 rows here.
+        p, q = stateless_pair(0.7, vocab_size=3)
+        config = SpecConfig(gamma=4, lenience=lenience)
+        steps = scalar_steps(p, q, [0], config, RandomStream(8), 200)
+        calls = []
+        monkeypatch.setattr(engine, "residual", lambda *args: calls.append(args) or residual(*args))
+        monkeypatch.setattr(engine, "_VARIATES_PER_BLOCK", 16 * (2 * config.gamma + 1))
+        block = speculative_steps(p, q, [0], config, RandomStream(8), 200)
+        assert_block_equals_loop(block, steps)
+        assert len(calls) == 1
+        assert len(speculative_steps(p, q, [0], config, RandomStream(9), 200).correction) == 200
+        assert len(calls) == 2  # and computed again by the next call
+
     def test_blocks_bounded_by_max_block(self, monkeypatch):
         # Each row keeps distributions of V floats: a whole-prefix copy draft
         # reads a different tail per row. With MAX_BLOCK at 9 * V * 8, blocks
