@@ -64,8 +64,9 @@ MAX_GAMMA = 1 << 10
 # of float64): the batched target call alone returns that many.
 MAX_BLOCK = 1 << 24
 
-# Variates per uniform_block in speculative_steps, and at most MAX_BLOCK // V of them since
-# each row keeps distributions of V floats: block memory grows with neither gamma nor V.
+# Variates per uniform_block in speculative_steps. Unless both models read no context, a row
+# keeps distributions of V floats, so a block then takes at most MAX_BLOCK // V variates:
+# block memory grows with neither gamma nor V.
 _VARIATES_PER_BLOCK = 9 << 15
 
 
@@ -274,16 +275,16 @@ def speculative_steps(target: LanguageModel, draft: LanguageModel, prefix: Seque
     check_pair(target, draft, config.gamma)
     if n == 0:  # no rows to group, and a model may not be asked about no prefixes
         return StepBlock(np.empty((0, config.gamma), dtype=np.int64), *np.empty((2, 0), np.int64))
-    variates = min(_VARIATES_PER_BLOCK, MAX_BLOCK // target.vocab_size)
+    # A window-0 pair's rows share one distribution per position (see _VARIATES_PER_BLOCK).
+    variates = (_VARIATES_PER_BLOCK if target.context_window == draft.context_window == 0
+                else min(_VARIATES_PER_BLOCK, MAX_BLOCK // target.vocab_size))
     rows = max(1, variates // (2 * config.gamma + 1))
-    # Only window-0 models' distributions outlive a block, so only their corrections are kept.
-    memo = {} if target.context_window == draft.context_window == 0 else None
-    blocks = [_step_block(target, draft, prefix, config, rng, min(rows, n - start), _mutation, memo)
+    blocks = [_step_block(target, draft, prefix, config, rng, min(rows, n - start), _mutation)
               for start in range(0, n, rows)]
     return StepBlock(*map(np.concatenate, zip(*blocks)))
 
 
-def _step_block(target, draft, prefix, config, rng, rows, mutation, memo) -> StepBlock:
+def _step_block(target, draft, prefix, config, rng, rows, mutation) -> StepBlock:
     gamma, lenience, policy = config.gamma, config.lenience, config.policy
     argmax_lenient = policy.is_argmax and lenience < 1.0
     u = rng.uniform_block(rows * (2 * gamma + 1)).reshape(rows, 2 * gamma + 1)
@@ -326,8 +327,7 @@ def _step_block(target, draft, prefix, config, rng, rows, mutation, memo) -> Ste
     keys, key = np.unique((n_acc * rows + p_ix) * rows + q_ix, return_inverse=True)
     for kab, rows_j in zip(keys.tolist(), _rows_by_group(key, len(keys))):
         k, (a, b) = kab // rows ** 2, divmod(kab % rows ** 2, rows)
-        d, _ = _last_token_dist(p_at[k][0][a], q_at[k][0][b], lenience, mutation,
-                                argmax_lenient, memo)
+        d, _ = _last_token_dist(p_at[k][0][a], q_at[k][0][b], lenience, mutation, argmax_lenient)
         final[rows_j] = drafts[rows_j, k] if d is None else inverse_cdf_many(d, u_final[rows_j])
     return StepBlock(drafts, n_acc, final)
 
@@ -363,19 +363,17 @@ def _target_views(target, prefixes, policy, argmax_lenient):
 
 
 def _prob_of(dists, group, tokens) -> np.ndarray:
-    probs = [d.probs for d in dists]
-    return probs[0][tokens] if len(probs) == 1 else np.stack(probs)[group, tokens]
+    return np.stack([d.probs for d in dists])[group, tokens]
 
 
 def _last_token_dist(
     p: Distribution, q: Distribution | None, lenience: float, mutation: str | None,
-    argmax_lenient: bool = False, memo: dict | None = None,
+    argmax_lenient: bool = False,
 ) -> tuple[Distribution | None, str]:
     """The distribution a step samples its last token from, and its source: the
     target's extra position ``p`` if every draft was accepted (``q`` None),
     else the correction for the rejected draft's ``p`` and ``q``. A ``None``
-    distribution means the draft token stands. ``memo`` keeps corrections by the
-    identity of ``p`` and ``q`` (held too) until they and their CDFs pass ``MAX_BLOCK`` floats."""
+    distribution means the draft token stands."""
     if q is None:
         return p, "extra"
     if mutation == "skip_residual":
@@ -384,19 +382,12 @@ def _last_token_dist(
         return q, "residual"
     if argmax_lenient:
         return p, "target_argmax"
-    if memo and (id(p), id(q)) in memo:
-        return memo[id(p), id(q)][2]
     try:
-        out = residual(p, q, lenience), "residual"
+        return residual(p, q, lenience), "residual"
     except AllZeroError:
         # p <= l*q everywhere up to float underflow: rejection had
         # probability ~0, so the draft token stands.
-        out = None, "draft_fallback"
-    if memo is not None:
-        if (len(memo) + 1) * 2 * p.vocab_size > MAX_BLOCK:
-            memo.clear()
-        memo[id(p), id(q)] = p, q, out
-    return out
+        return None, "draft_fallback"
 
 
 def decode(

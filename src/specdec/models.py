@@ -119,7 +119,8 @@ class NGramModel(LanguageModel):
     seen in training yields ``(count + k) / (total + k * V)``; an unseen
     context backs off to the uniform distribution. With ``smoothing_k > 0``
     every token keeps strictly positive probability, so ratio-based
-    baselines stay finite.
+    baselines stay finite. Seen contexts' rows are cached, and all dropped
+    before they would pass ``MAX_VOCAB`` floats.
     """
 
     def __init__(
@@ -159,13 +160,14 @@ class NGramModel(LanguageModel):
         if dense is None:
             table = self.counts.get(ctx)
             if table is None:
-                dense = self._uniform
-            else:
-                v = np.full(self._vocab_size, self.smoothing_k)
-                for tok, c in table.items():
-                    v[tok] += c
-                dense = v / v.sum()
-                dense.flags.writeable = False
+                return self._uniform
+            v = np.full(self._vocab_size, self.smoothing_k)
+            for tok, c in table.items():
+                v[tok] += c
+            dense = v / v.sum()
+            dense.flags.writeable = False
+            if (len(self._dense_cache) + 1) * self._vocab_size > MAX_VOCAB:
+                self._dense_cache.clear()
             self._dense_cache[ctx] = dense
         return dense
 
@@ -255,12 +257,10 @@ class CopyModel(LanguageModel):
         self.min_match = min_match
         self.copy_mass = copy_mass
         self._path: list[int] = []
-        self._tokens = np.empty(0, dtype=np.int64)  # self._path as an array, in part
         self._where: dict[int, list[int]] = defaultdict(list)  # token -> its positions
         # prefix length -> match lengths, dense or sparse, in increasing length order
         self._lengths: dict[int, np.ndarray | dict[int, int]] = {}
         self._base = 0  # the first call length of the current run of one-token extensions
-        self._synced = 0  # how many leading entries of self._tokens hold self._path
         self._dists: dict[tuple[SamplingPolicy, int | None], Distribution] = {}
 
     @property
@@ -292,14 +292,13 @@ class CopyModel(LanguageModel):
             lcs, self._lengths, where = _common_suffixes(path), {}, defaultdict(list)
             for j, t in enumerate(path):
                 where[t].append(j)
-            m, self._where, self._base, self._synced = n, where, n, 0
+            m, self._where, self._base = n, where, n
         else:
             lcs = self._lengths[m]
             if m < k:  # drop what was kept for the old path past m
                 for t in reversed(self._path[m:]):
                     where[t].pop()
                 self._lengths = {j: v for j, v in self._lengths.items() if j <= m}
-                self._synced = min(self._synced, m)
             self._base = n if m < k or n > k + 1 else self._base
         for i in range(m, n):
             # Appending t: the match ending at j extends the one ending at j-1.
@@ -309,12 +308,9 @@ class CopyModel(LanguageModel):
                 if isinstance(lcs, dict):  # lcs[-1] stays 0: no earlier match reads it
                     lcs, sparse = np.zeros(i, dtype=np.int64), lcs
                     lcs[list(sparse)] = list(sparse.values())
-                if self._synced < n:  # self._tokens is read here only
-                    if len(self._tokens) < n:
-                        self._tokens = np.resize(self._tokens, 2 * n)
-                    self._tokens[self._synced:n] = path[self._synced:]
-                    self._synced = n
-                lcs = (self._tokens[: i + 1] == t) * np.concatenate(([1], lcs + 1))
+                at, prev = np.array(occ), np.concatenate(([0], lcs))  # prev[j]: lcs[j-1]
+                lcs = np.zeros(i + 1, dtype=np.int64)
+                lcs[at] = prev[at] + 1
             elif isinstance(lcs, dict):
                 lcs = {j: lcs.get(j - 1, 0) + 1 for j in occ}
             else:

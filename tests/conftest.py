@@ -24,15 +24,18 @@ def _cpu_seconds() -> float:
 
 
 _START = (time.perf_counter(), _cpu_seconds())  # this file is imported as the run starts
+_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.hookimpl(trylast=True)  # after the slowest-durations list, just above the totals
 def pytest_terminal_summary(terminalreporter):
     """CPU seconds beside wall seconds, so that time the suite spent waiting
-    while other work ran on the machine shows as the gap between them."""
+    while other work ran on the machine shows as the gap between them, and
+    the line count of the package's Python source."""
     wall, cpu = time.perf_counter() - _START[0], _cpu_seconds() - _START[1]
+    lines = sum(len(f.read_bytes().splitlines()) for f in _SRC.rglob("*.py"))
     terminalreporter.write_line(f"session CPU {cpu:.1f} s (this process and reaped children), "
-                                f"wall {wall:.1f} s")
+                                f"wall {wall:.1f} s, src/ {lines} lines")
 
 
 def run_limited(script: str, *args: str, limit: int = 1 << 30) -> subprocess.CompletedProcess:
@@ -40,10 +43,9 @@ def run_limited(script: str, *args: str, limit: int = 1 << 30) -> subprocess.Com
     is capped at ``limit`` bytes, so that an oversized allocation fails there
     at once instead of taking the machine's memory. One BLAS thread keeps the
     interpreter well inside the cap."""
-    src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))}
     cap = f"import resource; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
     return subprocess.run([sys.executable, "-c", cap + script, *args], env=env,
                           capture_output=True, text=True, timeout=120)

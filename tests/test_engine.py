@@ -42,6 +42,7 @@ from specdec.models import (
     CopyModel,
     LanguageModel,
     StatelessModel,
+    random_model,
     stateless_pair,
     train_ngram,
 )
@@ -323,20 +324,38 @@ class TestSpeculativeSteps:
         assert block_rng.n_drawn == loop_rng.n_drawn
 
     @pytest.mark.parametrize("lenience", [1.0, 0.6])
-    def test_window_zero_pair_computes_its_residual_once_per_call(self, monkeypatch, lenience):
-        # A stateless pair returns the same two distributions in every block,
-        # so their residual is kept across the 13 blocks of 16 rows here.
+    def test_window_zero_pair_across_forced_blocks(self, monkeypatch, lenience):
+        # 200 steps of a stateless pair in 13 blocks of 16 rows.
         p, q = stateless_pair(0.7, vocab_size=3)
         config = SpecConfig(gamma=4, lenience=lenience)
         steps = scalar_steps(p, q, [0], config, RandomStream(8), 200)
-        calls = []
-        monkeypatch.setattr(engine, "residual", lambda *args: calls.append(args) or residual(*args))
         monkeypatch.setattr(engine, "_VARIATES_PER_BLOCK", 16 * (2 * config.gamma + 1))
-        block = speculative_steps(p, q, [0], config, RandomStream(8), 200)
+        assert_block_equals_loop(speculative_steps(p, q, [0], config, RandomStream(8), 200), steps)
+
+    @pytest.mark.parametrize("gamma", [2, 4])
+    def test_window_zero_pair_runs_in_one_block(self, monkeypatch, gamma):
+        # Its rows share one distribution per position, so V does not cap the block.
+        vocab, n = 10**5, 10**4
+        probs = RandomStream(gamma).uniform_block(2 * vocab).reshape(2, vocab) + 0.5
+        p, q = StatelessModel(probs[0] / probs[0].sum()), StatelessModel(probs[1] / probs[1].sum())
+        rng, calls = RecordingStream(1), []
+        monkeypatch.setattr(engine, "residual", lambda *args: calls.append(args) or residual(*args))
+        block = speculative_steps(p, q, [0], SpecConfig(gamma=gamma), rng, n)
+        assert rng.calls == [n * (2 * gamma + 1)]
+        assert 0 < len(calls) <= gamma
+        assert (block.accepted_n < gamma).any()
+
+    def test_windowed_pair_keeps_blocks_bounded_by_vocab(self):
+        # One windowed model is enough for rows to hold their own V floats:
+        # MAX_BLOCK // 4096 variates are 455 rows at gamma 4, so 5 blocks.
+        vocab, n, config = 4096, 2000, SpecConfig(gamma=4)
+        corpus = (RandomStream(2).uniform_block(6000) * vocab).astype(int).tolist()
+        target, draft = train_ngram(corpus, 2, vocab), random_model(vocab)
+        loop_rng, block_rng = RandomStream(5), RecordingStream(5)
+        steps = scalar_steps(target, draft, [corpus[0]], config, loop_rng, n)
+        block = speculative_steps(target, draft, [corpus[0]], config, block_rng, n)
+        assert block_rng.calls == [455 * 9] * 4 + [180 * 9]
         assert_block_equals_loop(block, steps)
-        assert len(calls) == 1
-        assert len(speculative_steps(p, q, [0], config, RandomStream(9), 200).correction) == 200
-        assert len(calls) == 2  # and computed again by the next call
 
     def test_blocks_bounded_by_max_block(self, monkeypatch):
         # Each row keeps distributions of V floats: a whole-prefix copy draft

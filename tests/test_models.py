@@ -190,6 +190,25 @@ class TestNGram:
         assert sum(map(sum, (t.values() for t in model.counts.values()))) == 200_000 - 2
         assert peak <= 6 * 10**6
 
+    def test_row_cache_is_bounded(self):
+        # Unbounded, and storing the uniform row for every unseen context,
+        # this decode left 660 entries in the caches, 76 of them rows of
+        # seen contexts (38 MiB); either rule alone still passes 2**20 floats.
+        vocab = 1 << 16
+        corpus = np.random.default_rng(7).integers(0, 400, 20_000).tolist()
+        target = train_ngram(corpus, 2, vocab, smoothing_k=1e-4)
+        draft = train_ngram(corpus[:4000], 2, vocab, smoothing_k=1e-4)
+        tracemalloc.start()
+        try:
+            decode(target, draft, corpus[:5], SpecConfig(gamma=4, max_new_tokens=300))
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        for model in (target, draft):
+            assert 0 < len(model._dense_cache) * vocab <= MAX_VOCAB
+            assert model._dense_cache.keys() <= model.counts.keys()
+        assert size <= 16 * 2**20
+
 
 class TestCopyModel:
     def test_matched_suffix_copies_follower(self):
@@ -403,14 +422,13 @@ class TestIncrementalCopy:
             assert all(len(lcs) <= k for k, lcs in model._lengths.items())
             assert sum(map(len, model._where.values())) == len(model._path) <= longest
             assert len(model._dists) <= vocab + 1
-            assert len(model._tokens) <= 2 * longest
 
         res = standard_decode(model, [0, 1, 2, 3, 0, 1], SpecConfig(gamma=1, max_new_tokens=3000))
         assert len(res.tokens) == 3000
         check(3006)
         target = train_ngram(res.tokens, order=3, vocab_size=vocab, smoothing_k=0.05)
         decode(target, model, [0, 1, 2, 3, 0, 1], SpecConfig(gamma=20, max_new_tokens=1000))
-        check(3006)  # shorter prefixes now, but the token array keeps its size
+        check(3006)
 
     def test_distribution_cache_is_bounded(self):
         # A repeated passage of distinct tokens copies a new token at every
