@@ -101,8 +101,8 @@ def speculative_beam_search(
     """Beam search accelerated by a draft model, with identical results.
 
     ``draft_width`` (u) must be at least ``width`` (w). Each block costs one
-    batched target call over at most ``w + u * gamma`` sequences instead of
-    one call per step.
+    batched target call over at most ``w + u * (gamma - 1)`` sequences
+    instead of one call per step.
     """
     if draft_width < width:
         raise ValueError("draft_width must be >= width")
@@ -115,9 +115,8 @@ def speculative_beam_search(
 
     exact = [Beam((), 0.0)]
     stats = BeamStats()
-    steps_done = 0
-    while steps_done < steps:
-        block = min(gamma, steps - steps_done)
+    while stats.steps < steps:
+        block = min(gamma, steps - stats.steps)
         stats.blocks += 1
 
         # Draft pass: widen to u and run the block on the cheap model.
@@ -131,24 +130,19 @@ def speculative_beam_search(
             dbeams = _select(_extend(dbeams, ddists), draft_width)
             levels.append(dbeams)
 
-        # One batched target call over the roots and every draft level.
-        to_eval: dict[tuple[int, ...], None] = {b.tokens: None for b in exact}
-        for level in levels:
-            for b in level:
-                to_eval.setdefault(b.tokens)
-        eval_tokens = list(to_eval)
-        eval_dists = target.next_distribution_batch(
-            [prompt_list + list(t) for t in eval_tokens], IDENTITY_POLICY
-        )
-        tdist = dict(zip(eval_tokens, eval_dists))
+        # One batched target call over the roots and every draft level but the
+        # last, which the replay only uses as a kept set; beams are distinct
+        # within a depth and differ in length across depths, so none repeats.
+        evaluated = [b for level in (exact, *levels[:-1]) for b in level]
+        eval_dists = target.next_distribution_batch(seqs(evaluated), IDENTITY_POLICY)
+        tdist = {b.tokens: d for b, d in zip(evaluated, eval_dists)}
         stats.target_batched_calls += 1
-        stats.target_sequences += len(eval_tokens)
+        stats.target_sequences += len(evaluated)
 
         # Replay the exact search against the draft's kept sets.
         for level in levels:
             candidates = _extend(exact, [tdist[b.tokens] for b in exact])
             exact = _select(candidates, width)
-            steps_done += 1
             stats.steps += 1
             kept = {b.tokens for b in level}
             accepted = all(b.tokens in kept for b in exact)

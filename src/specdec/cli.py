@@ -139,8 +139,7 @@ def _builtin_model(kind: str, params: str) -> LanguageModel:
     fields = params.split(",")
     if len(fields) > 3:
         raise ValueError(f"copy: takes at most 3 fields (V,min_match,copy_mass), got {params!r}")
-    vocab, min_match, copy_mass = fields + ["2", "0.9"][len(fields) - 1:]
-    return CopyModel(int(vocab), min_match=int(min_match), copy_mass=float(copy_mass))
+    return CopyModel(*(parse(x) for parse, x in zip((int, int, float), fields)))
 
 
 def _model_pair(args: argparse.Namespace) -> tuple[LanguageModel, LanguageModel]:

@@ -179,25 +179,30 @@ def equivalence_test(
     threshold: float = 0.001,
     mutation: str | None = None,
 ) -> EquivalenceReport:
-    """Fit next-token samples from the engine to the target's exact distribution.
+    """Fit next-token samples from the engine to the exact law of its first token.
 
     For each context, draws ``n_samples`` first tokens from fresh
-    speculative steps and chi-squares their histogram against the target's
-    standardized distribution (see :func:`_fit`), with Bonferroni
-    combination over contexts. A correct engine passes; the seeded engine
-    mutations must fail. Raises ``TooFewSamplesError`` when ``n_samples``
-    is too few for the target's law to be tested.
+    speculative steps and chi-squares their histogram (see :func:`_fit`)
+    against the target's distribution, or below lenience 1 against
+    :func:`exact_step_distribution`, Bonferroni-combined over contexts. A
+    correct engine passes; mutated ones fail. Raises ``TooFewSamplesError``
+    for too few samples, ``ValueError`` for argmax-lenient decoding (no law).
     """
     if n_samples < MIN_SAMPLES:
         raise ValueError("n_samples must be at least 10^4 for a meaningful test")
     if not context_set:
         raise ValueError("need at least one context")
+    if config.policy.is_argmax and config.lenience < 1.0:
+        raise ValueError("argmax-lenient decoding has no exact law to fit")
     results: list[ContextResult] = []
     for ci, context in enumerate(context_set):
         rng = RandomStream(config.seed, stream=2 * ci)
         steps = speculative_steps(target, draft, context, config, rng, n_samples,
                                   _mutation=mutation)
         p = target.next_distribution(list(context), config.policy)
+        if config.lenience < 1.0:
+            q = draft.next_distribution(list(context), config.policy)
+            p = exact_step_distribution(p, q, config.lenience)
         results.append(_fit(np.bincount(steps.tokens_at(0), minlength=p.vocab_size), p.probs))
     return EquivalenceReport(results, threshold, n_samples)
 

@@ -57,6 +57,17 @@ class TestStandardBeamSearch:
             standard_beam_search(mp, [0], width=0, steps=3)
 
 
+class _CountingBatches:
+    """Wraps a model and records the size of each batched call."""
+
+    def __init__(self, model, sizes):
+        self._model, self._sizes = model, sizes
+
+    def next_distribution_batch(self, prefixes, policy):
+        self._sizes.append(len(prefixes))
+        return self._model.next_distribution_batch(prefixes, policy)
+
+
 class TestSpeculativeBeamSearch:
     @pytest.mark.parametrize("w,u,gamma", [(2, 4, 3), (3, 8, 2), (1, 2, 4)])
     def test_equiv_random_pairs(self, w, u, gamma):
@@ -72,6 +83,9 @@ class TestSpeculativeBeamSearch:
         spec, stats = speculative_beam_search(mp, mp, [0], 2, 2, 3, steps=9)
         assert stats.accepted_steps == stats.steps == 9
         assert spec == standard_beam_search(mp, [0], 2, steps=9)
+        # Three blocks: 1 root + 2 + 2 beams, then 2 roots + 2 + 2 twice;
+        # the last draft level of a block is never sent to the target.
+        assert stats.target_sequences == 17
 
     def test_draft_width_covering_all_candidates_accepts(self):
         # With one root beam, one draft step, and u = vocab the draft keeps
@@ -90,13 +104,17 @@ class TestSpeculativeBeamSearch:
 
     def test_stats_accounting(self):
         mp, mq = make_ngram_pair(10)
-        _, stats = speculative_beam_search(mp, mq, [0], 2, 4, 3, steps=10)
-        assert stats.steps == 10 or stats.steps <= 10  # violations cut blocks short
+        w, u, gamma = 2, 4, 3
+        sizes = []
+        counting = _CountingBatches(mp, sizes)
+        _, stats = speculative_beam_search(counting, mq, [0], w, u, gamma, steps=10)
+        assert stats.steps == 10  # violations cut blocks short, never the search
         assert stats.accepted_steps <= stats.steps
         assert len(stats.per_step_accepted) == stats.steps
-        assert stats.target_batched_calls == stats.blocks
-        # One batched call per block never exceeds w + u*gamma sequences.
-        assert stats.target_sequences <= stats.blocks * (2 + 4 * 3)
+        assert stats.target_batched_calls == stats.blocks == len(sizes)
+        assert stats.target_sequences == sum(sizes)
+        # No block sends the target more than the roots and gamma - 1 levels.
+        assert max(sizes) <= w + u * (gamma - 1)
 
     def test_rejects_narrow_draft_width(self):
         mp, mq = make_ngram_pair(11)

@@ -14,10 +14,10 @@ import zlib
 
 import pytest
 
-from specdec.cli import _COMMANDS, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main
+from specdec.cli import _COMMANDS, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main, resolve_model
 from specdec.engine import SpecConfig, decode
 from specdec.model_io import FORMAT_VERSION, MAGIC, load_model
-from specdec.models import MAX_VOCAB, random_model
+from specdec.models import MAX_VOCAB, CopyModel, random_model
 from specdec.tokenizers import ByteTokenizer, WordTokenizer
 
 from conftest import run_limited
@@ -294,6 +294,13 @@ class TestDecode:
         assert len(payload["tokens"]) == 16
         assert set(payload["tokens"]) <= {0, 1}
 
+    @pytest.mark.parametrize("spec,fields", [("copy:6", (6,)), ("copy:6,3", (6, 3)),
+                                             ("copy:6,3,0.5", (6, 3, 0.5))])
+    def test_copy_spec_defaults_are_copy_models(self, spec, fields):
+        model, expected = resolve_model(spec), CopyModel(*fields)
+        assert (model.vocab_size, model.min_match, model.copy_mass) == (
+            expected.vocab_size, expected.min_match, expected.copy_mass)
+
     def test_stop_token(self, capsys):
         code, out, _ = run(capsys, ["decode", "--target", "stateless:0,1",
                                     "--draft", "same", "--prompt-tokens", "0",
@@ -320,6 +327,13 @@ class TestVerify:
     def test_equivalence_passes(self, capsys):
         code, out, _ = run(capsys, ["verify", "--suite", "equivalence",
                                     "--samples", "20000", "--seed", "2"])
+        assert code == EXIT_OK
+        assert "PASS" in out
+
+    def test_lenient_equivalence_passes(self, capsys):
+        # Below lenience 1 the first token follows the lenient law, not p.
+        code, out, _ = run(capsys, ["verify", "--suite", "equivalence", "--samples", "20000",
+                                    "--seed", "3", "--lenience", "0.5"])
         assert code == EXIT_OK
         assert "PASS" in out
 

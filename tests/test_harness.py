@@ -10,7 +10,7 @@ from scipy import stats as scipy_stats
 
 from specdec import harness
 from specdec.analysis import CostModel, beta, expected_tokens, walltime_factor
-from specdec.distmath import Distribution
+from specdec.distmath import Distribution, SamplingPolicy
 from specdec.engine import MUTATIONS, SpecConfig, speculative_step, speculative_steps
 from specdec.harness import (
     equivalence_test,
@@ -94,6 +94,22 @@ class TestEquivalence:
             mp, mq, SpecConfig(gamma=2, seed=3), 50_000, [[0]], mutation=mutation
         )
         assert not report.verdict, f"mutation {mutation} slipped through"
+
+    @pytest.mark.parametrize("lenience", [0.5, 0.2])
+    def test_lenient_law_is_fitted(self, model_pair, lenience):
+        mp, mq = model_pair
+        config = SpecConfig(gamma=2, seed=3, lenience=lenience)
+        assert equivalence_test(mp, mq, config, 20_000, [[0]]).verdict
+        # At 0.5 a mutant still fails; at 0.2 the residual is close enough to
+        # p that skipping it passes.
+        skipped = equivalence_test(mp, mq, config, 20_000, [[0]], mutation="skip_residual")
+        assert skipped.verdict == (lenience == 0.2)
+
+    def test_argmax_lenient_has_no_law(self, model_pair):
+        mp, mq = model_pair
+        config = SpecConfig(gamma=2, lenience=0.5, policy=SamplingPolicy(argmax=True))
+        with pytest.raises(ValueError, match="argmax-lenient"):
+            equivalence_test(mp, mq, config, 20_000, [[0]])
 
     def test_multiple_contexts_bonferroni(self, model_pair):
         mp, mq = model_pair

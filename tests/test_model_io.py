@@ -55,6 +55,12 @@ def test_truncated_file_is_checksum_mismatch(model, tmp_path):
     for cut in (len(blob) - 1, len(blob) // 2, 10):
         with pytest.raises(ChecksumMismatchError):
             deserialize_model(blob[:cut])
+    # Cuts inside the version field, and after it but short of a CRC.
+    for cut, message in [(len(MAGIC), "before version field"),
+                         (len(MAGIC) + 1, "before version field"),
+                         (len(MAGIC) + 5, "before payload")]:
+        with pytest.raises(ChecksumMismatchError, match=f"^file truncated {message}$"):
+            deserialize_model(blob[:cut])
 
 
 def test_corrupted_byte_is_checksum_mismatch(model):
@@ -97,6 +103,13 @@ def test_record_running_past_payload_rejected():
     body = b"".join([MAGIC, struct.pack("<HIdIQ", FORMAT_VERSION, 2, 0.05, 4, 1),
                      struct.pack("<II", 0, 2), struct.pack("<IQ", 1, 3)])
     with pytest.raises(ModelFormatError, match="malformed record structure"):
+        deserialize_model(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def test_trailing_bytes_after_records_rejected(model):
+    # Two bytes after the last record, under a recomputed CRC.
+    body = serialize_model(model)[:-4] + b"\x00\x00"
+    with pytest.raises(ModelFormatError, match="^2 trailing bytes after records$"):
         deserialize_model(body + struct.pack("<I", zlib.crc32(body)))
 
 
