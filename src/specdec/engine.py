@@ -291,13 +291,13 @@ def _step_block(target, draft, prefix, config, rng, rows, mutation) -> StepBlock
     drafts = np.empty((rows, gamma), dtype=np.int64)
     q_at = []  # per position: the distinct distributions, each row's index into them
     for i in range(gamma):
-        tails, group = _tails(draft, prefix, drafts[:, :i])
+        tails, group, members = _tails(draft, prefix, drafts[:, :i])
         q_at.append((draft.next_distribution_batch(tails, policy), group))
-        for d, at in zip(q_at[i][0], _rows_by_group(group, len(tails))):
+        for d, at in zip(q_at[i][0], members):
             drafts[at, i] = inverse_cdf_many(d, u[at, i])
     p_at, raw_at = [], []  # as q_at for the target, and its raw views if argmax-lenient
     for i in range(gamma + 1):
-        tails, group = _tails(target, prefix, drafts[:, :i])
+        tails, group, _ = _tails(target, prefix, drafts[:, :i])
         p_dists, raw_dists = _target_views(target, tails, policy, argmax_lenient)
         p_at.append((p_dists, group))
         raw_at.append(raw_dists)
@@ -324,32 +324,43 @@ def _step_block(target, draft, prefix, config, rng, rows, mutation) -> StepBlock
     q_at.append(([None], 0 * r))  # the extra position has no q
     p_ix = np.stack([g for _, g in p_at])[n_acc, r]  # each row's p and q, as indices into
     q_ix = np.stack([g for _, g in q_at])[n_acc, r]  # those of its accept count k
-    keys, key = np.unique((n_acc * rows + p_ix) * rows + q_ix, return_inverse=True)
-    for kab, rows_j in zip(keys.tolist(), _rows_by_group(key, len(keys))):
-        k, (a, b) = kab // rows ** 2, divmod(kab % rows ** 2, rows)
+    keys, _, members = _groups(np.column_stack([n_acc, p_ix, q_ix]))
+    for (k, a, b), rows_j in zip(keys.tolist(), members):
         d, _ = _last_token_dist(p_at[k][0][a], q_at[k][0][b], lenience, mutation, argmax_lenient)
         final[rows_j] = drafts[rows_j, k] if d is None else inverse_cdf_many(d, u_final[rows_j])
     return StepBlock(drafts, n_acc, final)
 
 
-def _rows_by_group(group, n) -> list[np.ndarray]:
-    """Each of ``n`` groups' rows in ascending order, from one stable sort."""
-    order, ends = np.argsort(group, kind="stable"), np.bincount(group, minlength=n).cumsum()
-    return [order[a:b] for a, b in zip([0, *ends.tolist()], ends.tolist())]
+def _groups(keys) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The distinct rows of the non-negative integer matrix ``keys`` in
+    ascending order, each row's index into them, and the row numbers of each
+    distinct row in ascending order: one stable sort and one compare of
+    neighbours give all three."""
+    # The narrowest type that holds the keys: numpy radix-sorts 8- and 16-bit ones.
+    keys = keys.astype(np.min_scalar_type(keys.max()))
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    group = np.empty(len(keys), dtype=np.int64)
+    group[order] = new.cumsum() - 1
+    starts = np.flatnonzero(new).tolist()
+    return ranked[starts], group, [order[a:b] for a, b in zip(starts, [*starts[1:], len(keys)])]
 
 
-def _tails(model, prefix, drafted) -> tuple[list[list[int]], np.ndarray]:
+def _tails(model, prefix, drafted) -> tuple[list[list[int]], np.ndarray, list[np.ndarray]]:
     """The distinct tails ``model`` reads once a row of ``drafted`` is appended
-    to ``prefix``, in ``np.unique``'s order, and each row's index into them.
-    The rows share the prefix, so only the drafted columns the model reads
-    are compared; the prefix part is the same for every tail."""
+    to ``prefix``, in ascending order of their drafted columns, each row's
+    index into them, and each tail's rows (see :func:`_groups`). The rows
+    share the prefix, so only the drafted columns the model reads are
+    compared; the prefix part is the same for every tail."""
     window, i = model.context_window, drafted.shape[1]
     read = i if window is None else min(i, window)
     base = _tail(prefix, None if window is None else window - read)
     if read == 0:
-        return [base], np.zeros(len(drafted), dtype=np.int64)
-    cols, group = np.unique(drafted[:, i - read:], axis=0, return_inverse=True)
-    return [base + row for row in cols.tolist()], group.reshape(-1)
+        return [base], np.zeros(len(drafted), dtype=np.int64), [np.arange(len(drafted))]
+    cols, group, members = _groups(drafted[:, i - read:])
+    return [base + row for row in cols.tolist()], group, members
 
 
 def _target_views(target, prefixes, policy, argmax_lenient):

@@ -25,7 +25,6 @@ __all__ = [
     "StatelessModel",
     "CorpusTooShortError",
     "train_ngram",
-    "copy_predict",
     "random_model",
     "stateless_pair",
 ]
@@ -233,7 +232,7 @@ class CopyModel(LanguageModel):
     array. A prefix that extends a kept one costs an O(n) list copy and
     compare plus, per appended token, O(its earlier occurrences) up to
     ``_SPARSE_MAX`` and one numpy pass of length n above it; any other
-    prefix one O(n) pass in Python, as :func:`copy_predict`.
+    prefix one O(n) pass in Python (:func:`_common_suffixes`).
     ``next_distribution`` reuses one distribution per (policy, copied
     token), and drops them all before they would pass ``MAX_VOCAB`` floats.
     This state makes a ``CopyModel`` unsafe to share between threads.
@@ -280,7 +279,8 @@ class CopyModel(LanguageModel):
         return d
 
     def _copied(self, prefix: Sequence[int]) -> int | None:
-        """The token :func:`copy_predict` would copy for ``prefix``, or None."""
+        """The token to copy for ``prefix``, or None: the one after the longest
+        earlier match of its suffix (see :func:`_copied_token`)."""
         path = list(prefix)
         n, k, where = len(path), len(self._path), self._where
         # The longest kept length whose tokens are a prefix of this call's, the
@@ -365,19 +365,6 @@ def _copy_scores(model: CopyModel, token: int | None) -> np.ndarray:
     out = np.full(v, (1.0 - model.copy_mass) / v)
     out[token] += model.copy_mass
     return out
-
-
-def copy_predict(model: CopyModel, prefix: Sequence[int]) -> np.ndarray:
-    """Copy-heuristic distribution for one prefix, from scratch, in O(n) time.
-
-    The longest suffix of length at least ``min_match`` that also occurs
-    earlier in the prefix wins; among equal-length matches the most recent
-    earlier occurrence wins. An occurrence may overlap the suffix, it just
-    has to start earlier. The copied token is the one right after that
-    occurrence (see :func:`_common_suffixes` and :func:`_copied_token`).
-    """
-    tokens = list(prefix)
-    return _copy_scores(model, _copied_token(tokens, _common_suffixes(tokens), model.min_match))
 
 
 def random_model(vocab_size: int) -> StatelessModel:

@@ -392,23 +392,52 @@ class TestSpeculativeSteps:
         block = speculative_steps(target, draft, [0], config, block_rng, 200)
         assert_block_equals_loop(block, steps)
 
-    def test_any_unique_inverse_shape(self, monkeypatch):
-        # numpy 2.0.0 returned np.unique's inverse for axis=0 as a column;
-        # later releases return it flat. Both must give the same steps.
+    def test_groups_rows_without_row_wise_unique(self, monkeypatch):
+        # Rows are grouped by one stable integer sort. np.unique(axis=...)
+        # sorts void-dtype records with generic compares, many times slower,
+        # so with it refused a window-2 pair must still equal the scalar loop.
         unique = np.unique
 
-        def column_inverse(a, **kwargs):
-            out = unique(a, **kwargs)
-            if kwargs.get("axis") is not None and kwargs.get("return_inverse"):
-                out = (out[0], out[1].reshape(-1, 1), *out[2:])
-            return out
+        def flat_only(a, *args, **kwargs):
+            assert kwargs.get("axis", args[3] if len(args) > 3 else None) is None
+            return unique(a, *args, **kwargs)
 
         target, draft = ZOO["ngram3a"], ZOO["ngram2b"]
         config = SpecConfig(gamma=3)
         steps = scalar_steps(target, draft, [1], config, RandomStream(2), 300)
-        monkeypatch.setattr(np, "unique", column_inverse)
+        monkeypatch.setattr(np, "unique", flat_only)
         block = speculative_steps(target, draft, [1], config, RandomStream(2), 300)
         assert_block_equals_loop(block, steps)
+
+    @pytest.mark.parametrize("policy", [SamplingPolicy(), SamplingPolicy(top_k=2)])
+    @pytest.mark.parametrize("names", [("ngram3a", "copy"), ("copy", "ngram3b")])
+    def test_whole_prefix_copy_pair_at_gamma_five(self, names, policy):
+        # The copy model reads every drafted token, so tails are compared on
+        # up to five columns, and rows that share a last column part ways.
+        target, draft = (ZOO[name] for name in names)
+        config, prompt = SpecConfig(gamma=5, policy=policy), [4, 1, 2, 4, 1, 2, 4]
+        steps = scalar_steps(target, draft, prompt, config, RandomStream(9), 300)
+        block = speculative_steps(target, draft, prompt, config, RandomStream(9), 300)
+        assert_block_equals_loop(block, steps)
+        tails = {tuple(row) for row in block.drafts[:, :4].tolist()}
+        assert len(tails) > len({tail[-1] for tail in tails})
+
+    @pytest.mark.parametrize("draft", ["bigram", "copy"])
+    def test_pair_past_two_to_the_sixteen(self, draft):
+        # Tokens at and above 2**16: a 16-bit sort key would merge 0 with
+        # 2**16, and four drafted columns would overflow one int64 code in
+        # base V; the grouping must do neither.
+        vocab = (1 << 16) + 5
+        tokens = [0, 7, 40_000, vocab - 6, vocab - 5, vocab - 4, vocab - 1]
+        corpus = [tokens[int(u * len(tokens))] for u in RandomStream(3).uniform_block(3000)]
+        target = train_ngram(corpus, 3, vocab, smoothing_k=1e-4)
+        models = {"bigram": train_ngram(corpus[::-1], 2, vocab, smoothing_k=1e-4),
+                  "copy": CopyModel(vocab)}
+        config, prompt = SpecConfig(gamma=4), corpus[:12] + corpus[:6]
+        steps = scalar_steps(target, models[draft], prompt, config, RandomStream(4), 120)
+        block = speculative_steps(target, models[draft], prompt, config, RandomStream(4), 120)
+        assert_block_equals_loop(block, steps)
+        assert block.drafts.max() >= 1 << 16
 
     def test_fast_path_skips_the_scalar_step(self, monkeypatch, ngram_pair):
         def refuse(*args, **kwargs):

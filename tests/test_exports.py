@@ -1,10 +1,14 @@
 """Every name a ``specdec`` module lists in ``__all__`` exists on it, so a
-deleted function cannot linger in an export list."""
+deleted function cannot linger in an export list, and is read somewhere in
+``src/`` or ``specbench/``, so code that only the tests call cannot hide
+behind an export."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -23,3 +27,37 @@ def test_all_names_resolve(name):
     exported = getattr(module, "__all__", [])
     assert len(exported) == len(set(exported)), "duplicate names in __all__"
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+# Exported names that nothing outside the tests calls yet. Each must still be
+# exported and still uncalled, so this list can only shrink.
+UNCALLED = {"estimate_alpha", "improvement_condition", "oracle_gamma_bound",
+            "rejection_baseline_step"}
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _references() -> set[str]:
+    """Every name read (a load or an attribute) in ``src/`` or ``specbench/``,
+    test files aside; definitions, stores and ``__all__`` strings are not reads."""
+    names = set()
+    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "specbench").rglob("*.py")]:
+        if path.name.startswith("test_"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def _exports() -> set[str]:
+    return {n for name in MODULES
+            for n in getattr(importlib.import_module(f"specdec.{name}"), "__all__", [])}
+
+
+def test_every_export_has_a_caller():
+    # A new uncalled export fails, and so does a listed name that gained a
+    # caller or was deleted: it leaves UNCALLED with it.
+    assert _exports() - _references() == UNCALLED
+

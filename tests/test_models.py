@@ -24,11 +24,11 @@ from specdec.models import (
     CorpusTooShortError,
     LanguageModel,
     StatelessModel,
-    copy_predict,
     random_model,
     stateless_pair,
     train_ngram,
 )
+from specdec.models import _common_suffixes, _copied_token, _copy_scores
 from specdec.rng import RandomStream
 from specdec.tokenizers import ByteTokenizer, UnknownTokenError, WordTokenizer
 
@@ -208,6 +208,20 @@ class TestNGram:
             assert 0 < len(model._dense_cache) * vocab <= MAX_VOCAB
             assert model._dense_cache.keys() <= model.counts.keys()
         assert size <= 16 * 2**20
+
+
+def copy_predict(model: CopyModel, prefix) -> np.ndarray:
+    """Oracle: the copy heuristic's distribution for one prefix, from scratch,
+    in O(n) time.
+
+    The longest suffix of length at least ``min_match`` that also occurs
+    earlier in the prefix wins; among equal-length matches the most recent
+    earlier occurrence wins. An occurrence may overlap the suffix, it just
+    has to start earlier. The copied token is the one right after that
+    occurrence.
+    """
+    tokens = list(prefix)
+    return _copy_scores(model, _copied_token(tokens, _common_suffixes(tokens), model.min_match))
 
 
 class TestCopyModel:
