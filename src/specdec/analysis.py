@@ -18,9 +18,8 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .distmath import Distribution, IDENTITY_POLICY, SamplingPolicy
-from .engine import DecodeResult, SpecConfig, standard_decode
-from .models import LanguageModel
+from .distmath import Distribution
+from .engine import DecodeResult
 
 __all__ = [
     "CostModel",
@@ -28,13 +27,10 @@ __all__ = [
     "DomainError",
     "GammaChoice",
     "beta",
-    "estimate_alpha",
     "expected_tokens",
     "walltime_factor",
-    "improvement_condition",
     "ops_factor",
     "optimal_gamma",
-    "oracle_gamma_bound",
     "trace_accept_rate",
     "sweep",
     "write_sweep_csv",
@@ -113,62 +109,6 @@ def beta(p: Distribution, q: Distribution, lenience: float = 1.0) -> float:
     return float(np.minimum(p.probs / lenience, q.probs).sum())
 
 
-def estimate_alpha(
-    target: LanguageModel,
-    draft: LanguageModel,
-    prompts: Sequence[Sequence[int]],
-    n_tokens: int,
-    policy: SamplingPolicy = IDENTITY_POLICY,
-    seed: int = 0,
-    corpus: Sequence[int] | None = None,
-    lenience: float = 1.0,
-) -> AlphaEstimate:
-    """Mean per-position acceptance probability over target-generated text.
-
-    Generates ``n_tokens`` tokens from the target with ``standard_decode``,
-    split across the prompts (prompt ``i`` sampled with seed ``seed + i``),
-    and averages ``beta(p, q, lenience)`` of the standardized distributions
-    at every generated position. Pass ``corpus`` (two tokens or more) to
-    score positions of held-out text instead of generated text.
-    """
-    if n_tokens < 1:
-        raise ValueError("n_tokens must be >= 1")
-    texts: list[tuple[Sequence[int], int]] = []  # (tokens, how many are context only)
-    if corpus is not None:
-        if len(corpus) < 2:
-            raise ValueError(f"corpus of {len(corpus)} token(s) has no position to score")
-        texts.append((corpus[: n_tokens + 1], 1))
-    else:
-        if not prompts:
-            raise ValueError("need at least one prompt")
-        if not all(len(prompt) for prompt in prompts):
-            raise ValueError("prompts must be non-empty")
-        per_prompt = math.ceil(n_tokens / len(prompts))
-        for i, prompt in enumerate(prompts):
-            count = min(per_prompt, n_tokens - i * per_prompt)
-            if count < 1:
-                break
-            # gamma is unused by standard_decode but SpecConfig requires one.
-            config = SpecConfig(gamma=1, policy=policy, seed=seed + i, max_new_tokens=count)
-            generated = standard_decode(target, prompt, config, keep_traces=False).tokens
-            texts.append(([*prompt, *generated], len(prompt)))
-    values: list[float] = []
-    for text, start in texts:
-        ctx = list(text[:start])
-        for token in text[start:]:
-            values.append(beta(target.next_distribution(ctx, policy),
-                               draft.next_distribution(ctx, policy), lenience))
-            ctx.append(token)
-    n = len(values)
-    mean = math.fsum(values) / n
-    if n > 1:
-        var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
-        se = math.sqrt(var / n)
-    else:
-        se = 0.0
-    return AlphaEstimate(alpha=mean, n_tokens=n, std_error=se)
-
-
 def expected_tokens(alpha: float, gamma: int) -> float:
     """Expected tokens per decoding step: (1 - alpha^(gamma+1)) / (1 - alpha)."""
     _check_alpha(alpha, allow_one=True)
@@ -185,13 +125,6 @@ def walltime_factor(alpha: float, gamma: int, c: float, batch_cost: float = 1.0)
     if not math.isfinite(gamma * c + batch_cost) or batch_cost <= 0:
         raise DomainError("batch_cost must be positive, and gamma*c + batch_cost finite")
     return expected_tokens(alpha, gamma) / (gamma * c + batch_cost)
-
-
-def improvement_condition(alpha: float, c: float) -> tuple[bool, float]:
-    """Whether any gamma improves walltime, and the gamma=1 floor (1+alpha)/(1+c)."""
-    _check_alpha(alpha, allow_one=True)
-    _check_cost("c", c)
-    return alpha > c, (1.0 + alpha) / (1.0 + c)
 
 
 def ops_factor(alpha: float, gamma: int, c_hat: float) -> float:
@@ -231,12 +164,6 @@ def optimal_gamma(alpha: float, c: float, gamma_max: int = 1000) -> GammaChoice:
         alpha, gamma_max - 1, c
     )
     return GammaChoice(gamma=best_gamma, factor=best_factor, saturated=still_rising)
-
-
-def oracle_gamma_bound(alpha: float) -> float:
-    """Upper bound on expected tokens per step under a perfect gamma oracle."""
-    _check_alpha(alpha, allow_one=False)
-    return 1.0 / (1.0 - alpha)
 
 
 def trace_accept_rate(result: DecodeResult) -> AlphaEstimate:

@@ -267,6 +267,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
     )
     if config.policy.top_k is not None and config.policy.top_k > target.vocab_size:
         raise CliError(f"--top-k {config.policy.top_k} exceeds vocab size {target.vocab_size}")
+    if config.stop_token is not None and not 0 <= config.stop_token < target.vocab_size:
+        raise CliError(f"--stop-token {config.stop_token} outside vocab {target.vocab_size}")
     _from_flags(check_pair, target, draft, config.gamma)
     result = decode(target, draft, prompt, config, bos_token=bos)
 

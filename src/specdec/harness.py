@@ -7,8 +7,8 @@ share one chi-square goodness of fit to a known law: the engine's tokens
 against the target's exact distribution (with deliberate engine mutations
 to prove the test has teeth), and tokens-per-step against the capped
 geometric law. Then a cost-model walltime simulation reporting
-expected-vs-empirical speedups, and the rejection-sampling baseline with
-its comparison.
+expected-vs-empirical speedups, and the analytic acceptance rate of
+non-iterative rejection sampling compared with speculative sampling's.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 from .analysis import CostModel, beta, expected_tokens, trace_accept_rate, walltime_factor
-from .distmath import Distribution, IDENTITY_POLICY, SamplingPolicy, normalize, sample
-from .engine import DecodeResult, SpecConfig, StepTrace, check_pair, decode, speculative_steps
+from .distmath import Distribution, IDENTITY_POLICY, SamplingPolicy, normalize
+from .engine import DecodeResult, SpecConfig, StepTrace, decode, speculative_steps
 from .engine import speculative_step  # unused here, but the traced benchmark wraps it here
 from .models import LanguageModel, stateless_pair
 from .rng import RandomStream
@@ -42,7 +42,6 @@ __all__ = [
     "rejection_comparison",
     "rejection_check",
     "rejection_accept_probability",
-    "rejection_baseline_step",
 ]
 
 # Outcomes expected fewer times than this are pooled before chi-square.
@@ -222,6 +221,8 @@ def geometric_fit_test(
     P(gamma+1) = alpha^gamma. Also reports how far the sample mean sits
     from the closed-form expectation (2% is the conventional gate).
     """
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
     target, draft = stateless_pair(alpha)
     config = SpecConfig(gamma=gamma, seed=seed)
     steps = speculative_steps(target, draft, [0], config, RandomStream(seed), n_steps)
@@ -361,32 +362,6 @@ def rejection_accept_probability(p: Distribution, q: Distribution) -> float:
     if m == 0.0:
         return 0.0
     return float(p.probs[q.probs > 0.0].sum()) / m
-
-
-def rejection_baseline_step(
-    target: LanguageModel,
-    draft: LanguageModel,
-    prefix: Sequence[int],
-    rng: RandomStream,
-    policy: SamplingPolicy = IDENTITY_POLICY,
-) -> int:
-    """Non-iterative rejection sampling baseline: exact, but accepts less.
-
-    Draws x ~ q and accepts with probability p(x) / (M q(x)) where M is the
-    worst-case ratio over q's support; otherwise falls back to sampling the
-    unmodified target distribution. The output is distributed exactly as p,
-    but the acceptance probability is 1/M (over q's support), never above
-    the overlap sum(min(p, q)) that speculative sampling achieves.
-    """
-    check_pair(target, draft)
-    p = target.next_distribution(prefix, policy)
-    q = draft.next_distribution(prefix, policy)
-    m = _rejection_bound(p, q)
-    x = sample(q, rng)
-    r = rng.uniform()
-    if m > 0.0 and r < float(p.probs[x]) / (m * float(q.probs[x])):
-        return x
-    return sample(p, rng)
 
 
 def rejection_check(pairs: int, vocab: int, seed: int) -> tuple[int, float]:

@@ -4,7 +4,6 @@ optimal draft counts, and the sweep generators."""
 from __future__ import annotations
 
 import io
-import math
 
 import numpy as np
 import pytest
@@ -17,20 +16,17 @@ from specdec.analysis import (
     DomainError,
     TABLE1_GRID,
     beta,
-    estimate_alpha,
     expected_tokens,
-    improvement_condition,
     ops_factor,
     optimal_gamma,
-    oracle_gamma_bound,
     sweep,
     trace_accept_rate,
     walltime_factor,
     write_sweep_csv,
 )
-from specdec.distmath import Distribution, IDENTITY_POLICY, SamplingPolicy, sample
+from specdec.distmath import Distribution
 from specdec.engine import SpecConfig, decode
-from specdec.models import CopyModel, StatelessModel, stateless_pair, train_ngram
+from specdec.models import StatelessModel, stateless_pair
 from specdec.rng import RandomStream
 
 from conftest import paired_probs_strategy, random_pair
@@ -117,8 +113,9 @@ class TestExpectedTokens:
             for g in (1, 4, 12):
                 v = expected_tokens(a, g)
                 assert v <= g + 1 + 1e-12
-                if a < 1.0:
-                    assert v <= oracle_gamma_bound(a) + 1e-12
+                assert v <= 1.0 / (1.0 - a) + 1e-12
+            # An oracle that never stops drafting reaches the bound.
+            assert expected_tokens(a, 2000) == pytest.approx(1.0 / (1.0 - a))
 
 
 class TestWalltimeFactor:
@@ -147,16 +144,22 @@ class TestWalltimeFactor:
         assert walltime_factor(0.2, 3, 0.0) == pytest.approx(1.248, abs=1e-3)
 
 
-class TestImprovementCondition:
-    def test_boundary_equality_gives_factor_one(self):
-        improves, floor = improvement_condition(0.5, 0.5)
-        assert not improves
-        assert floor == pytest.approx(1.0)
-        assert walltime_factor(0.5, 1, 0.5) == pytest.approx(1.0)
+class TestCorollaries:
+    """Some gamma improves walltime iff alpha > c, and gamma = 1 alone gives
+    the factor (1 + alpha) / (1 + c)."""
 
-    def test_cheap_draft(self):
-        improves, floor = improvement_condition(0.2, 0.0)
-        assert improves and floor == pytest.approx(1.2)
+    ALPHAS = [round(0.05 * k, 2) for k in range(20)]
+    CS = (0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 0.95, 1.0, 1.5)
+
+    def test_some_gamma_improves_iff_alpha_exceeds_c(self):
+        for a in self.ALPHAS:
+            for c in self.CS:
+                assert (optimal_gamma(a, c, gamma_max=64).gamma >= 1) == (a > c), (a, c)
+
+    def test_gamma_one_floor(self):
+        for a in self.ALPHAS:
+            for c in self.CS:
+                assert walltime_factor(a, 1, c) == pytest.approx((1 + a) / (1 + c))
 
 
 class TestOpsFactor:
@@ -217,140 +220,6 @@ class TestOptimalGamma:
         # alpha=0: every gamma gives factor 1 at c=0; gamma 0 must win.
         choice = optimal_gamma(0.0, 0.0)
         assert choice.gamma == 0 and not choice.saturated
-
-
-class TestOracleBound:
-    def test_values(self):
-        assert oracle_gamma_bound(0.0) == 1.0
-        assert oracle_gamma_bound(0.5) == 2.0
-
-    def test_dominates_all_gammas(self):
-        for a in (0.2, 0.5, 0.9):
-            bound = oracle_gamma_bound(a)
-            for g in range(1, 60):
-                assert bound >= expected_tokens(a, g) - 1e-12
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            oracle_gamma_bound(1.0)
-
-
-class TestEstimateAlpha:
-    def test_same_model_gives_one(self):
-        m = train_ngram([0, 1, 2, 0, 1, 2], order=2, vocab_size=3)
-        est = estimate_alpha(m, m, [[0]], n_tokens=50)
-        assert est.alpha == pytest.approx(1.0, abs=1e-12)
-
-    def test_stateless_is_exact_with_zero_error(self):
-        p, q = stateless_pair(0.7, vocab_size=4)
-        est = estimate_alpha(p, q, [[0]], n_tokens=100)
-        assert est.alpha == pytest.approx(0.7, abs=1e-12)
-        assert est.std_error == pytest.approx(0.0, abs=1e-12)
-        assert est.n_tokens == 100
-
-    def test_cross_check_against_trace_accept_rate(self):
-        # Two independent estimators of the same expectation must agree
-        # within their sampling noise.
-        rng = RandomStream(6)
-        vocab = 6
-        corpus_p = [int(u * vocab) for u in rng.uniform_block(600)]
-        corpus_q = [int(u * vocab) for u in rng.uniform_block(600)]
-        mp = train_ngram(corpus_p, order=2, vocab_size=vocab)
-        mq = train_ngram(corpus_q, order=2, vocab_size=vocab)
-        est = estimate_alpha(mp, mq, [[0]], n_tokens=4000, seed=8)
-        res = decode(mp, mq, [0], SpecConfig(gamma=3, seed=9, max_new_tokens=4000))
-        emp = trace_accept_rate(res)
-        tolerance = 2.0 * math.hypot(est.std_error, emp.std_error)
-        assert abs(est.alpha - emp.alpha) <= max(tolerance, 0.02)
-
-    def test_corpus_scored_variant(self):
-        mp = train_ngram([0, 1, 0, 1, 0, 1], order=2, vocab_size=2)
-        mq = train_ngram([1, 0, 1, 1, 0, 0], order=2, vocab_size=2)
-        corpus = [0, 1, 0, 0, 1, 1, 0]
-        est = estimate_alpha(mp, mq, [], n_tokens=6, corpus=corpus)
-        # Oracle: average beta along the corpus positions directly.
-        expected = np.mean([
-            beta(mp.next_distribution(corpus[:t], IDENTITY_POLICY),
-                 mq.next_distribution(corpus[:t], IDENTITY_POLICY))
-            for t in range(1, 7)
-        ])
-        assert est.alpha == pytest.approx(float(expected), abs=1e-12)
-
-    @pytest.mark.parametrize("corpus", [[], [0]])
-    def test_corpus_without_a_position_rejected(self, corpus):
-        p, q = stateless_pair(0.6, vocab_size=4)
-        with pytest.raises(ValueError, match=f"corpus of {len(corpus)} token"):
-            estimate_alpha(p, q, [], n_tokens=5, corpus=corpus)
-
-    def test_lenient_estimate_matches_pointwise_formula(self):
-        p, q = stateless_pair(0.6, vocab_size=4)
-        est = estimate_alpha(p, q, [[0]], n_tokens=20, lenience=0.5)
-        want = beta(
-            p.next_distribution([], IDENTITY_POLICY),
-            q.next_distribution([], IDENTITY_POLICY),
-            0.5,
-        )
-        assert est.alpha == pytest.approx(want, abs=1e-12)
-
-
-def _sampling_loop_estimate(target, draft, prompts, n_tokens, policy, seed):
-    """estimate_alpha's former generator, kept as an oracle: one
-    ``RandomStream(seed)`` across the prompts, each position scored as its
-    token is sampled from the target."""
-    rng = RandomStream(seed)
-    per_prompt = math.ceil(n_tokens / len(prompts))
-    values = []
-    for prompt in prompts:
-        ctx = list(prompt)
-        for _ in range(per_prompt):
-            if len(values) >= n_tokens:
-                break
-            pd = target.next_distribution(ctx, policy)
-            values.append(beta(pd, draft.next_distribution(ctx, policy)))
-            ctx.append(sample(pd, rng))
-    n = len(values)
-    mean = math.fsum(values) / n
-    var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
-    return AlphaEstimate(alpha=mean, n_tokens=n, std_error=math.sqrt(var / n))
-
-
-def _alpha_pairs():
-    rng = RandomStream(21)
-    corpus_p = [int(u * 6) for u in rng.uniform_block(400)]
-    corpus_q = [int(u * 6) for u in rng.uniform_block(400)]
-    target = train_ngram(corpus_p, order=3, vocab_size=6, smoothing_k=0.05)
-    return {
-        "ngram3/ngram2": (target, train_ngram(corpus_q, order=2, vocab_size=6)),
-        "ngram3/copy": (target, CopyModel(6, min_match=1)),
-    }
-
-
-class TestEstimateAlphaOracle:
-    @pytest.mark.parametrize("policy", [IDENTITY_POLICY, SamplingPolicy(temperature=0.7, top_p=0.9)],
-                             ids=["identity", "nucleus"])
-    @pytest.mark.parametrize("pair", ["ngram3/ngram2", "ngram3/copy"])
-    @pytest.mark.parametrize("seed", [0, 5])
-    def test_one_prompt_equals_sampling_loop(self, policy, pair, seed):
-        target, draft = _alpha_pairs()[pair]
-        got = estimate_alpha(target, draft, [[1, 2]], n_tokens=300, policy=policy, seed=seed)
-        assert got == _sampling_loop_estimate(target, draft, [[1, 2]], 300, policy, seed)
-
-    def test_prompt_i_is_sampled_with_seed_plus_i(self):
-        target, draft = _alpha_pairs()["ngram3/ngram2"]
-        prompts = [[0], [3, 4], [5]]
-        got = estimate_alpha(target, draft, prompts, n_tokens=250, seed=7)
-        parts = [  # ceil(250 / 3) = 84 tokens each, 82 for the last prompt
-            estimate_alpha(target, draft, [p], n_tokens=n, seed=7 + i)
-            for i, (p, n) in enumerate(zip(prompts, (84, 84, 82)))
-        ]
-        assert got.n_tokens == 250
-        want = math.fsum(e.alpha * e.n_tokens for e in parts) / 250
-        assert got.alpha == pytest.approx(want, abs=1e-12)
-
-    def test_empty_prompt_rejected_even_when_unused(self):
-        target, draft = _alpha_pairs()["ngram3/ngram2"]
-        with pytest.raises(ValueError, match="non-empty"):
-            estimate_alpha(target, draft, [[0], []], n_tokens=1)
 
 
 class TestMonteCarloConsistency:

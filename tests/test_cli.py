@@ -525,6 +525,16 @@ class TestConfigFileAndEnv:
         assert code == EXIT_OK
         assert len(json.loads(out)["tokens"]) == 3
 
+    def test_config_stop_token_outside_vocab_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("stop-token=99\n")
+        code, out, err = run(capsys, ["--config", str(cfg), "decode",
+                                      "--target", "uniform:4", "--draft", "same",
+                                      "--prompt-tokens", "0", "--json"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:") and "--stop-token 99 outside vocab 4" in err
+
     def test_unknown_config_key_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("gamam=3\n")
@@ -618,6 +628,10 @@ class TestInputErrors:
         (["decode", "--target", "uniform:4", "--draft", "same", "--temperature", "-1"],
          "temperature"),
         (["decode", "--target", "uniform:4", "--draft", "same", "--top-k", "9"], "--top-k"),
+        (["decode", "--target", "uniform:4", "--draft", "same", "--prompt-tokens", "0",
+          "--stop-token", "99"], "--stop-token 99 outside vocab 4"),
+        (["decode", "--target", "uniform:4", "--draft", "same", "--prompt-tokens", "0",
+          "--stop-token=-1"], "--stop-token -1 outside vocab 4"),
         # sample and step minimums
         (["verify", "--suite", "equivalence", "--samples", "100"], "--samples"),
         (["verify", "--suite", "geometric", "--steps", "0"], "--steps"),

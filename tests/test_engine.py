@@ -1,11 +1,10 @@
-"""Decoding engine: the speculative step, the generation loops, lenience,
-and the rejection-sampling baseline."""
+"""Decoding engine: the speculative step, the block kernel, the generation
+loops, lenience, and the invariants that must hold under ``python -O``."""
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
 import subprocess
 import sys
@@ -37,7 +36,7 @@ from specdec.engine import (
     speculative_steps,
     standard_decode,
 )
-from specdec.harness import equivalence_test, geometric_fit_test, rejection_baseline_step
+from specdec.harness import equivalence_test, geometric_fit_test
 from specdec.models import (
     CopyModel,
     LanguageModel,
@@ -740,44 +739,6 @@ class TestArgmaxLenientAccept:
         for trace in res.traces:
             assert trace.accepted_n == 2
             assert trace.correction_source == "extra"
-
-
-class TestRejectionBaseline:
-    def test_identical_models_always_accept(self):
-        # M = 1, so the acceptance branch always fires: exactly two variates
-        # per step (draft sample + acceptance draw), never a third.
-        m = StatelessModel(np.array([0.3, 0.7]))
-        rng = RandomStream(13)
-        for i in range(50):
-            rejection_baseline_step(m, m, [0], rng)
-            assert rng.n_drawn == 2 * (i + 1)
-
-    def test_output_distributed_as_target(self):
-        p, q = random_pair(RandomStream(19), 6)
-        mp, mq = StatelessModel(p.probs), StatelessModel(q.probs)
-        rng = RandomStream(23)
-        n = 200_000
-        counts = np.zeros(6)
-        for _ in range(n):
-            counts[rejection_baseline_step(mp, mq, [0], rng)] += 1
-        freqs = counts / n
-        sigma = np.sqrt(p.probs * (1 - p.probs) / n)
-        assert np.all(np.abs(freqs - p.probs) <= 4 * sigma)
-
-    def test_acceptance_probability_hand_example(self):
-        # p=[0.8, 0.2], q=[0.5, 0.5]: M=1.6, accept prob 1/M = 0.625 < alpha=0.7.
-        mp = StatelessModel(np.array([0.8, 0.2]))
-        mq = StatelessModel(np.array([0.5, 0.5]))
-        rng = RandomStream(29)
-        n = 100_000
-        accepted = 0
-        for _ in range(n):
-            before = rng.n_drawn
-            rejection_baseline_step(mp, mq, [0], rng)
-            accepted += (rng.n_drawn - before) == 2
-        rate = accepted / n
-        se = math.sqrt(0.625 * 0.375 / n)
-        assert abs(rate - 0.625) <= 4 * se
 
 
 # Triggers each invariant of the engine and harness by patching, as the

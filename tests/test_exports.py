@@ -1,7 +1,8 @@
 """Every name a ``specdec`` module lists in ``__all__`` exists on it, so a
-deleted function cannot linger in an export list, and is read somewhere in
-``src/`` or ``specbench/``, so code that only the tests call cannot hide
-behind an export."""
+deleted function cannot linger in an export list. Every exported name, and
+every module-level function and class, is read somewhere in ``src/`` or
+``specbench/``, so code that only the tests call cannot hide behind an
+export or a leading underscore."""
 
 from __future__ import annotations
 
@@ -29,10 +30,6 @@ def test_all_names_resolve(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
-# Exported names that nothing outside the tests calls yet. Each must still be
-# exported and still uncalled, so this list can only shrink.
-UNCALLED = {"estimate_alpha", "improvement_condition", "oracle_gamma_bound",
-            "rejection_baseline_step"}
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -57,7 +54,13 @@ def _exports() -> set[str]:
 
 
 def test_every_export_has_a_caller():
-    # A new uncalled export fails, and so does a listed name that gained a
-    # caller or was deleted: it leaves UNCALLED with it.
-    assert _exports() - _references() == UNCALLED
+    assert _exports() - _references() == set()
 
+
+def test_every_module_level_definition_is_read():
+    # Private helpers too: a function or class no code reads is dead.
+    defined = {node.name
+               for path in (ROOT / "src" / "specdec").glob("*.py")
+               for node in ast.parse(path.read_text(), str(path)).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    assert defined - _references() == set()

@@ -250,6 +250,11 @@ class TestGeometricFit:
         with pytest.raises(harness.TooFewSamplesError):
             geometric_fit_test(0.8, gamma=5, n_steps=2)
 
+    @pytest.mark.parametrize("n_steps", [0, -1])
+    def test_no_steps_rejected(self, n_steps):
+        with pytest.raises(ValueError, match="n_steps must be >= 1"):
+            geometric_fit_test(0.8, gamma=5, n_steps=n_steps)
+
 
 class TestSimulateWalltime:
     def test_free_draft_same_model_gives_gamma_plus_one(self):
