@@ -4,6 +4,7 @@ optimal draft counts, and the sweep generators."""
 from __future__ import annotations
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -24,9 +25,9 @@ from specdec.analysis import (
     walltime_factor,
     write_sweep_csv,
 )
-from specdec.distmath import Distribution
-from specdec.engine import SpecConfig, decode
-from specdec.models import StatelessModel, stateless_pair
+from specdec.distmath import Distribution, IDENTITY_POLICY, SamplingPolicy
+from specdec.engine import DecodeResult, DraftedToken, SpecConfig, StepTrace, decode
+from specdec.models import CopyModel, StatelessModel, stateless_pair, train_ngram
 from specdec.rng import RandomStream
 
 from conftest import paired_probs_strategy, random_pair
@@ -162,6 +163,40 @@ class TestCorollaries:
                 assert walltime_factor(a, 1, c) == pytest.approx((1 + a) / (1 + c))
 
 
+class TestImprovementCondition:
+    def test_boundary_equality_gives_factor_one(self):
+        assert walltime_factor(0.5, 1, 0.5) == pytest.approx(1.0)
+        choice = optimal_gamma(0.5, 0.5)
+        assert (choice.gamma, choice.factor) == (0, 1.0)
+
+    def test_cheap_draft(self):
+        assert walltime_factor(0.2, 1, 0.0) == pytest.approx(1.2)
+        choice = optimal_gamma(0.2, 0.1)
+        assert choice.gamma >= 1 and choice.factor > 1.0
+
+
+class TestOracleBound:
+    """An oracle that drafts without limit: the gamma -> infinity limit of
+    expected_tokens, 1 / (1 - alpha)."""
+
+    def test_values(self):
+        assert expected_tokens(0.0, 2000) == 1.0
+        assert expected_tokens(0.5, 2000) == pytest.approx(2.0)
+
+    def test_free_draft_scan_approaches_bound(self):
+        # With c = 0 the best factor is the scan ceiling's, just under the bound.
+        for a in (0.2, 0.5, 0.9):
+            choice = optimal_gamma(a, 0.0, gamma_max=400)
+            assert choice.saturated
+            assert choice.factor <= 1.0 / (1.0 - a) + 1e-12
+            assert choice.factor == pytest.approx(1.0 / (1.0 - a))
+
+    def test_no_finite_bound_at_alpha_one(self):
+        assert [expected_tokens(1.0, g) for g in (1, 10, 100)] == [2.0, 11.0, 101.0]
+        with pytest.raises(DomainError):
+            optimal_gamma(1.0, 0.1)
+
+
 class TestOpsFactor:
     def test_table_values(self):
         assert ops_factor(0.6, 2, 0.0) == pytest.approx(1.5306, abs=1e-4)
@@ -241,6 +276,75 @@ class TestMonteCarloConsistency:
                      SpecConfig(gamma=2, seed=13, max_new_tokens=30_000, lenience=lenience))
         emp = trace_accept_rate(res)
         assert abs(emp.alpha - want) <= 3 * max(emp.std_error, 1e-4)
+
+
+def _alpha_pairs():
+    rng = RandomStream(21)
+    corpus_p = [int(u * 6) for u in rng.uniform_block(400)]
+    corpus_q = [int(u * 6) for u in rng.uniform_block(400)]
+    target = train_ngram(corpus_p, order=3, vocab_size=6, smoothing_k=0.05)
+    return {
+        "ngram3/ngram2": (target, train_ngram(corpus_q, order=2, vocab_size=6)),
+        "ngram3/copy": (target, CopyModel(6, min_match=1)),
+    }
+
+
+def _trace(gamma, accepted_n):
+    drafted = [DraftedToken(token=0, q_prob=0.5, p_prob=0.5)] * gamma
+    source = "extra" if accepted_n == gamma else "residual"
+    return StepTrace(drafted=drafted, accepted_n=accepted_n, correction=0,
+                     correction_source=source)
+
+
+class TestTraceAcceptRate:
+    def test_same_model_gives_one(self):
+        m = train_ngram([0, 1, 2, 0, 1, 2], order=2, vocab_size=3)
+        est = trace_accept_rate(decode(m, m, [0], SpecConfig(gamma=3, seed=4, max_new_tokens=60)))
+        assert est.alpha == 1.0 and est.std_error == 0.0
+        assert est.n_tokens >= 45  # three judged drafts per four tokens emitted
+
+    @pytest.mark.parametrize("steps, accepted, judged", [
+        ([(3, 3)], 3, 3),                      # all accepted: every draft judged
+        ([(3, 0)], 0, 1),                      # first rejected: the rest never judged
+        ([(4, 2)], 2, 3),                      # accepted prefix plus the rejection
+        ([(2, 2), (4, 1), (1, 0)], 3, 5),      # pooled over steps of mixed gamma
+    ])
+    def test_counts_only_judged_positions(self, steps, accepted, judged):
+        result = DecodeResult(tokens=[], traces=[_trace(g, k) for g, k in steps])
+        est = trace_accept_rate(result)
+        rate = accepted / judged
+        assert est.n_tokens == judged
+        assert est.alpha == rate
+        assert est.std_error == pytest.approx(math.sqrt(rate * (1 - rate) / judged))
+
+    def test_no_traces_gives_empty_estimate(self):
+        assert trace_accept_rate(DecodeResult(tokens=[1, 2])) == AlphaEstimate(0.0, 0, 0.0)
+
+    @pytest.mark.parametrize("policy", [IDENTITY_POLICY, SamplingPolicy(temperature=0.7, top_p=0.9)],
+                             ids=["identity", "nucleus"])
+    @pytest.mark.parametrize("pair", ["ngram3/ngram2", "ngram3/copy"])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_matches_beta_at_judged_contexts(self, policy, pair, seed):
+        # Each judged draft is accepted with probability beta at its context,
+        # so the rate and the mean beta over the same contexts differ only by
+        # a martingale's noise. The contexts are rebuilt from the output.
+        target, draft = _alpha_pairs()[pair]
+        prompt = [1, 2]
+        res = decode(target, draft, prompt,
+                     SpecConfig(gamma=3, policy=policy, seed=seed, max_new_tokens=2000))
+        betas, pos = [], 0
+        for tr in res.traces:
+            ctx = prompt + res.tokens[:pos]
+            for j in range(min(tr.accepted_n + 1, len(tr.drafted))):
+                cj = ctx + [d.token for d in tr.drafted[:j]]
+                betas.append(beta(target.next_distribution(cj, policy),
+                                  draft.next_distribution(cj, policy)))
+            pos += tr.emitted
+        emp = trace_accept_rate(res)
+        assert emp.n_tokens == len(betas)
+        b = np.array(betas)
+        noise = math.sqrt(float(np.sum(b * (1 - b)))) / len(b)
+        assert abs(emp.alpha - float(b.mean())) <= 3.0 * noise + 1e-12
 
 
 class TestSweeps:
