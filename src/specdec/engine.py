@@ -408,7 +408,6 @@ def decode(
     config: SpecConfig,
     *,
     bos_token: int | None = None,
-    keep_traces: bool = True,
 ) -> DecodeResult:
     """Full speculative generation loop.
 
@@ -419,7 +418,7 @@ def decode(
     never exceeds the number of tokens kept.
     """
     return _generate(lambda seq, rng: speculative_step(target, draft, seq, config, rng),
-                     prompt, config, bos_token, keep_traces)
+                     prompt, config, bos_token)
 
 
 def standard_decode(
@@ -428,7 +427,6 @@ def standard_decode(
     config: SpecConfig,
     *,
     bos_token: int | None = None,
-    keep_traces: bool = True,
 ) -> DecodeResult:
     """Plain autoregressive baseline: one target call per token, same
     standardize-then-sample path as the speculative engine."""
@@ -437,10 +435,10 @@ def standard_decode(
         return [x], StepTrace(drafted=[], accepted_n=0, correction=x,
                               correction_source="standard", target_calls=1, draft_calls=0)
 
-    return _generate(step, prompt, config, bos_token, keep_traces)
+    return _generate(step, prompt, config, bos_token)
 
 
-def _generate(step, prompt, config, bos_token, keep_traces) -> DecodeResult:
+def _generate(step, prompt, config, bos_token) -> DecodeResult:
     """The loop both decoders share: ``step(seq, rng)`` returns the tokens
     one step appends to ``seq`` and its trace; the loop starts ``seq`` from
     the prompt (``[bos_token]`` when it is empty) and applies ``decode``'s
@@ -458,8 +456,7 @@ def _generate(step, prompt, config, bos_token, keep_traces) -> DecodeResult:
         step_tokens, trace = step(seq, rng)
         totals.target_calls += trace.target_calls
         totals.draft_calls += trace.draft_calls
-        if keep_traces:
-            traces.append(trace)
+        traces.append(trace)
         for t in step_tokens:
             seq.append(t)
             if t == config.stop_token or len(seq) - start >= config.max_new_tokens:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 from .analysis import CostModel, beta, expected_tokens, trace_accept_rate, walltime_factor
-from .distmath import Distribution, IDENTITY_POLICY, SamplingPolicy, normalize
+from .distmath import Distribution, IDENTITY_POLICY, normalize
 from .engine import DecodeResult, SpecConfig, StepTrace, decode, speculative_steps
 from .engine import speculative_step  # unused here, but the traced benchmark wraps it here
 from .models import LanguageModel, stateless_pair
@@ -307,9 +307,10 @@ def simulate_walltime(
     Each run is one :func:`decode` from the prompt ``(0,)`` of exactly
     ``n_tokens`` tokens (the last step is truncated to fit; the stop token
     is ignored), and run ``i`` decodes with seed ``config.seed + i``. Costs
-    are in target runs: each batched target call costs
-    ``cost.batch_cost(gamma)`` and each draft call ``cost.c``. The
-    standard-decoding arm pays 1 per token on an identical token budget.
+    are in target runs, charged from the run's ``DecodeTotals``: each batched
+    target call costs ``cost.batch_cost(gamma)`` and each draft call
+    ``cost.c``. The standard-decoding arm pays 1 per token on an identical
+    token budget.
     Acceptance is estimated from the traces of all runs and fed to the
     closed-form prediction, charged the same batch cost.
     """
@@ -323,11 +324,9 @@ def simulate_walltime(
         run_config = replace(config, seed=config.seed + run_idx,
                              max_new_tokens=n_tokens, stop_token=None)
         result = decode(target, draft, (0,), run_config)
-        run_cost = 0.0
-        for trace in result.traces:
-            run_cost += batch_cost
-            run_cost += cost.c * trace.draft_calls
-        runs.append(RunStats(tokens=len(result.tokens), steps=len(result.traces), cost=run_cost))
+        t = result.totals
+        runs.append(RunStats(tokens=t.tokens_emitted, steps=len(result.traces),
+                             cost=batch_cost * t.target_calls + cost.c * t.draft_calls))
         if run_idx == 0:
             first_step_tokens = [trace.emitted for trace in result.traces[:_TIMELINE_STEPS]]
         traces.extend(result.traces)
@@ -347,21 +346,14 @@ def simulate_walltime(
     )
 
 
-def _rejection_bound(p: Distribution, q: Distribution) -> float:
-    """M, the worst-case ratio p(x) / q(x) over q's support."""
-    support = q.probs > 0.0
-    if not support.any():
-        raise ValueError("q has empty support")
-    return float((p.probs[support] / q.probs[support]).max())
-
-
 def rejection_accept_probability(p: Distribution, q: Distribution) -> float:
     """Acceptance probability of non-iterative rejection sampling:
     sum over q's support of p(x) / M with M the worst-case p/q ratio."""
-    m = _rejection_bound(p, q)
+    support = q.probs > 0.0
+    m = float((p.probs[support] / q.probs[support]).max())
     if m == 0.0:
         return 0.0
-    return float(p.probs[q.probs > 0.0].sum()) / m
+    return float(p.probs[support].sum()) / m
 
 
 def rejection_check(pairs: int, vocab: int, seed: int) -> tuple[int, float]:
@@ -382,7 +374,6 @@ def rejection_comparison(
     target: LanguageModel,
     draft: LanguageModel,
     contexts: Sequence[Sequence[int]],
-    policy: SamplingPolicy = IDENTITY_POLICY,
 ) -> list[dict]:
     """Per-context speculative acceptance (beta) vs rejection-sampling acceptance.
 
@@ -391,8 +382,8 @@ def rejection_comparison(
     """
     rows = []
     for context in contexts:
-        p = target.next_distribution(list(context), policy)
-        q = draft.next_distribution(list(context), policy)
+        p = target.next_distribution(list(context), IDENTITY_POLICY)
+        q = draft.next_distribution(list(context), IDENTITY_POLICY)
         b = beta(p, q)
         r = rejection_accept_probability(p, q)
         if r > b + 1e-12:

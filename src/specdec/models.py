@@ -148,13 +148,8 @@ class NGramModel(LanguageModel):
     def vocab_size(self) -> int:
         return self._vocab_size
 
-    def context_of(self, prefix: Sequence[int]) -> tuple[int, ...]:
-        if self.order == 1:
-            return ()
-        return tuple(prefix[-(self.order - 1):])
-
     def evaluate(self, prefix: Sequence[int]) -> np.ndarray:
-        ctx = self.context_of(prefix)
+        ctx = tuple(prefix[-(self.order - 1):]) if self.order > 1 else ()
         dense = self._dense_cache.get(ctx)
         if dense is None:
             table = self.counts.get(ctx)

@@ -260,8 +260,7 @@ class TestOptimalGamma:
 class TestMonteCarloConsistency:
     def test_accept_rate_matches_beta(self):
         p, q = stateless_pair(0.65, vocab_size=4)
-        res = decode(p, q, [0], SpecConfig(gamma=2, seed=10, max_new_tokens=100_000),
-                     keep_traces=True)
+        res = decode(p, q, [0], SpecConfig(gamma=2, seed=10, max_new_tokens=100_000))
         emp = trace_accept_rate(res)
         assert emp.n_tokens > 50_000  # judged positions, fewer than tokens emitted
         assert abs(emp.alpha - 0.65) <= 3 * emp.std_error

@@ -14,6 +14,7 @@ import zlib
 
 import pytest
 
+from specdec import harness
 from specdec.cli import _COMMANDS, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main, resolve_model
 from specdec.engine import SpecConfig, decode
 from specdec.model_io import FORMAT_VERSION, MAGIC, load_model
@@ -141,6 +142,27 @@ _PINNED_TRAIN_SHA256 = {
 }
 
 _PINNED_JSON_SHA256 = "5c39571bad34620e62a27c2e58c1c742e91449f02120dd0cfe5be615eb0b01bd"
+
+# The exact stdout of small seeded `verify` runs, each suite's and each
+# engine mutation's: the header, every printed figure and the verdict.
+_PINNED_VERIFY_SHA256 = {
+    "--suite exactness --pairs 50 --vocab 8 --seed 1":
+        "8c0ad264463f1a8c0855c4bf013db5b85297e2ade5b13e47bfc809d94549c513",
+    "--suite rejection --pairs 200 --seed 5":
+        "fde70de2e38c9e256006c39ed46ceacf17eb114f3049217d626288c9e55e4f6a",
+    "--suite geometric --alpha 0.8 --gamma 5 --steps 10000 --seed 4":
+        "a0b94ca68c4bc19cf1aee5f9701d018f6b087255414413109c5dda57a959c107",
+    "--suite equivalence --samples 10000 --seed 2":
+        "9532c702dfa2c2a2bad34b2f0656afc7939fa68094d75a20ff8091250f56ca7f",
+    "--suite equivalence --samples 10000 --seed 3 --lenience 0.5":
+        "2802f207170bf59e95db05cd33db91a7acb9304489c4473684975474ea2a5739",
+    "--suite equivalence --samples 10000 --seed 3 --mutate skip-residual":
+        "7596ff712bebd7b86989f74463b3a94d4efb6da0bbdf61e671775db917541a18",
+    "--suite equivalence --samples 10000 --seed 3 --mutate resample-q":
+        "e165ffbcbdcd05954fe76f7ac817567449d5f8ca884b97b1a909726d994a8e1c",
+    "--suite equivalence --samples 10000 --seed 3 --mutate accept-off-by-one":
+        "f798cac21813d3003ac4a5848579bc798acc5b2997644d106f8a971df1e73092",
+}
 
 # A colored trace line: green accepted drafts, a struck red rejected draft,
 # then the blue correction, each span closed by a reset.
@@ -356,6 +378,23 @@ class TestVerify:
                                     "--seed", "5"])
         assert code == EXIT_OK
         assert "violations=0" in out
+
+    def test_rejection_failure_is_reported(self, capsys, monkeypatch):
+        # With beta forced to 0, rejection sampling out-accepts it on every pair.
+        monkeypatch.setattr(harness, "beta", lambda p, q: 0.0)
+        code, out, _ = run(capsys, ["verify", "--suite", "rejection", "--pairs", "40",
+                                    "--seed", "5"])
+        assert code == EXIT_VERIFY_FAIL
+        line = out.splitlines()[-1]
+        assert " violations=40 " in line
+        assert float(re.search(r"min\(beta - accept\)=(\S+)", line)[1]) < 0
+        assert line.endswith("-> FAIL")
+
+    @pytest.mark.parametrize("flags", list(_PINNED_VERIFY_SHA256))
+    def test_stdout_is_pinned(self, capsys, flags):
+        code, out, _ = run(capsys, ["verify", *flags.split()])
+        assert code == (EXIT_VERIFY_FAIL if "--mutate" in flags else EXIT_OK)
+        assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_VERIFY_SHA256[flags]
 
 
 class TestSweep:

@@ -25,6 +25,7 @@ from specdec.distmath import (
     SamplingPolicy,
     VocabMismatchError,
     inverse_cdf,
+    inverse_cdf_many,
     residual,
 )
 from specdec.engine import (
@@ -674,12 +675,16 @@ class TestStandardDecode:
         assert standard_decode(m, [0], cfg).tokens == standard_decode(m, [0], cfg).tokens
 
     def test_empirical_frequencies_three_sigma(self):
+        # The 10^6 seed-77 tokens are drawn in one inverse_cdf_many call;
+        # standard_decode's first 10^4 of them must be the same tokens.
         probs = np.array([0.2, 0.3, 0.5])
         m = StatelessModel(probs)
         n = 1_000_000
-        cfg = SpecConfig(gamma=1, seed=77, max_new_tokens=n)
-        res = standard_decode(m, [0], cfg, keep_traces=False)
-        freqs = np.bincount(res.tokens, minlength=3) / n
+        tokens = inverse_cdf_many(m.next_distribution([0], IDENTITY_POLICY),
+                                  RandomStream(77).uniform_block(n))
+        cfg = SpecConfig(gamma=1, seed=77, max_new_tokens=10_000)
+        assert standard_decode(m, [0], cfg).tokens == tokens[:10_000].tolist()
+        freqs = np.bincount(tokens, minlength=3) / n
         sigma = np.sqrt(probs * (1 - probs) / n)
         assert np.all(np.abs(freqs - probs) <= 3 * sigma)
 

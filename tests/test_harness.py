@@ -11,7 +11,7 @@ from scipy import stats as scipy_stats
 from specdec import harness
 from specdec.analysis import CostModel, beta, expected_tokens, walltime_factor
 from specdec.distmath import Distribution, SamplingPolicy
-from specdec.engine import MUTATIONS, SpecConfig, speculative_step, speculative_steps
+from specdec.engine import MUTATIONS, SpecConfig, decode, speculative_step, speculative_steps
 from specdec.harness import (
     equivalence_test,
     exact_step_distribution,
@@ -334,16 +334,42 @@ class TestSimulateWalltime:
     def test_ngram_pair_gap_is_reported_not_asserted(self):
         # Non-stateless models break the i.i.d. assumption; the gap is
         # informational output, so just require the report to be well formed.
-        rng = RandomStream(15)
-        vocab = 6
-        mp = train_ngram([int(u * vocab) for u in rng.uniform_block(400)], 2, vocab)
-        mq = train_ngram([int(u * vocab) for u in rng.uniform_block(400)], 2, vocab)
+        mp, mq = ngram_pair()
         report = simulate_walltime(
             mp, mq, CostModel(c=0.05), SpecConfig(gamma=3, seed=16), n_tokens=3000
         )
         assert 0.0 <= report.alpha_hat <= 1.0
         assert report.empirical_speedup > 0.0
         assert np.isfinite(report.rel_gap)
+
+
+def ngram_pair():
+    """Two bigram models over 6 tokens, each trained on 400 random tokens."""
+    rng = RandomStream(15)
+    vocab = 6
+    mp = train_ngram([int(u * vocab) for u in rng.uniform_block(400)], 2, vocab)
+    mq = train_ngram([int(u * vocab) for u in rng.uniform_block(400)], 2, vocab)
+    return mp, mq
+
+
+class TestSimulateCharge:
+    """Each run is charged from its decode's totals: the batch cost per
+    target call plus c per draft call."""
+
+    @pytest.mark.parametrize("pair", [lambda: stateless_pair(0.7), ngram_pair],
+                             ids=["stateless", "ngram"])
+    def test_speedup_is_tokens_over_charge(self, pair):
+        target, draft = pair()
+        cost = CostModel(c=0.05, batch_penalty=0.1)
+        config = SpecConfig(gamma=3, seed=21, lenience=0.6)
+        report = simulate_walltime(target, draft, cost, config, n_tokens=700, n_runs=2)
+        tokens = charge = 0.0
+        for seed in (21, 22):  # the runs decode independently with consecutive seeds
+            totals = decode(target, draft, [0], SpecConfig(gamma=3, seed=seed, lenience=0.6,
+                                                           max_new_tokens=700)).totals
+            tokens += totals.tokens_emitted
+            charge += cost.batch_cost(3) * totals.target_calls + cost.c * totals.draft_calls
+        assert report.empirical_speedup == pytest.approx(tokens / charge, rel=1e-12, abs=0)
 
 
 def loop_simulation(target, draft, config, n_tokens, prompt=(0,)):
@@ -381,10 +407,7 @@ class TestSimulateMatchesLoopOracle:
         self._check(target, draft, SpecConfig(gamma=3, seed=11), 3000)
 
     def test_ngram_pair(self):
-        rng = RandomStream(15)
-        vocab = 6
-        mp = train_ngram([int(u * vocab) for u in rng.uniform_block(400)], 2, vocab)
-        mq = train_ngram([int(u * vocab) for u in rng.uniform_block(400)], 2, vocab)
+        mp, mq = ngram_pair()
         self._check(mp, mq, SpecConfig(gamma=3, seed=16), 1500)
 
     def test_odd_length_run(self):
