@@ -96,7 +96,7 @@ class DraftedToken(NamedTuple):
     p_prob: float  # target-model probability of the token at its position
 
 
-@dataclass
+@dataclass(slots=True)
 class StepTrace:
     """What one decoding step did: drafts, accept count, and the final token.
 
@@ -105,10 +105,11 @@ class StepTrace:
     the target's extra position), ``"draft_fallback"`` (rejection but the
     residual underflowed to zero, so the draft token stands), or
     ``"target_argmax"`` / ``"standard"`` for the argmax-lenient and plain
-    autoregressive paths.
+    autoregressive paths. Slots and a tuple of drafts (``()`` for a standard
+    step) keep a long decode's traces small.
     """
 
-    drafted: list[DraftedToken]
+    drafted: tuple[DraftedToken, ...]
     accepted_n: int
     correction: int
     correction_source: str
@@ -236,7 +237,7 @@ def speculative_step(
     d, source = _last_token_dist(p_dists[n], q_dists[n] if n < gamma else None, lenience,
                                  _mutation, argmax_lenient)
     final = drafts[n] if d is None else inverse_cdf(d, u[2 * gamma])
-    drafted = list(map(DraftedToken, drafts, q_x, p_x))
+    drafted = tuple(map(DraftedToken, drafts, q_x, p_x))
     return drafts[:n] + [final], StepTrace(drafted, n, final, source, draft_calls=gamma)
 
 
@@ -432,7 +433,7 @@ def standard_decode(
     standardize-then-sample path as the speculative engine."""
     def step(seq, rng):
         x = sample(target.next_distribution(seq, config.policy), rng)
-        return [x], StepTrace(drafted=[], accepted_n=0, correction=x,
+        return [x], StepTrace(drafted=(), accepted_n=0, correction=x,
                               correction_source="standard", target_calls=1, draft_calls=0)
 
     return _generate(step, prompt, config, bos_token)

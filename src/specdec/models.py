@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from collections import defaultdict
 from typing import Sequence
 
 import numpy as np
@@ -218,27 +217,20 @@ class CopyModel(LanguageModel):
     knobs, so it costs nothing to deploy next to any target model. It may
     read the whole prefix, so ``context_window`` stays ``None``.
 
-    Calls are incremental. The model keeps the last prefix, each token's
-    positions in it, and the match lengths (see :func:`_common_suffixes`)
-    at up to ``_KEEP`` call lengths: the latest ones and the base of the
-    current run of one-token extensions, so a draft of any length can fork
-    back. Only earlier occurrences of the last token have a nonzero match
-    length, so a state is ``{position: length}`` over those, or a dense
-    array. A prefix that extends a kept one costs an O(n) list copy and
-    compare plus, per appended token, O(its earlier occurrences) up to
-    ``_SPARSE_MAX`` and one numpy pass of length n above it; any other
-    prefix one O(n) pass in Python (:func:`_common_suffixes`).
-    ``next_distribution`` reuses one distribution per (policy, copied
-    token), and drops them all before they would pass ``MAX_VOCAB`` floats.
-    This state makes a ``CopyModel`` unsafe to share between threads.
+    Calls are incremental. The model keeps the last prefix and the same
+    prefix reversed as a ``str``, one code point per token (``chr`` takes
+    every id below ``MAX_VOCAB``). A call reuses the text of the longest
+    prefix it shares with the last call and converts only the new tokens.
+    The suffix of length ``L`` recurs where ``rev.find(rev[:L], 1)`` finds
+    it, and the lowest start is the most recent occurrence. A suffix recurs
+    only if every shorter one does, so the longest is found by galloping up
+    from ``min_match`` and bisecting. (``rfind`` on the forward text would
+    find the same, but CPython's ``rfind`` is quadratic in the worst case,
+    where ``find`` switches to a linear-time search.) ``next_distribution``
+    reuses one distribution per (policy, copied token), and drops them all
+    before they would pass ``MAX_VOCAB`` floats. This state makes a
+    ``CopyModel`` unsafe to share between threads.
     """
-
-    _KEEP = 16  # kept call lengths, the base of the current run among them
-    # Above this many earlier occurrences of the appended token, one numpy pass
-    # replaces the loop over them. Measured on 2 shared vCPUs, the loop costs
-    # 1.3 us + 0.25 us per occurrence, the pass 7-9 us at n 100-250 and 16 us
-    # at n 3000: they cross at 24-32, less what a hand-off between them costs.
-    _SPARSE_MAX = 16
 
     def __init__(self, vocab_size: int, min_match: int = 2, copy_mass: float = 0.9):
         if not 1 <= vocab_size <= MAX_VOCAB:
@@ -251,10 +243,7 @@ class CopyModel(LanguageModel):
         self.min_match = min_match
         self.copy_mass = copy_mass
         self._path: list[int] = []
-        self._where: dict[int, list[int]] = defaultdict(list)  # token -> its positions
-        # prefix length -> match lengths, dense or sparse, in increasing length order
-        self._lengths: dict[int, np.ndarray | dict[int, int]] = {}
-        self._base = 0  # the first call length of the current run of one-token extensions
+        self._rev = ""  # _path reversed, one code point per token
         self._dists: dict[tuple[SamplingPolicy, int | None], Distribution] = {}
 
     @property
@@ -274,83 +263,35 @@ class CopyModel(LanguageModel):
         return d
 
     def _copied(self, prefix: Sequence[int]) -> int | None:
-        """The token to copy for ``prefix``, or None: the one after the longest
-        earlier match of its suffix (see :func:`_copied_token`)."""
-        path = list(prefix)
-        n, k, where = len(path), len(self._path), self._where
-        # The longest kept length whose tokens are a prefix of this call's, the
-        # last call's first; contents are compared, since callers may grow one
-        # list in place.
-        m = k if self._lengths and path[:k] == self._path else next(
-            (j for j in reversed(self._lengths) if j <= n and path[:j] == self._path[:j]), None)
-        if m is None:
-            lcs, self._lengths, where = _common_suffixes(path), {}, defaultdict(list)
-            for j, t in enumerate(path):
-                where[t].append(j)
-            m, self._where, self._base = n, where, n
-        else:
-            lcs = self._lengths[m]
-            if m < k:  # drop what was kept for the old path past m
-                for t in reversed(self._path[m:]):
-                    where[t].pop()
-                self._lengths = {j: v for j, v in self._lengths.items() if j <= m}
-            self._base = n if m < k or n > k + 1 else self._base
-        for i in range(m, n):
-            # Appending t: the match ending at j extends the one ending at j-1.
-            t = path[i]
-            occ = where[t]
-            if len(occ) > self._SPARSE_MAX:
-                if isinstance(lcs, dict):  # lcs[-1] stays 0: no earlier match reads it
-                    lcs, sparse = np.zeros(i, dtype=np.int64), lcs
-                    lcs[list(sparse)] = list(sparse.values())
-                at, prev = np.array(occ), np.concatenate(([0], lcs))  # prev[j]: lcs[j-1]
-                lcs = np.zeros(i + 1, dtype=np.int64)
-                lcs[at] = prev[at] + 1
-            elif isinstance(lcs, dict):
-                lcs = {j: lcs.get(j - 1, 0) + 1 for j in occ}
-            else:
-                lcs = {j: int(lcs[j - 1]) + 1 if j else 1 for j in occ}
-            occ.append(i)
+        """The token to copy for ``prefix``, or None: the one after the most
+        recent earlier occurrence of its longest recurring suffix."""
+        path, last = list(prefix), self._path
+        n, k = len(path), len(last)
+        # The longest prefix shared with the last call, found by comparing
+        # contents, since callers may grow one list in place: all of it
+        # first, then backing off by 1, 2, 4, ... tokens.
+        m, step = min(n, k), 1
+        while m and path[:m] != last[:m]:
+            m, step = max(0, m - step), 2 * step
+        rev = self._rev = "".join(map(chr, reversed(path[m:]))) + self._rev[k - m:]
         self._path = path
-        self._lengths[n] = lcs
-        while len(self._lengths) > self._KEEP:
-            del self._lengths[next(j for j in self._lengths if j != self._base)]
-        if not isinstance(lcs, dict):
-            return _copied_token(path, lcs, self.min_match)
-        # The longest earlier match, the most recent among equals.
-        length, j = max(zip(lcs.values(), lcs), default=(0, 0))
-        return path[j + 1] if length >= self.min_match else None
 
+        def at(length):  # where the suffix of this length recurs in rev, or -1
+            return rev.find(rev[:length], 1)
 
-def _common_suffixes(tokens: list[int]) -> np.ndarray:
-    """``lcs[j]``: length of the longest common suffix of ``tokens[:j+1]``
-    and ``tokens``, for every ``j`` (so ``lcs[-1] == len(tokens)``).
-
-    One pass of the Z-function over the reversed tokens ``r``: ``z[i]``,
-    the longest common prefix of ``r`` and ``r[i:]``, is ``lcs[n-1-i]``.
-    """
-    r = tokens[::-1]
-    n = len(r)
-    z = [n] * n  # z[0] = n; the loop sets every later entry
-    lo = hi = 0  # rightmost window [lo, hi) with r[lo:hi] == r[:hi-lo]
-    for i in range(1, n):
-        zi = min(hi - i, z[i - lo]) if i < hi else 0
-        while i + zi < n and r[zi] == r[i + zi]:
-            zi += 1
-        z[i] = zi
-        if i + zi > hi:
-            lo, hi = i, i + zi
-    return np.array(z[::-1], dtype=np.int64)
-
-
-def _copied_token(tokens: Sequence[int], lcs: np.ndarray, min_match: int) -> int | None:
-    """The token after the longest earlier match of the suffix (the most
-    recent one among equals), if that match is at least ``min_match`` long."""
-    back = lcs[-2::-1]  # the matches ending before the last token, most recent first
-    if len(back) == 0:
-        return None
-    i = int(back.argmax())
-    return tokens[-1 - i] if back[i] >= min_match else None
+        lo, found = self.min_match, at(self.min_match)
+        if found < 0:
+            return None
+        hi = 2 * lo
+        while (j := at(hi)) >= 0:  # gallop: lo recurs, hi is the next try
+            lo, found, hi = hi, j, 2 * hi
+        while hi - lo > 1:  # bisect: lo recurs, hi does not
+            mid = (lo + hi) // 2
+            if (j := at(mid)) >= 0:
+                lo, found = mid, j
+            else:
+                hi = mid
+        return path[n - found]
 
 
 def _copy_scores(model: CopyModel, token: int | None) -> np.ndarray:

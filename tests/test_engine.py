@@ -3,6 +3,7 @@ loops, lenience, and the invariants that must hold under ``python -O``."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import os
@@ -658,7 +659,8 @@ class TestDecode:
         assert d["tokens"] == res.tokens
         assert d["totals"] == vars(res.totals)
         assert d["traces"] == [
-            {**vars(t), "drafted": [list(x) for x in t.drafted]} for t in res.traces
+            {f.name: getattr(t, f.name) for f in dataclasses.fields(t)}
+            | {"drafted": [list(x) for x in t.drafted]} for t in res.traces
         ]
 
 
@@ -687,6 +689,22 @@ class TestStandardDecode:
         freqs = np.bincount(tokens, minlength=3) / n
         sigma = np.sqrt(probs * (1 - probs) / n)
         assert np.all(np.abs(freqs - probs) <= 3 * sigma)
+
+    def test_traces_retain_few_bytes_per_token(self):
+        # Every step keeps its trace in the result. With slots and a shared
+        # empty draft tuple a standard token retains about 97 bytes; a
+        # __dict__ and a list per trace would double that.
+        m = StatelessModel(np.array([0.2, 0.3, 0.5]))
+        standard_decode(m, [0], SpecConfig(gamma=1, max_new_tokens=10))  # first-use allocations
+        n = 10_000
+        tracemalloc.start()
+        try:
+            res = standard_decode(m, [0], SpecConfig(gamma=1, seed=5, max_new_tokens=n))
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(res.traces) == n
+        assert size / n <= 128
 
     def test_stop_token(self):
         point = StatelessModel(np.array([0.0, 0.0, 1.0]))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import time
 import tracemalloc
 from collections import defaultdict
 
@@ -28,7 +29,7 @@ from specdec.models import (
     stateless_pair,
     train_ngram,
 )
-from specdec.models import _common_suffixes, _copied_token, _copy_scores
+from specdec.models import _copy_scores
 from specdec.rng import RandomStream
 from specdec.tokenizers import ByteTokenizer, UnknownTokenError, WordTokenizer
 
@@ -210,6 +211,37 @@ class TestNGram:
         assert size <= 16 * 2**20
 
 
+def _common_suffixes(tokens: list[int]) -> np.ndarray:
+    """``lcs[j]``: length of the longest common suffix of ``tokens[:j+1]``
+    and ``tokens``, for every ``j`` (so ``lcs[-1] == len(tokens)``).
+
+    One pass of the Z-function over the reversed tokens ``r``: ``z[i]``,
+    the longest common prefix of ``r`` and ``r[i:]``, is ``lcs[n-1-i]``.
+    """
+    r = tokens[::-1]
+    n = len(r)
+    z = [n] * n  # z[0] = n; the loop sets every later entry
+    lo = hi = 0  # rightmost window [lo, hi) with r[lo:hi] == r[:hi-lo]
+    for i in range(1, n):
+        zi = min(hi - i, z[i - lo]) if i < hi else 0
+        while i + zi < n and r[zi] == r[i + zi]:
+            zi += 1
+        z[i] = zi
+        if i + zi > hi:
+            lo, hi = i, i + zi
+    return np.array(z[::-1], dtype=np.int64)
+
+
+def _copied_token(tokens: list[int], lcs: np.ndarray, min_match: int) -> int | None:
+    """The token after the longest earlier match of the suffix (the most
+    recent one among equals), if that match is at least ``min_match`` long."""
+    back = lcs[-2::-1]  # the matches ending before the last token, most recent first
+    if len(back) == 0:
+        return None
+    i = int(back.argmax())
+    return tokens[-1 - i] if back[i] >= min_match else None
+
+
 def copy_predict(model: CopyModel, prefix) -> np.ndarray:
     """Oracle: the copy heuristic's distribution for one prefix, from scratch,
     in O(n) time.
@@ -359,6 +391,10 @@ copy_ops = st.lists(st.one_of(
 ), max_size=25)
 
 
+# The ends of the id range and of each code point class chr maps them to.
+EDGE_IDS = [0, 0xD7FF, 0xD800, 0xDFFF, 0xFFFF, 0x10000, MAX_VOCAB - 1]
+
+
 def _check_copy_call(model: CopyModel, prefix, n_call: int, oracle) -> None:
     """Both entry points of the stateful ``model`` against a stateless oracle;
     which one sees the prefix first alternates between calls."""
@@ -426,23 +462,23 @@ class TestIncrementalCopy:
         assert model.evaluate(seq).tobytes() == scan_copy_predict(model, seq).tobytes()
 
     def test_state_stays_bounded_over_a_long_decode(self):
-        vocab = 8
+        vocab, prompt = 8, [0, 1, 2, 3, 0, 1]
         model = CopyModel(vocab, min_match=2)
 
-        def check(longest):
-            # The latest call lengths and the base of their run, each state
-            # with at most one entry per position; one position per token.
-            assert len(model._lengths) <= model._KEEP and model._base in model._lengths
-            assert all(len(lcs) <= k for k, lcs in model._lengths.items())
-            assert sum(map(len, model._where.values())) == len(model._path) <= longest
+        def check(last):
+            # Exactly the last call's prefix, as a list and reversed as text.
+            assert model._path == last
+            assert model._rev == "".join(map(chr, reversed(last)))
             assert len(model._dists) <= vocab + 1
 
-        res = standard_decode(model, [0, 1, 2, 3, 0, 1], SpecConfig(gamma=1, max_new_tokens=3000))
+        res = standard_decode(model, prompt, SpecConfig(gamma=1, max_new_tokens=3000))
         assert len(res.tokens) == 3000
-        check(3006)
+        check(prompt + res.tokens[:-1])
         target = train_ngram(res.tokens, order=3, vocab_size=vocab, smoothing_k=0.05)
-        decode(target, model, [0, 1, 2, 3, 0, 1], SpecConfig(gamma=20, max_new_tokens=1000))
-        check(3006)
+        res = decode(target, model, prompt, SpecConfig(gamma=20, max_new_tokens=1000))
+        *steps, last = res.traces
+        kept = sum(t.emitted for t in steps)
+        check(prompt + res.tokens[:kept] + [d.token for d in last.drafted[:-1]])
 
     def test_distribution_cache_is_bounded(self):
         # A repeated passage of distinct tokens copies a new token at every
@@ -464,30 +500,29 @@ class TestIncrementalCopy:
             fresh = CopyModel(vocab).next_distribution(passage + passage[:j], IDENTITY_POLICY)
             assert hashlib.sha256(fresh.probs).digest() == digests[j]
 
-    def test_long_drafts_scan_each_prompt_once(self, monkeypatch):
-        # A draft of 20 tokens outgrows the 16 latest kept states, so a step
-        # that keeps fewer than 4 drafts forks back behind them.
-        scans = []
-        scan = models._common_suffixes
-        monkeypatch.setattr(models, "_common_suffixes", lambda t: scans.append(len(t)) or scan(t))
+    def test_long_drafts_convert_only_new_tokens(self, monkeypatch):
+        # Each call converts to text only the tokens past the prefix it shares
+        # with the last call; a step that keeps few of its 20 drafts forks back.
+        converted = []
+        monkeypatch.setattr(models, "chr", lambda t: converted.append(t) or chr(t), raising=False)
         rng = RandomStream(7)
         corpus = [int(u * 6) for u in rng.uniform_block(400)]
         target = train_ngram(corpus, order=3, vocab_size=6, smoothing_k=0.05)
-        draft = CopyModel(6, min_match=2)
+        draft, gamma = CopyModel(6, min_match=2), 20
         for k in range(3):
             prompt = [k] + corpus[40 * k: 40 * k + 30]  # each starts with another token
-            res = decode(target, draft, prompt, SpecConfig(gamma=20, seed=k, max_new_tokens=300))
+            converted.clear()
+            res = decode(target, draft, prompt, SpecConfig(gamma=gamma, seed=k, max_new_tokens=300))
             assert sum(t.accepted_n < 4 for t in res.traces) > 10
-            assert scans == [31] * (k + 1)
+            assert len(prompt) <= len(converted) <= len(prompt) + 2 * gamma * len(res.traces)
 
     @pytest.mark.parametrize("period", [1, 2, 4])
     def test_cyclic_prefixes_match_oracle_bitwise(self, period):
-        # A cycle's tokens recur more than _SPARSE_MAX times, so each append
-        # takes the dense pass; drafts of 3 rarer tokens break in between,
-        # and each hand-off between the two paths happens.
+        # Long runs of a cycle make long matches with many ties; drafts of 3
+        # rarer tokens break them in between.
         rng = RandomStream(period)
         u = iter(rng.uniform_block(5000))
-        model = _KindLog(period + 3, min_match=2)
+        model = CopyModel(period + 3, min_match=2)
         cycle = list(range(period))
 
         def draw(at):  # the cycle's token at position `at`, or one of 3 rarer tokens
@@ -503,55 +538,29 @@ class TestIncrementalCopy:
             ops.append(("step", 4, keep, toks))
             seq = seq + toks[:kept] + [toks[-1]]
         _run_copy_ops(model, cycle * 10, ops, oracle=copy_predict)
-        assert model.kinds == EVERY_HAND_OFF
 
-    def test_cases_reach_both_paths_and_hand_offs(self):
-        # The long decode-like run passes _SPARSE_MAX as it is.
-        long_run = _KindLog(6, min_match=2)
-        rng = RandomStream(11)
-        u = iter(rng.uniform_block(4000))
-        ops = [("step", 4, int(next(u) * 6), [int(next(u) * 6) for _ in range(6)])
-               for _ in range(150)]
-        _run_copy_ops(long_run, [int(next(u) * 6) for _ in range(20)], ops, oracle=copy_predict)
-        assert long_run.kinds == EVERY_HAND_OFF
-        # The property cases are too short to pass it, so they run again,
-        # against the scan, with a crossover of 2.
-        kinds = set()
+    def test_worst_case_for_reverse_search_stays_linear(self):
+        # CPython's rfind is quadratic here and took 2.6 s; find takes ms.
+        seq = [0] * 20000 + [1] + [0] * 20000
+        model = CopyModel(2, min_match=2)
+        start = time.process_time()
+        assert model.evaluate(seq).argmax() == 1
+        seq.append(0)
+        assert model.evaluate(seq).argmax() == 0
+        assert time.process_time() - start < 0.5
 
-        @given(st.integers(2, 4), st.integers(1, 3), st.lists(st.integers(0, 3), max_size=30),
-               copy_ops)
-        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-        def check(vocab, min_match, start, ops):
-            model = _KindLog(vocab, min_match=min_match, sparse_max=2)
-            _run_copy_ops(model, start, ops)
-            kinds.update(model.kinds)
-
-        check()
-        assert kinds == EVERY_HAND_OFF
-
-
-EVERY_HAND_OFF = {(a, b) for a in ("sparse", "dense") for b in ("sparse", "dense")}
-
-
-class _KindLog(CopyModel):
-    """Records, for each call that extends the last one by one token, the
-    kind of state it started from and the kind it made: ``sparse`` or
-    ``dense``. ``sparse_max`` sets the crossover between the two paths."""
-
-    def __init__(self, *args, sparse_max=CopyModel._SPARSE_MAX, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._SPARSE_MAX = sparse_max
-        self.kinds = set()
-
-    def _copied(self, prefix):
-        last = self._lengths.get(len(self._path))
-        extends = list(prefix[:-1]) == self._path and len(prefix) == len(self._path) + 1
-        out = super()._copied(prefix)
-        if extends and last is not None:
-            kind = [("sparse" if isinstance(s, dict) else "dense")
-                    for s in (last, self._lengths[len(prefix)])]
-            self.kinds.add(tuple(kind))
-        return out
+    @given(st.integers(1, 3), st.lists(st.sampled_from(EDGE_IDS), max_size=60),
+           st.lists(st.integers(0, 60), max_size=10))
+    @settings(max_examples=300, deadline=None)
+    def test_ids_at_the_edges_of_the_range_match_oracle(self, min_match, tokens, cuts):
+        # Surrogate and astral code points, and the largest id, over one-token
+        # extensions and then forks. A row of MAX_VOCAB floats is 8 MiB, so
+        # the copied tokens are compared.
+        model = CopyModel(MAX_VOCAB, min_match=min_match)
+        for n in [*range(len(tokens) + 1), *cuts]:
+            prefix = tokens[:n]
+            assert model._copied(prefix) == _copied_token(prefix, _common_suffixes(prefix),
+                                                          min_match)
 
 
 class StatelessCopy(LanguageModel):
