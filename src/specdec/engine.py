@@ -178,9 +178,14 @@ def speculative_step(
     config: SpecConfig,
     rng: RandomStream,
     *,
+    kept: int | None = None,
     _mutation: str | None = None,
 ) -> tuple[list[int], StepTrace]:
     """One draft/verify step; returns 1..gamma+1 appended tokens and its trace.
+
+    ``kept`` tells a whole-prefix draft that ``kept`` leading tokens of the
+    list ``prefix`` are unchanged since its last call: the step then drafts
+    into ``prefix``, declaring each call's fork point, and cuts it back.
 
     ``_mutation`` injects a named, deliberately broken variant (see
     ``MUTATIONS``) so statistical tests can prove they would catch an
@@ -200,17 +205,21 @@ def speculative_step(
 
     # Each model sees only the tail of the prefix it declares it reads, so
     # the per-step cost does not grow with the prefix for windowed models.
-    base = _tail(prefix, draft.context_window)
+    whole = draft.context_window is None
+    target_base = _tail(prefix, target.context_window)
+    base = prefix if whole and kept is not None else _tail(prefix, draft.context_window)
     drafts: list[int] = []
     q_dists: list[Distribution] = []
     for i in range(gamma):
-        qd = draft.next_distribution(base, policy)
+        # A later call keeps all but the draft appended since the last one.
+        qd = (draft.next_distribution_kept(base, policy, len(base) - 1 if i else kept) if whole
+              else draft.next_distribution(base, policy))
         x = inverse_cdf(qd, u[i])
         drafts.append(x)
         q_dists.append(qd)
         base.append(x)
-
-    target_base = _tail(prefix, target.context_window)
+    if base is prefix:
+        del prefix[-gamma:]
     # The single designated concurrency point: one batched target call
     # covering all gamma+1 candidate prefixes, results in prefix order.
     p_dists, raw_dists = _target_views(target, [target_base + drafts[:i] for i in range(gamma + 1)],
@@ -418,8 +427,14 @@ def decode(
     budget is truncated the same way. The number of batched target calls
     never exceeds the number of tokens kept.
     """
-    return _generate(lambda seq, rng: speculative_step(target, draft, seq, config, rng),
-                     prompt, config, bos_token)
+    last = 0  # the draft's last call's length: since then seq changed only past it and at its end
+
+    def step(seq, rng):
+        nonlocal last
+        kept, last = min(len(seq) - 1, last), len(seq) + config.gamma - 1
+        return speculative_step(target, draft, seq, config, rng, kept=kept)
+
+    return _generate(step, prompt, config, bos_token)
 
 
 def standard_decode(

@@ -80,6 +80,12 @@ class LanguageModel(ABC):
             return [self._fixed_distribution(policy)] * len(prefixes)
         return standardize_rows(self.evaluate_batch(prefixes), policy)
 
+    def next_distribution_kept(self, prefix: list[int], policy: SamplingPolicy, kept: int):
+        """``next_distribution``, told that ``kept`` leading tokens of the list ``prefix``
+        are unchanged since this model's last call, if that call had the same list. A
+        whole-prefix model may read only the rest; by default the count is ignored."""
+        return self.next_distribution(prefix, policy)
+
     def _fixed_distribution(self, policy: SamplingPolicy) -> Distribution:
         """A window-0 model's distribution under ``policy``, memoized per instance."""
         memo = self.__dict__.get("_by_policy") or self.__dict__.setdefault("_by_policy", {})
@@ -217,19 +223,20 @@ class CopyModel(LanguageModel):
     knobs, so it costs nothing to deploy next to any target model. It may
     read the whole prefix, so ``context_window`` stays ``None``.
 
-    Calls are incremental. The model keeps the last prefix and the same
-    prefix reversed as a ``str``, one code point per token (``chr`` takes
-    every id below ``MAX_VOCAB``). A call reuses the text of the longest
-    prefix it shares with the last call and converts only the new tokens.
-    The suffix of length ``L`` recurs where ``rev.find(rev[:L], 1)`` finds
-    it, and the lowest start is the most recent occurrence. A suffix recurs
-    only if every shorter one does, so the longest is found by galloping up
-    from ``min_match`` and bisecting. (``rfind`` on the forward text would
-    find the same, but CPython's ``rfind`` is quadratic in the worst case,
-    where ``find`` switches to a linear-time search.) ``next_distribution``
-    reuses one distribution per (policy, copied token), and drops them all
-    before they would pass ``MAX_VOCAB`` floats. This state makes a
-    ``CopyModel`` unsafe to share between threads.
+    Calls are incremental. The model keeps the last prefix, the same prefix
+    reversed as a ``str`` (one code point per token: ``chr`` takes every id
+    below ``MAX_VOCAB``), and its longest recurring suffix. A call
+    range-checks and converts only the tokens past those it keeps from the
+    last call: the count the engine declares, if the call has the last
+    call's list and the count is at most its length, else one found by
+    comparing contents. The suffix of length ``L`` recurs where
+    ``rev.find(rev[:L], 1)`` finds it, and the lowest start is the most
+    recent occurrence. (CPython's ``rfind`` on the forward text would find
+    the same, but is quadratic in the worst case, where ``find`` switches to
+    a linear-time search.) ``next_distribution`` reuses one distribution per
+    (policy, copied token), and drops them all before they would pass
+    ``MAX_VOCAB`` floats. This state makes a ``CopyModel`` unsafe to share
+    between threads.
     """
 
     def __init__(self, vocab_size: int, min_match: int = 2, copy_mass: float = 0.9):
@@ -244,7 +251,9 @@ class CopyModel(LanguageModel):
         self.copy_mass = copy_mass
         self._path: list[int] = []
         self._rev = ""  # _path reversed, one code point per token
-        self._dists: dict[tuple[SamplingPolicy, int | None], Distribution] = {}
+        self._match = -1  # no suffix of _path longer than this recurs (exact if >= min_match)
+        self._src: Sequence[int] | None = None  # the last call's prefix object
+        self._dists: dict[tuple[int, int | None], tuple[SamplingPolicy, Distribution]] = {}
 
     @property
     def vocab_size(self) -> int:
@@ -253,45 +262,51 @@ class CopyModel(LanguageModel):
     def evaluate(self, prefix: Sequence[int]) -> np.ndarray:
         return _copy_scores(self, self._copied(prefix))
 
-    def next_distribution(self, prefix: Sequence[int], policy: SamplingPolicy) -> Distribution:
-        key = (policy, self._copied(prefix))
+    def next_distribution(self, prefix: Sequence[int], policy: SamplingPolicy,
+                          kept: int | None = None) -> Distribution:
+        # Keyed by the policy's id, cheaper than its hash; the entry keeps the id's policy alive.
+        key = (id(policy), self._copied(prefix, kept))
         d = self._dists.get(key)
         if d is None:
             if (len(self._dists) + 1) * self._vocab_size > MAX_VOCAB:
                 self._dists.clear()
-            d = self._dists[key] = standardize(_copy_scores(self, key[1]), policy)
-        return d
+            d = self._dists[key] = (policy, standardize(_copy_scores(self, key[1]), policy))
+        return d[1]
 
-    def _copied(self, prefix: Sequence[int]) -> int | None:
+    next_distribution_kept = next_distribution
+
+    def _copied(self, prefix: Sequence[int], kept: int | None = None) -> int | None:
         """The token to copy for ``prefix``, or None: the one after the most
         recent earlier occurrence of its longest recurring suffix."""
-        path, last = list(prefix), self._path
-        n, k = len(path), len(last)
-        # The longest prefix shared with the last call, found by comparing
-        # contents, since callers may grow one list in place: all of it
-        # first, then backing off by 1, 2, 4, ... tokens.
-        m, step = min(n, k), 1
-        while m and path[:m] != last[:m]:
-            m, step = max(0, m - step), 2 * step
-        rev = self._rev = "".join(map(chr, reversed(path[m:]))) + self._rev[k - m:]
-        self._path = path
-
-        def at(length):  # where the suffix of this length recurs in rev, or -1
-            return rev.find(rev[:length], 1)
-
-        lo, found = self.min_match, at(self.min_match)
-        if found < 0:
-            return None
-        hi = 2 * lo
-        while (j := at(hi)) >= 0:  # gallop: lo recurs, hi is the next try
-            lo, found, hi = hi, j, 2 * hi
-        while hi - lo > 1:  # bisect: lo recurs, hi does not
-            mid = (lo + hi) // 2
-            if (j := at(mid)) >= 0:
-                lo, found = mid, j
+        path, v = self._path, self._vocab_size
+        if kept is None or prefix is not self._src or not 0 <= kept <= len(path):
+            # Compare contents, since callers may grow one list in place: all
+            # of the last prefix first, then backing off by 1, 2, 4, ... tokens.
+            kept, step = min(len(prefix), len(path)), 1
+            while kept and list(prefix[:kept]) != path[:kept]:
+                kept, step = max(0, kept - step), 2 * step
+        new = prefix[kept:]
+        for t in new:
+            if not 0 <= t < v:
+                raise ValueError(f"token {t} outside vocab of {v}")
+        head = chr(new[0]) if len(new) == 1 else "".join(map(chr, reversed(new)))
+        rev = self._rev = head + self._rev[len(path) - kept:]
+        extends = kept == len(path)
+        path[kept:] = new
+        self._src, n = prefix, len(path)
+        # lo recurs (or is min_match - 1), hi does not. An appended token lengthens the longest
+        # recurring suffix by at most one, so a call that extends the last one guesses that
+        # bound first (one find while a copy run goes on); then the guesses gallop and bisect.
+        lo, hi = self.min_match - 1, (self._match + len(new) if extends else n - 1) + 1
+        found, guess = -1, hi - 1 if extends else self.min_match
+        while lo < guess < hi:
+            if (j := rev.find(rev[:guess], 1)) >= 0:  # where that suffix recurs in rev
+                lo, found = guess, j
             else:
-                hi = mid
-        return path[n - found]
+                hi = guess
+            guess = (lo + hi) // 2 if hi <= 3 * lo + 3 else 2 * lo + 1  # min(2 * lo + 1, mid)
+        self._match = lo
+        return path[n - found] if found >= 0 else None
 
 
 def _copy_scores(model: CopyModel, token: int | None) -> np.ndarray:

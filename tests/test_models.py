@@ -437,6 +437,19 @@ def _run_copy_ops(model: CopyModel, start, ops, oracle=scan_copy_predict) -> Non
         check(seq)
 
 
+# Engine-like calls on one list with a declared count of kept tokens: append a
+# token; cut k tokens and append some (a step's fork point); a call on another
+# list in between; a token overwritten in place, then the list passed without
+# a count.
+kept_ops = st.lists(st.one_of(
+    st.tuples(st.just("extend"), st.integers(0, 3)),
+    st.tuples(st.just("fork"), st.integers(0, 6), st.lists(st.integers(0, 3), min_size=1,
+                                                           max_size=3)),
+    st.tuples(st.just("foreign"), st.lists(st.integers(0, 3), max_size=30)),
+    st.tuples(st.just("overwrite"), st.integers(0, 200), st.integers(0, 3)),
+), max_size=40)
+
+
 class TestIncrementalCopy:
     @given(st.integers(2, 4), st.integers(1, 3), st.lists(st.integers(0, 3), max_size=30),
            copy_ops)
@@ -461,14 +474,67 @@ class TestIncrementalCopy:
         seq[4] = 3  # same list, same length: nothing to copy any more
         assert model.evaluate(seq).tobytes() == scan_copy_predict(model, seq).tobytes()
 
+    @given(st.integers(2, 4), st.integers(1, 3), st.lists(st.integers(0, 3), max_size=30),
+           kept_ops)
+    @settings(max_examples=300, deadline=None)
+    def test_kept_counts_match_oracle_bitwise(self, vocab, min_match, start, ops):
+        model = CopyModel(vocab, min_match=min_match)
+        fresh = CopyModel(vocab, min_match=min_match)
+        seq = [t % vocab for t in start]
+        kept = 0  # leading tokens of seq unchanged since the model's last call on it
+        for n_call, op in enumerate(ops):
+            policy = COPY_POLICIES[n_call % len(COPY_POLICIES)]
+            if op[0] == "foreign":
+                other = [t % vocab for t in op[1]]
+                assert model.evaluate(other).tobytes() == copy_predict(fresh, other).tobytes()
+                continue
+            if op[0] == "overwrite":
+                if seq:
+                    seq[op[1] % len(seq)] = op[2] % vocab
+                got = model.next_distribution(seq, policy)
+            else:
+                if op[0] == "fork":
+                    del seq[max(0, len(seq) - op[1]):]
+                    kept = min(kept, len(seq))
+                seq += [t % vocab for t in (op[2] if op[0] == "fork" else [op[1]])]
+                got = model.next_distribution_kept(seq, policy, kept)
+            want = standardize(copy_predict(fresh, seq), policy)
+            assert got.probs.tobytes() == want.probs.tobytes()
+            kept = len(seq)
+
+    @pytest.mark.parametrize("bad", [-1, 4, 2**20, 2**21])
+    def test_rejects_tokens_outside_the_vocabulary(self, bad):
+        model = CopyModel(4, min_match=1)
+        with pytest.raises(ValueError, match=f"token {bad} outside vocab of 4"):
+            model.evaluate([0, 1, bad])
+        with pytest.raises(ValueError, match=f"token {bad} outside vocab of 4"):
+            model.next_distribution([bad] * 3, IDENTITY_POLICY)
+        # A rejected call converts nothing, so the next call on the list
+        # still reuses the last one's state.
+        seq = [0, 1, 2, 0]
+        model.next_distribution_kept(seq, IDENTITY_POLICY, 0)
+        seq.append(bad)
+        with pytest.raises(ValueError, match=f"token {bad} outside vocab of 4"):
+            model.next_distribution_kept(seq, IDENTITY_POLICY, 4)
+        seq[-1] = 1
+        got = model.next_distribution_kept(seq, IDENTITY_POLICY, 4)
+        assert got.probs.tobytes() == standardize(scan_copy_predict(model, seq),
+                                                  IDENTITY_POLICY).probs.tobytes()
+        assert got.probs.argmax() == 2
+
     def test_state_stays_bounded_over_a_long_decode(self):
         vocab, prompt = 8, [0, 1, 2, 3, 0, 1]
         model = CopyModel(vocab, min_match=2)
 
         def check(last):
-            # Exactly the last call's prefix, as a list and reversed as text.
+            # Exactly the last call's prefix, as a list and reversed as text;
+            # its longest recurring suffix (a bound below min_match); and at
+            # most one cached distribution per copied token and policy.
             assert model._path == last
             assert model._rev == "".join(map(chr, reversed(last)))
+            lcs = _common_suffixes(last)
+            longest = int(lcs[-2::-1].max()) if len(last) > 1 else 0
+            assert model._match == longest if longest >= 2 else model._match <= 1
             assert len(model._dists) <= vocab + 1
 
         res = standard_decode(model, prompt, SpecConfig(gamma=1, max_new_tokens=3000))
@@ -515,6 +581,34 @@ class TestIncrementalCopy:
             res = decode(target, draft, prompt, SpecConfig(gamma=gamma, seed=k, max_new_tokens=300))
             assert sum(t.accepted_n < 4 for t in res.traces) > 10
             assert len(prompt) <= len(converted) <= len(prompt) + 2 * gamma * len(res.traces)
+
+    def test_long_prompt_work_is_the_prompt_once_plus_gamma_per_step(self, monkeypatch):
+        # Counts the tokens that list() copies or compares in the engine and
+        # the model, and that chr() converts: _generate copies the prompt and
+        # the first call converts it; after that each step handles its own
+        # drafts and correction only. A draft handed the whole prefix instead
+        # copies and compares all 20k tokens at every step.
+        handled = [0]
+
+        def counting_list(it=()):
+            out = list(it)
+            handled[0] += len(out)
+            return out
+
+        monkeypatch.setattr(models, "chr", lambda t: handled.__setitem__(0, handled[0] + 1)
+                            or chr(t), raising=False)
+        monkeypatch.setattr(models, "list", counting_list, raising=False)
+        monkeypatch.setattr(engine, "list", counting_list, raising=False)
+        rng = RandomStream(8)
+        vocab, gamma = 6, 4
+        corpus = [int(u * vocab) for u in rng.uniform_block(2000)]
+        target = train_ngram(corpus, order=3, vocab_size=vocab, smoothing_k=0.05)
+        prompt = [int(u * vocab) for u in rng.uniform_block(20_000)]
+        for draft in (CopyModel(vocab), CopyModel(vocab, min_match=1)):
+            handled[0] = 0
+            res = decode(target, draft, prompt, SpecConfig(gamma=gamma, max_new_tokens=300))
+            assert len(res.tokens) == 300
+            assert handled[0] <= 2 * len(prompt) + 4 * gamma * len(res.traces)
 
     @pytest.mark.parametrize("period", [1, 2, 4])
     def test_cyclic_prefixes_match_oracle_bitwise(self, period):
@@ -609,6 +703,26 @@ def test_decode_with_copy_draft_matches_stateless_draft(monkeypatch, seed, polic
         runs.append((res.to_dict(), stream.n_drawn))
     assert runs[0] == runs[1]
     assert any(t.accepted_n for t in res.traces)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("policy, lenience", [
+    (IDENTITY_POLICY, 1.0),
+    (SamplingPolicy(top_p=0.9), 1.0),
+    (SamplingPolicy(argmax=True), 0.5),
+], ids=["identity", "top-p", "argmax-lenient"])
+def test_one_copy_model_as_target_and_draft_matches_two(seed, policy, lenience):
+    # The CLI's --draft same: one instance sees the draft's calls on the
+    # decode's list and the target's calls on other lists in between.
+    rng = RandomStream(200 + seed)
+    passage = [int(u * 6) for u in rng.uniform_block(30)]
+    prompt = passage + [int(u * 6) for u in rng.uniform_block(10)] + passage[:8]
+    config = SpecConfig(gamma=4, policy=policy, lenience=lenience, seed=seed,
+                        max_new_tokens=120)
+    shared = CopyModel(6, min_match=2)
+    one = decode(shared, shared, prompt, config)
+    two = decode(CopyModel(6, min_match=2), CopyModel(6, min_match=2), prompt, config)
+    assert one.to_dict() == two.to_dict()
 
 
 class TestStatelessAndUniform:

@@ -18,7 +18,7 @@ import pytest
 from specdec import engine, harness, models
 from specdec.distmath import IDENTITY_POLICY, SamplingPolicy
 from specdec.engine import SpecConfig, decode
-from specdec.models import train_ngram
+from specdec.models import CopyModel, train_ngram
 
 SPECBENCH = Path(__file__).resolve().parent.parent / "specbench"
 
@@ -65,6 +65,30 @@ def test_traced_decode_sees_every_sample_and_draw(tracing):
     assert rejected > 0
     assert table.under("distmath.residual", "engine.step").sum() == rejected
     assert table.count("distmath.residual") == rejected
+
+
+def test_traced_copy_draft_decodes_as_untraced(tracing):
+    # Wrapped as the benchmark wraps it, the CopyModel draft is asked through
+    # next_distribution with no kept count, so it compares contents; the
+    # tokens must still be the untraced ones, with gamma draft spans and
+    # 2*gamma+1 draws per step.
+    corpus = [0, 1, 2, 3, 3, 2, 3, 1, 3, 0, 2, 2, 1, 0, 3] * 3
+    target = train_ngram(corpus, order=3, vocab_size=4, smoothing_k=0.05)
+    prompt = corpus[:20]
+    gamma = 4
+    configs = [SpecConfig(gamma=gamma, seed=s, max_new_tokens=80) for s in range(2)]
+    untraced = [decode(target, CopyModel(4), prompt, c) for c in configs]
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        draft = tracing.TracedModel(CopyModel(4), "draft", tracer)
+        traced = [decode(tracing.TracedModel(target, "target", tracer), draft, prompt, c)
+                  for c in configs]
+    assert [r.to_dict() for r in traced] == [r.to_dict() for r in untraced]
+    table = tracing.SpanTable(tracer)
+    steps = table.count("engine.step")
+    assert steps == sum(len(r.traces) for r in traced) > 0
+    assert table.under("models.draft.next_distribution", "engine.step").sum() == gamma * steps
+    assert tracer.counts["rng.step_draws"] == steps * (2 * gamma + 1)
 
 
 def test_traced_harness_runs_in_blocks(tracing):
