@@ -209,8 +209,9 @@ def sweep(
     alphas = tuple(alphas) if alphas is not None else _DEFAULT_ALPHAS
     gammas = tuple(gammas) if gammas is not None else _DEFAULT_GAMMAS
     cs = tuple(cs) if cs is not None else _DEFAULT_CS
-    if kind != "table1" and (not alphas or not gammas or not cs):
-        raise ValueError("sweep grids must be non-empty")
+    read = {"fig2": (alphas, gammas), "fig3": (alphas, cs), "fig4": (alphas, gammas)}
+    if not all(read.get(kind, ())):
+        raise ValueError(f"the grids a {kind} sweep reads must be non-empty")
 
     rows: list[dict] = []
     if kind == "fig2":

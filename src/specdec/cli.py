@@ -150,9 +150,8 @@ def _model_pair(args: argparse.Namespace) -> tuple[LanguageModel, LanguageModel]
     return target, draft
 
 
-def _prompt_tokens(text: str, vocab_size: int) -> list[int]:
-    """``--prompt-tokens`` as ids; an id outside the vocab is a usage error."""
-    prompt = _parse_list(text, int)
+def _prompt_tokens(prompt: list[int], vocab_size: int) -> list[int]:
+    """Prompt ids from either flag; an id outside the vocab is a usage error."""
     bad = [t for t in prompt if not 0 <= t < vocab_size]
     if bad:
         raise CliError(f"prompt tokens {bad} outside vocab {vocab_size}")
@@ -249,11 +248,12 @@ def cmd_decode(args: argparse.Namespace) -> int:
     tok = _tokenizer(args)
 
     if args.prompt_tokens is not None:
-        prompt = _prompt_tokens(args.prompt_tokens, target.vocab_size)
+        prompt = _parse_list(args.prompt_tokens, int)
     elif args.prompt is not None:
         prompt = _from_flags(tok.encode, args.prompt)
     else:
         prompt = []
+    prompt = _prompt_tokens(prompt, target.vocab_size)
     bos = tok.BOS if target.vocab_size >= tok.vocab_size else 0
 
     config = _from_flags(
@@ -440,7 +440,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_beam(args: argparse.Namespace) -> int:
     target, draft = _model_pair(args)
-    prompt = _prompt_tokens(args.prompt_tokens, target.vocab_size) if args.prompt_tokens else [0]
+    prompt = _prompt_tokens(_parse_list(args.prompt_tokens or "0", int), target.vocab_size)
     for flag in ("--width", "--gamma", "--steps"):
         _at_least(args, flag, 1)
     _at_least(args, "--draft-width", args.width)

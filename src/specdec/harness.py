@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .analysis import CostModel, beta, expected_tokens, trace_accept_rate, walltime_factor
 from .distmath import Distribution, IDENTITY_POLICY, normalize
@@ -43,6 +42,18 @@ __all__ = [
     "rejection_check",
     "rejection_accept_probability",
 ]
+
+
+class _LazyStats:
+    """Stands in for ``scipy.stats`` and imports it on the first attribute
+    read, so that only a chi-square pays its start-up time and memory."""
+
+    def __getattr__(self, attr):
+        from scipy import stats
+        return getattr(stats, attr)
+
+
+scipy_stats = _LazyStats()
 
 # Outcomes expected fewer times than this are pooled before chi-square.
 _MIN_EXPECTED = 5.0

@@ -79,4 +79,6 @@ class WordTokenizer:
             return "<BOS> "
         if token == self.EOS:
             return "<EOS> "
+        if token >= len(self._words):  # past the word list: shown as its id
+            return f"<{token}> "
         return self._words[token] + " "

@@ -25,6 +25,7 @@ from specdec.analysis import (
     walltime_factor,
     write_sweep_csv,
 )
+from specdec.cli import main
 from specdec.distmath import Distribution, IDENTITY_POLICY, SamplingPolicy
 from specdec.engine import DecodeResult, DraftedToken, SpecConfig, StepTrace, decode
 from specdec.models import CopyModel, StatelessModel, stateless_pair, train_ngram
@@ -381,9 +382,23 @@ class TestSweeps:
         with pytest.raises(ValueError):
             sweep("fig9")
 
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            sweep("fig2", alphas=[])
+    @pytest.mark.parametrize("kind,reads", [
+        ("fig2", {"alphas", "gammas"}), ("fig3", {"alphas", "cs"}),
+        ("fig4", {"alphas", "gammas"}), ("table1", set()),
+    ])
+    @pytest.mark.parametrize("grid", ["alphas", "gammas", "cs"])
+    def test_empty_grid_rejected_only_if_read(self, kind, reads, grid):
+        if grid in reads:
+            with pytest.raises(ValueError, match="non-empty"):
+                sweep(kind, **{grid: []})
+        else:
+            assert sweep(kind, **{grid: []}) == sweep(kind)
+
+    @pytest.mark.parametrize("argv", [["--kind", "fig2", "--cs", ",,"],
+                                      ["--kind", "fig3", "--gammas", ",,"]])
+    def test_cli_ignores_empty_grid_not_read(self, capsys, argv):
+        assert main(["sweep", *argv]) == 0
+        assert capsys.readouterr().out.startswith("alpha,")
 
     def test_csv_emission(self):
         rows = sweep("table1")

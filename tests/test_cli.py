@@ -283,6 +283,15 @@ class TestDecode:
         stats = trace_matches_json(capsys, argv, WordTokenizer(["a", "b", "c"]))
         assert stats["rejected"] > 0
 
+    def test_word_trace_of_a_larger_target(self, capsys, tmp_path):
+        # Ids past the three words are shown by number in the trace.
+        vocab = tmp_path / "three.vocab"
+        vocab.write_text("a\nb\nc\n")
+        argv = ["decode", "--target", "uniform:50", "--draft", "same", "--prompt-tokens", "1",
+                "--tokenizer", "word", "--vocab-file", str(vocab), "--max-tokens", "6"]
+        trace_matches_json(capsys, argv, WordTokenizer(["a", "b", "c"]))
+        assert re.search(r"<\d+> ", run(capsys, argv + ["--trace", "--color", "never"])[1])
+
     def test_json_bytes_are_pinned(self, capsys):
         # The exact stdout of one small request: traces, floats, key order and
         # spacing. The round-trip test above compares parsed values only.
@@ -716,6 +725,9 @@ class TestInputErrors:
         (["simulate", "--stateless-alpha", "0.5", "--gamma", "99999999999"], "gamma"),
         (["verify", "--suite", "geometric", "--gamma", "99999999999"], "gamma"),
         (["verify", "--suite", "equivalence", "--gamma", "99999999999"], "gamma"),
+        # a text prompt is range-checked as raw ids are
+        (["decode", "--target", "uniform:3", "--draft", "same", "--prompt", "hi",
+          "--max-tokens", "3"], "[104, 105] outside vocab 3"),
     ])
     def test_bad_value_exits_2(self, capsys, argv, needle):
         code, out, err = run(capsys, argv)
@@ -734,6 +746,16 @@ class TestInputErrors:
                                       "--prompt", "a zebra"])
         assert code == EXIT_USAGE
         assert out == "" and "zebra" in err
+
+    def test_word_prompt_outside_target_vocab_exits_2(self, capsys, tmp_path):
+        # "c" is id 2 of the vocabulary file, but the target has ids 0 and 1.
+        vocab = tmp_path / "three.vocab"
+        vocab.write_text("a\nb\nc\n")
+        code, out, err = run(capsys, ["decode", "--target", "copy:2", "--draft", "same",
+                                      "--tokenizer", "word", "--vocab-file", str(vocab),
+                                      "--prompt", "c"])
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error:") and "[2] outside vocab 2" in err
 
     @pytest.mark.parametrize("target", ["uniform:8", "trigram"])
     @pytest.mark.parametrize("temperature", ["nan", "inf", "-inf"])
@@ -872,3 +894,29 @@ def test_fuzzed_argv_exits_cleanly(tmp_path):
         assert code != EXIT_VERIFY_FAIL or "FAIL" in out, (argv, out)
     codes = [code for code, _, _ in results]
     assert codes.count(EXIT_OK) > 20 and codes.count(EXIT_USAGE) > 100
+
+
+# Runs each argv with main in one interpreter, and prints its exit code and
+# whether scipy.stats has been imported by then.
+_FOOTPRINT = """
+import contextlib, io, json, os, sys
+from specdec.cli import main
+
+os.chdir(sys.argv[2])
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        seen.append([main(argv), "scipy.stats" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_only_a_chi_square_imports_scipy_stats(tmp_path):
+    # Importing scipy.stats takes most of a short decode's wall time and about
+    # half its peak memory, so no subcommand but verify may load it.
+    (tmp_path / "corpus.txt").write_text("the cat sat on the mat. " * 20)
+    argvs = [[name, *_FUZZ_BASE[name]] for name in ("train", "decode", "simulate", "sweep", "beam")]
+    argvs.append(["verify", "--suite=equivalence", "--samples=10000", "--vocab=8", "--seed=1"])
+    proc = run_limited(_FOOTPRINT, json.dumps(argvs), str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[EXIT_OK, False]] * 5 + [[EXIT_OK, True]]

@@ -912,6 +912,14 @@ class TestTokenizers:
             tok.encode("hello unknown world other")
         assert err.value.args == ("unknown",)
 
+    def test_word_render_token(self):
+        # An id past the word list (a target larger than the vocabulary file)
+        # is shown as its number, the way a byte tokenizer escapes a byte.
+        tok = WordTokenizer(["hello", "world"])
+        assert [tok.render_token(t) for t in range(5)] == [
+            "hello ", "world ", "<BOS> ", "<EOS> ", "<4> "]
+        assert tok.render_token(40) == "<40> "
+
     def test_word_tokenizer_from_corpus(self):
         tok = WordTokenizer.from_corpus("a b a c")
         assert tok.encode("a b c") == [0, 1, 2]
