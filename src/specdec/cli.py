@@ -169,11 +169,7 @@ def _policy_from_args(args: argparse.Namespace) -> SamplingPolicy:
 
 
 def _use_color(mode: str) -> bool:
-    if mode == "always":
-        return True
-    if mode == "never":
-        return False
-    return sys.stdout.isatty()
+    return mode == "always" or mode == "auto" and sys.stdout.isatty()
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +414,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     ops = _from_flags(analysis.ops_factor, report.alpha_hat, args.gamma, args.c_hat)
     mem = analysis.expected_tokens(report.alpha_hat, args.gamma)
     _print_header(args, sys.stdout)
-    row = report.row(task)
-    row["ops_factor"] = ops
-    row["memory_access_factor"] = mem
+    row = {**report.row(task), "ops_factor": ops, "memory_access_factor": mem}
     print(f"{'task':<24} {'gamma':>5} {'alpha':>7} {'c':>6} {'Exp':>6} {'Emp':>6} {'gap%':>7}")
     print(f"{row['task']:<24} {row['gamma']:>5d} {row['alpha']:>7.4f} {row['c']:>6.3f} "
           f"{row['exp']:>6.3f} {row['emp']:>6.3f} {row['gap_pct']:>+7.2f}")
@@ -615,11 +609,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(_with_config(argv))
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a reader gone away shows here, not at exit
+        return code
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return exc.code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:  # stdout's reader went away, e.g. `| head -1`
+        with open(os.devnull, "wb") as devnull:  # so that the interpreter's last flush succeeds
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print("error: stdout closed before the output was written", file=sys.stderr)
         return EXIT_USAGE
 
 

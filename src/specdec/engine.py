@@ -427,12 +427,8 @@ def decode(
     budget is truncated the same way. The number of batched target calls
     never exceeds the number of tokens kept.
     """
-    last = 0  # the draft's last call's length: since then seq changed only past it and at its end
-
-    def step(seq, rng):
-        nonlocal last
-        kept, last = min(len(seq) - 1, last), len(seq) + config.gamma - 1
-        return speculative_step(target, draft, seq, config, rng, kept=kept)
+    def step(seq, rng):  # since the draft's last call on seq, only its last token can differ
+        return speculative_step(target, draft, seq, config, rng, kept=len(seq) - 1)
 
     return _generate(step, prompt, config, bos_token)
 
@@ -444,10 +440,10 @@ def standard_decode(
     *,
     bos_token: int | None = None,
 ) -> DecodeResult:
-    """Plain autoregressive baseline: one target call per token, same
-    standardize-then-sample path as the speculative engine."""
+    """Plain autoregressive baseline: one target call per token, same standardize-then-sample
+    path as the speculative engine; like ``decode``, it declares only the last token new."""
     def step(seq, rng):
-        x = sample(target.next_distribution(seq, config.policy), rng)
+        x = sample(target.next_distribution_kept(seq, config.policy, len(seq) - 1), rng)
         return [x], StepTrace(drafted=(), accepted_n=0, correction=x,
                               correction_source="standard", target_calls=1, draft_calls=0)
 

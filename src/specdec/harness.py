@@ -371,14 +371,17 @@ def rejection_check(pairs: int, vocab: int, seed: int) -> tuple[int, float]:
     """Over ``pairs`` random pairs drawn from stream ``seed``: how many times
     rejection sampling accepts more often than speculative sampling (beyond
     1e-12), and the least margin beta - accept (1.0 with no pairs)."""
-    rng = RandomStream(seed)
-    violations, worst_margin = 0, 1.0
+    rng, violations, worst_margin = RandomStream(seed), 0, 1.0
     for _ in range(pairs):
-        p, q = random_pair(rng, vocab)
-        b, r = beta(p, q), rejection_accept_probability(p, q)
-        violations += r > b + 1e-12
-        worst_margin = min(worst_margin, b - r)
+        b, r, bad = _rejection_row(*random_pair(rng, vocab))
+        violations, worst_margin = violations + bad, min(worst_margin, b - r)
     return violations, worst_margin
+
+
+def _rejection_row(p: Distribution, q: Distribution) -> tuple[float, float, bool]:
+    """beta(p, q), rejection sampling's acceptance, and whether it exceeds beta beyond 1e-12."""
+    b, r = beta(p, q), rejection_accept_probability(p, q)
+    return b, r, r > b + 1e-12
 
 
 def rejection_comparison(
@@ -393,11 +396,9 @@ def rejection_comparison(
     """
     rows = []
     for context in contexts:
-        p = target.next_distribution(list(context), IDENTITY_POLICY)
-        q = draft.next_distribution(list(context), IDENTITY_POLICY)
-        b = beta(p, q)
-        r = rejection_accept_probability(p, q)
-        if r > b + 1e-12:
+        b, r, bad = _rejection_row(target.next_distribution(list(context), IDENTITY_POLICY),
+                                   draft.next_distribution(list(context), IDENTITY_POLICY))
+        if bad:
             raise RuntimeError(f"rejection acceptance {r} exceeds speculative {b}")
         rows.append({"context": list(context), "speculative_alpha": b, "rejection_accept": r})
     return rows

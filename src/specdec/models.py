@@ -81,9 +81,9 @@ class LanguageModel(ABC):
         return standardize_rows(self.evaluate_batch(prefixes), policy)
 
     def next_distribution_kept(self, prefix: list[int], policy: SamplingPolicy, kept: int):
-        """``next_distribution``, told that ``kept`` leading tokens of the list ``prefix``
-        are unchanged since this model's last call, if that call had the same list. A
-        whole-prefix model may read only the rest; by default the count is ignored."""
+        """``next_distribution``, told that ``kept`` leading tokens of list ``prefix`` are the
+        same as at this model's last call, if that call had the same list (a count past that
+        call's length vouches for all of it); a whole-prefix model may read only the rest."""
         return self.next_distribution(prefix, policy)
 
     def _fixed_distribution(self, policy: SamplingPolicy) -> Distribution:
@@ -227,16 +227,16 @@ class CopyModel(LanguageModel):
     reversed as a ``str`` (one code point per token: ``chr`` takes every id
     below ``MAX_VOCAB``), and its longest recurring suffix. A call
     range-checks and converts only the tokens past those it keeps from the
-    last call: the count the engine declares, if the call has the last
-    call's list and the count is at most its length, else one found by
-    comparing contents. The suffix of length ``L`` recurs where
-    ``rev.find(rev[:L], 1)`` finds it, and the lowest start is the most
-    recent occurrence. (CPython's ``rfind`` on the forward text would find
-    the same, but is quadratic in the worst case, where ``find`` switches to
-    a linear-time search.) ``next_distribution`` reuses one distribution per
-    (policy, copied token), and drops them all before they would pass
-    ``MAX_VOCAB`` floats. This state makes a ``CopyModel`` unsafe to share
-    between threads.
+    last call: the count the engine declares, capped at the last call's
+    length, if the call has the last call's list and the count is at most
+    the list's length, else one found by comparing contents. The suffix of
+    length ``L`` recurs where ``rev.find(rev[:L], 1)`` finds it, and the
+    lowest start is the most recent occurrence. (CPython's ``rfind`` on the
+    forward text would find the same, but is quadratic in the worst case,
+    where ``find`` switches to a linear-time search.) ``next_distribution``
+    reuses one distribution per (policy, copied token), and drops them all
+    before they would pass ``MAX_VOCAB`` floats. This state makes a
+    ``CopyModel`` unsafe to share between threads.
     """
 
     def __init__(self, vocab_size: int, min_match: int = 2, copy_mass: float = 0.9):
@@ -279,12 +279,13 @@ class CopyModel(LanguageModel):
         """The token to copy for ``prefix``, or None: the one after the most
         recent earlier occurrence of its longest recurring suffix."""
         path, v = self._path, self._vocab_size
-        if kept is None or prefix is not self._src or not 0 <= kept <= len(path):
+        if kept is None or prefix is not self._src or not 0 <= kept <= len(prefix):
             # Compare contents, since callers may grow one list in place: all
             # of the last prefix first, then backing off by 1, 2, 4, ... tokens.
             kept, step = min(len(prefix), len(path)), 1
             while kept and list(prefix[:kept]) != path[:kept]:
                 kept, step = max(0, kept - step), 2 * step
+        kept = min(kept, len(path))  # a count past the last call's length vouches for all of it
         new = prefix[kept:]
         for t in new:
             if not 0 <= t < v:

@@ -7,14 +7,18 @@ import csv
 import hashlib
 import itertools
 import json
+import os
 import random
 import re
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import pytest
 
-from specdec import harness
+from specdec import cli, harness
 from specdec.cli import _COMMANDS, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, main, resolve_model
 from specdec.engine import SpecConfig, decode
 from specdec.model_io import FORMAT_VERSION, MAGIC, load_model
@@ -442,6 +446,23 @@ class TestSweep:
         code, _, err = run(capsys, ["sweep"])
         assert code == EXIT_USAGE
         assert "error" in err
+
+    def test_closed_stdout_exits_2_with_one_error_line(self):
+        # `specdec sweep --kind fig2 --alphas <999 values> | head -1`: the
+        # CSV (about 100 KB) outgrows the pipe, so later writes find the
+        # reader gone. Unbuffered, the reader takes exactly one line.
+        alphas = ",".join(str(i / 1000) for i in range(1, 1000))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [sys.executable, "-m", "specdec.cli", "sweep", "--kind", "fig2", "--alphas", alphas]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+                              env=env) as proc:
+            assert proc.stdout.readline() == b"alpha,gamma,expected_tokens\r\n"  # csv's line end
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=120)
+        assert (code, err) == (EXIT_USAGE, "error: stdout closed before the output was written\n")
 
 
 class TestSimulate:

@@ -438,13 +438,15 @@ def _run_copy_ops(model: CopyModel, start, ops, oracle=scan_copy_predict) -> Non
 
 
 # Engine-like calls on one list with a declared count of kept tokens: append a
-# token; cut k tokens and append some (a step's fork point); a call on another
-# list in between; a token overwritten in place, then the list passed without
-# a count.
+# token; cut k tokens and append some (a step's fork point); append tokens and
+# declare k more kept than the last call's length, up to the list's (the cap);
+# a call on another list in between; a token overwritten in place, then the
+# list passed without a count.
 kept_ops = st.lists(st.one_of(
     st.tuples(st.just("extend"), st.integers(0, 3)),
     st.tuples(st.just("fork"), st.integers(0, 6), st.lists(st.integers(0, 3), min_size=1,
                                                            max_size=3)),
+    st.tuples(st.just("vouch"), st.integers(0, 6), st.lists(st.integers(0, 3), max_size=3)),
     st.tuples(st.just("foreign"), st.lists(st.integers(0, 3), max_size=30)),
     st.tuples(st.just("overwrite"), st.integers(0, 200), st.integers(0, 3)),
 ), max_size=40)
@@ -496,11 +498,31 @@ class TestIncrementalCopy:
                 if op[0] == "fork":
                     del seq[max(0, len(seq) - op[1]):]
                     kept = min(kept, len(seq))
-                seq += [t % vocab for t in (op[2] if op[0] == "fork" else [op[1]])]
+                seq += [t % vocab for t in (op[2] if len(op) == 3 else [op[1]])]
+                if op[0] == "vouch":  # the last call's list is still a prefix of seq
+                    kept = min(kept + op[1], len(seq))
                 got = model.next_distribution_kept(seq, policy, kept)
             want = standardize(copy_predict(fresh, seq), policy)
             assert got.probs.tobytes() == want.probs.tobytes()
             kept = len(seq)
+
+    @pytest.mark.parametrize("count", [-1, 4, 5, 6])
+    def test_count_outside_the_list_is_no_count(self, count):
+        # A count past the list itself (or below 0) vouches for nothing: the
+        # model compares contents, so a list cut back below its last call's
+        # length loses neither the cut nor the tokens after it.
+        model = CopyModel(4, min_match=1)
+        seq = [0, 1, 2, 3, 0, 1]
+        model.next_distribution_kept(seq, IDENTITY_POLICY, 0)
+        del seq[-3:]
+        got = model.next_distribution_kept(seq, IDENTITY_POLICY, count)
+        assert got.probs.tobytes() == np.full(4, 0.25).tobytes()
+        assert model._path == [0, 1, 2]
+        seq.append(0)
+        got = model.next_distribution_kept(seq, IDENTITY_POLICY, 3)
+        assert got.probs.tobytes() == standardize(copy_predict(model, seq),
+                                                  IDENTITY_POLICY).probs.tobytes()
+        assert got.probs.argmax() == 1
 
     @pytest.mark.parametrize("bad", [-1, 4, 2**20, 2**21])
     def test_rejects_tokens_outside_the_vocabulary(self, bad):
@@ -723,6 +745,56 @@ def test_one_copy_model_as_target_and_draft_matches_two(seed, policy, lenience):
     one = decode(shared, shared, prompt, config)
     two = decode(CopyModel(6, min_match=2), CopyModel(6, min_match=2), prompt, config)
     assert one.to_dict() == two.to_dict()
+
+
+class _RecordingCopy(CopyModel):
+    """A ``CopyModel`` that records each call's list, declared count and length."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = []
+
+    def next_distribution(self, prefix, policy, kept=None):
+        self.calls.append((prefix, kept, len(prefix)))
+        return super().next_distribution(prefix, policy, kept)
+
+    next_distribution_kept = next_distribution
+
+
+def test_standard_decode_declares_only_the_last_token_new():
+    # Every call is on the decode's own list and keeps all but its last
+    # token, so a whole-prefix target reads one token per call; the tokens
+    # are those of a target that reads the whole prefix from scratch.
+    rng = RandomStream(9)
+    prompt = [int(u * 32) for u in rng.uniform_block(2000)]
+    config = SpecConfig(gamma=1, seed=3, max_new_tokens=60)
+    target = _RecordingCopy(32)
+    res = standard_decode(target, prompt, config)
+    seq = target.calls[0][0]
+    assert seq == prompt + res.tokens and len(target.calls) == 60
+    assert all(prefix is seq and kept == n - 1 for prefix, kept, n in target.calls)
+    assert res.tokens == standard_decode(StatelessCopy(CopyModel(32)), prompt, config).tokens
+    assert any(t != res.tokens[0] for t in res.tokens)
+
+
+@pytest.mark.parametrize("policy", [IDENTITY_POLICY, SamplingPolicy(temperature=0.7, top_p=0.9)],
+                         ids=["identity", "top-p"])
+def test_one_copy_model_reused_across_decoders_matches_fresh(policy):
+    # One instance as target and draft of a decode, then the target of two
+    # standard decodes, prompt after prompt: each call on a list it did not
+    # see last compares contents, so every run decodes as fresh models do.
+    rng = RandomStream(300)
+    shared = CopyModel(6, min_match=2)
+    for k in range(10):
+        passage = [int(u * 6) for u in rng.uniform_block(30)]
+        prompt = passage + [int(u * 6) for u in rng.uniform_block(10)] + passage[:8]
+        config = SpecConfig(gamma=4, policy=policy, seed=k, max_new_tokens=60)
+        assert (decode(shared, shared, prompt, config).to_dict()
+                == decode(CopyModel(6, min_match=2), CopyModel(6, min_match=2), prompt,
+                          config).to_dict())
+        for _ in range(2):
+            assert (standard_decode(shared, prompt, config).to_dict()
+                    == standard_decode(CopyModel(6, min_match=2), prompt, config).to_dict())
 
 
 class TestStatelessAndUniform:
