@@ -82,6 +82,9 @@ class SpecConfig:
     stop_token: int | None = None
 
     def __post_init__(self):
+        for name in ("gamma", "seed", "max_new_tokens"):  # numpy integers pass too
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 1 <= self.gamma <= MAX_GAMMA:
             raise ValueError(f"gamma must lie in [1, {MAX_GAMMA}], got {self.gamma}")
         if not (0.0 < self.lenience <= 1.0):
@@ -166,8 +169,8 @@ def _rejects(u, p_x, q_x, lenience):
 
 
 def _lenient_rejects(p_x, p_max, lenience):
-    """The argmax-lenient test on the raw target, as :func:`_rejects`: ties at
-    the boundary accept, and as lenience nears 0 any support passes."""
+    """:func:`speculative_step`'s argmax-lenient test on the raw target: ties
+    at the boundary accept, and as lenience nears 0 any support passes."""
     return p_x < lenience * p_max
 
 
@@ -210,20 +213,27 @@ def speculative_step(
     base = prefix if whole and kept is not None else _tail(prefix, draft.context_window)
     drafts: list[int] = []
     q_dists: list[Distribution] = []
-    for i in range(gamma):
-        # A later call keeps all but the draft appended since the last one.
-        qd = (draft.next_distribution_kept(base, policy, len(base) - 1 if i else kept) if whole
-              else draft.next_distribution(base, policy))
-        x = inverse_cdf(qd, u[i])
-        drafts.append(x)
-        q_dists.append(qd)
-        base.append(x)
-    if base is prefix:
-        del prefix[-gamma:]
+    try:
+        for i in range(gamma):
+            # A later call keeps all but the draft appended since the last one.
+            qd = (draft.next_distribution_kept(base, policy, len(base) - 1 if i else kept) if whole
+                  else draft.next_distribution(base, policy))
+            x = inverse_cdf(qd, u[i])
+            drafts.append(x)
+            q_dists.append(qd)
+            base.append(x)
+    finally:  # the caller's list leaves as it came, also when a draft call raised
+        if base is prefix:
+            del prefix[len(prefix) - len(drafts):]
     # The single designated concurrency point: one batched target call
     # covering all gamma+1 candidate prefixes, results in prefix order.
-    p_dists, raw_dists = _target_views(target, [target_base + drafts[:i] for i in range(gamma + 1)],
-                                       policy, argmax_lenient)
+    prefixes = [target_base + drafts[:i] for i in range(gamma + 1)]
+    if argmax_lenient:
+        scores = target.evaluate_batch(prefixes)
+        p_dists = standardize_rows(scores, policy)
+        raw_dists = standardize_rows(scores, IDENTITY_POLICY)
+    else:
+        p_dists = target.next_distribution_batch(prefixes, policy)
 
     q_x = [d.probs.item(x) for d, x in zip(q_dists, drafts)]
     p_x = [d.probs.item(x) for d, x in zip(p_dists, drafts)]
@@ -276,13 +286,16 @@ def speculative_steps(target: LanguageModel, draft: LanguageModel, prefix: Seque
     step. At each position the rows are grouped by the tail each model reads
     (its ``context_window``; for ``None``, the whole prefix and the drafted
     tokens), the model is asked once per distinct tail, and each group is
-    sampled at once with the scalar step's arithmetic.
+    sampled at once with the scalar step's arithmetic. Argmax below lenience 1
+    has no law to check: it raises ``ValueError`` before any draw or model call.
     """
     if _mutation is not None and _mutation not in MUTATIONS:
         raise ValueError(f"unknown mutation {_mutation!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
     check_pair(target, draft, config.gamma)
+    if config.policy.is_argmax and config.lenience < 1.0:
+        raise ValueError("argmax-lenient decoding has no exact law to fit")
     if n == 0:  # no rows to group, and a model may not be asked about no prefixes
         return StepBlock(np.empty((0, config.gamma), dtype=np.int64), *np.empty((2, 0), np.int64))
     # A window-0 pair's rows share one distribution per position (see _VARIATES_PER_BLOCK).
@@ -296,7 +309,6 @@ def speculative_steps(target: LanguageModel, draft: LanguageModel, prefix: Seque
 
 def _step_block(target, draft, prefix, config, rng, rows, mutation) -> StepBlock:
     gamma, lenience, policy = config.gamma, config.lenience, config.policy
-    argmax_lenient = policy.is_argmax and lenience < 1.0
     u = rng.uniform_block(rows * (2 * gamma + 1)).reshape(rows, 2 * gamma + 1)
     drafts = np.empty((rows, gamma), dtype=np.int64)
     q_at = []  # per position: the distinct distributions, each row's index into them
@@ -305,26 +317,18 @@ def _step_block(target, draft, prefix, config, rng, rows, mutation) -> StepBlock
         q_at.append((draft.next_distribution_batch(tails, policy), group))
         for d, at in zip(q_at[i][0], members):
             drafts[at, i] = inverse_cdf_many(d, u[at, i])
-    p_at, raw_at = [], []  # as q_at for the target, and its raw views if argmax-lenient
+    p_at = []  # as q_at, for the target
     for i in range(gamma + 1):
         tails, group, _ = _tails(target, prefix, drafts[:, :i])
-        p_dists, raw_dists = _target_views(target, tails, policy, argmax_lenient)
-        p_at.append((p_dists, group))
-        raw_at.append(raw_dists)
+        p_at.append((target.next_distribution_batch(tails, policy), group))
 
     qx = np.column_stack([_prob_of(*q_at[i], drafts[:, i]) for i in range(gamma)])
-    if argmax_lenient:
-        rejected = np.column_stack([
-            _lenient_rejects(_prob_of(raw_at[i], p_at[i][1], drafts[:, i]),
-                             np.array([d.probs.max() for d in raw_at[i]])[p_at[i][1]], lenience)
-            for i in range(gamma)])
-    else:
-        px = np.column_stack([_prob_of(*p_at[i], drafts[:, i]) for i in range(gamma)])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rejected = _rejects(u[:, gamma:2 * gamma], px, qx, lenience)
+    px = np.column_stack([_prob_of(*p_at[i], drafts[:, i]) for i in range(gamma)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rejected = _rejects(u[:, gamma:2 * gamma], px, qx, lenience)
     n_acc = np.where(rejected.any(axis=1), rejected.argmax(axis=1), gamma)
     # The scalar step checks each drafted token up to its first rejection.
-    if not argmax_lenient and not (qx > 0.0)[np.arange(gamma) <= n_acc[:, None]].all():
+    if not (qx > 0.0)[np.arange(gamma) <= n_acc[:, None]].all():
         raise RuntimeError("drafted token with zero draft probability")
     if mutation == "accept_off_by_one":
         n_acc += n_acc < gamma  # deliberately accepts the rejected draft as well
@@ -336,7 +340,7 @@ def _step_block(target, draft, prefix, config, rng, rows, mutation) -> StepBlock
     q_ix = np.stack([g for _, g in q_at])[n_acc, r]  # those of its accept count k
     keys, _, members = _groups(np.column_stack([n_acc, p_ix, q_ix]))
     for (k, a, b), rows_j in zip(keys.tolist(), members):
-        d, _ = _last_token_dist(p_at[k][0][a], q_at[k][0][b], lenience, mutation, argmax_lenient)
+        d, _ = _last_token_dist(p_at[k][0][a], q_at[k][0][b], lenience, mutation)
         final[rows_j] = drafts[rows_j, k] if d is None else inverse_cdf_many(d, u_final[rows_j])
     return StepBlock(drafts, n_acc, final)
 
@@ -371,16 +375,6 @@ def _tails(model, prefix, drafted) -> tuple[list[list[int]], np.ndarray, list[np
         return [base], np.zeros(len(drafted), dtype=np.int64), [np.arange(len(drafted))]
     cols, group, members = _groups(drafted[:, i - read:])
     return [base + row for row in cols.tolist()], group, members
-
-
-def _target_views(target, prefixes, policy, argmax_lenient):
-    """The target's distributions at ``prefixes`` under ``policy`` and, under
-    argmax-lenient decoding, its raw view too (else ``None``), which the
-    lenient rule judges; both views come from one ``evaluate_batch``."""
-    if not argmax_lenient:
-        return target.next_distribution_batch(prefixes, policy), None
-    scores = target.evaluate_batch(prefixes)
-    return standardize_rows(scores, policy), standardize_rows(scores, IDENTITY_POLICY)
 
 
 def _prob_of(dists, group, tokens) -> np.ndarray:
@@ -430,7 +424,7 @@ def decode(
     def step(seq, rng):  # since the draft's last call on seq, only its last token can differ
         return speculative_step(target, draft, seq, config, rng, kept=len(seq) - 1)
 
-    return _generate(step, prompt, config, bos_token)
+    return _generate(step, target.vocab_size, prompt, config, bos_token)
 
 
 def standard_decode(
@@ -447,19 +441,22 @@ def standard_decode(
         return [x], StepTrace(drafted=(), accepted_n=0, correction=x,
                               correction_source="standard", target_calls=1, draft_calls=0)
 
-    return _generate(step, prompt, config, bos_token)
+    return _generate(step, target.vocab_size, prompt, config, bos_token)
 
 
-def _generate(step, prompt, config, bos_token) -> DecodeResult:
-    """The loop both decoders share: ``step(seq, rng)`` returns the tokens
-    one step appends to ``seq`` and its trace; the loop starts ``seq`` from
-    the prompt (``[bos_token]`` when it is empty) and applies ``decode``'s
-    stop-token and budget cut, totals and call guarantee."""
+def _generate(step, vocab, prompt, config, bos_token) -> DecodeResult:
+    """The loop both decoders share: ``step(seq, rng)`` returns the tokens one
+    step appends to ``seq`` and its trace; the loop starts ``seq`` from the
+    prompt (``[bos_token]`` when it is empty), checks it and the stop token
+    against ``vocab`` and applies the stop-token and budget cut, totals and call guarantee."""
     seq = list(prompt)  # prompt plus kept tokens, grown in place
     if not seq:
         if bos_token is None:
             raise ValueError("empty prompt and no bos_token to inject")
         seq = [bos_token]
+    request = seq if config.stop_token is None else [*seq, config.stop_token]
+    if bad := [t for t in request if not (isinstance(t, (int, np.integer)) and 0 <= t < vocab)]:
+        raise ValueError(f"prompt or stop tokens {bad} are not token ids in [0, {vocab})")
     start = len(seq)
     rng = RandomStream(config.seed)
     traces: list[StepTrace] = []

@@ -216,8 +216,8 @@ class TestEngineWindowsAreInvisible:
         # speculative_steps asks a model once per position, on each distinct
         # tail it reads once: tails of exactly its window (shorter only while
         # prompt plus drafts are shorter), or the whole prompt plus the
-        # drafted tokens for a None window. Under argmax-lenient decoding the
-        # target is asked through one evaluate_batch per position instead.
+        # drafted tokens for a None window. It refuses argmax-lenient decoding,
+        # which has no law to fit, before asking either model.
         prompt = _corpus(23, 50)
 
         def asked(windows, cfg):
@@ -245,14 +245,12 @@ class TestEngineWindowsAreInvisible:
 
         identity, lenient = SpecConfig(gamma=3), SpecConfig(
             gamma=3, policy=SamplingPolicy(argmax=True), lenience=0.5)
-        for windows, cfg in (((2, 1), identity), ((None, None), identity), ((2, 1), lenient)):
-            seen = asked(windows, cfg)
+        for windows in ((2, 1), (None, None)):
+            seen = asked(windows, identity)
             for role, window in zip(("target", "draft"), windows):
                 calls = seen[role]
                 assert len(calls) == (4 if role == "target" else 3)
-                method = ("evaluate_batch" if role == "target" and cfg is lenient
-                          else "next_distribution_batch")
-                assert {m for m, _ in calls} == {method}
+                assert {m for m, _ in calls} == {"next_distribution_batch"}
                 for i, (_, tails) in enumerate(calls):
                     assert len(set(tails)) == len(tails)
                     if window is None:
@@ -262,6 +260,8 @@ class TestEngineWindowsAreInvisible:
                     else:
                         assert {len(t) for t in tails} == {window}
                         assert len(tails) <= VOCAB ** window
+        with pytest.raises(ValueError, match="argmax-lenient"):
+            asked((2, 1), lenient)
 
     def test_prefix_is_not_mutated(self):
         target, draft = _ngram(3, seed=7), _ngram(1, seed=8)

@@ -168,6 +168,25 @@ class TestSpeculativeStep:
         with pytest.raises(VocabMismatchError):
             speculative_step(p, q, [0], SpecConfig(gamma=1), RandomStream(0))
 
+    @pytest.mark.parametrize("fails_on", [1, 3])
+    def test_failing_draft_call_leaves_the_prefix_as_it_came(self, fails_on):
+        # A whole-prefix draft drafts into the caller's list; when one of its
+        # calls raises, the drafts made before it must still be cut off.
+        class Failing(CopyModel):
+            calls = 0
+
+            def next_distribution_kept(self, prefix, policy, kept):
+                self.calls += 1
+                if self.calls == fails_on:
+                    raise RuntimeError("draft call failed")
+                return super().next_distribution_kept(prefix, policy, kept)
+
+        target, seq = StatelessModel(np.full(4, 0.25)), [0, 1, 2, 3, 0, 1]
+        with pytest.raises(RuntimeError, match="draft call failed"):
+            speculative_step(target, Failing(4), seq, SpecConfig(gamma=4), RandomStream(0),
+                             kept=len(seq) - 1)
+        assert seq == [0, 1, 2, 3, 0, 1]
+
     def test_trace_records_draft_probs(self):
         p, q = stateless_pair(0.6)
         cfg = SpecConfig(gamma=2, seed=3)
@@ -257,6 +276,18 @@ def scalar_steps(target, draft, prefix, config, rng, n, mutation=None):
             for _ in range(n)]
 
 
+def block_or_refusal(target, draft, prefix, config, rng, n, **kwargs):
+    """``speculative_steps``' block, or ``None`` where it refuses argmax-lenient
+    decoding, which has no law to fit, having drawn no variate."""
+    if not (config.policy.is_argmax and config.lenience < 1.0):
+        return speculative_steps(target, draft, prefix, config, rng, n, **kwargs)
+    drawn = rng.n_drawn
+    with pytest.raises(ValueError, match="argmax-lenient"):
+        speculative_steps(target, draft, prefix, config, rng, n, **kwargs)
+    assert rng.n_drawn == drawn
+    return None
+
+
 def assert_block_equals_loop(block, steps):
     gamma = block.drafts.shape[1]
     assert block.drafts.tolist() == [[d.token for d in t.drafted] for _, t in steps]
@@ -271,7 +302,7 @@ def assert_block_equals_loop(block, steps):
 
 
 class TestSpeculativeSteps:
-    """``speculative_steps`` is bitwise the scalar loop, on every path."""
+    """``speculative_steps`` is bitwise the scalar loop, on every path it runs."""
 
     @given(
         target=st.sampled_from(sorted(ZOO)),
@@ -293,16 +324,18 @@ class TestSpeculativeSteps:
         with pytest.MonkeyPatch.context() as mp:
             # 16 steps a block: n up to 40 spans up to three blocks
             mp.setattr(engine, "_VARIATES_PER_BLOCK", 16 * (2 * gamma + 1))
-            block = speculative_steps(ZOO[target], ZOO[draft], prompt, config, block_rng, n,
-                                      _mutation=mutation)
-        assert_block_equals_loop(block, steps)
-        assert block_rng.n_drawn == loop_rng.n_drawn == n * (2 * gamma + 1)
+            block = block_or_refusal(ZOO[target], ZOO[draft], prompt, config, block_rng, n,
+                                     _mutation=mutation)
+        assert loop_rng.n_drawn == n * (2 * gamma + 1)
+        if block is not None:
+            assert_block_equals_loop(block, steps)
+            assert block_rng.n_drawn == loop_rng.n_drawn
 
     @pytest.mark.parametrize("lenience", [1.0, 0.6])
     @pytest.mark.parametrize("mutation", [None, *MUTATIONS])
     def test_every_pair_and_policy(self, lenience, mutation):
         # Every ordered pair of a windowed n-gram, a stateless and the copy
-        # model, under every policy, with the argmax-lenient branch at 0.6.
+        # model, under every policy; at 0.6 the block refuses argmax.
         names = ["ngram2a", "ngram3b", "ngram1a", "stateless", "copy"]
         for target, draft in itertools.product(names, names):
             for policy in POLICIES:
@@ -310,10 +343,11 @@ class TestSpeculativeSteps:
                 loop_rng, block_rng = RandomStream(3), RandomStream(3)
                 steps = scalar_steps(ZOO[target], ZOO[draft], [4, 1], config, loop_rng, 12,
                                      mutation)
-                block = speculative_steps(ZOO[target], ZOO[draft], [4, 1], config, block_rng,
-                                          12, _mutation=mutation)
-                assert_block_equals_loop(block, steps)
-                assert block_rng.n_drawn == loop_rng.n_drawn
+                block = block_or_refusal(ZOO[target], ZOO[draft], [4, 1], config, block_rng,
+                                         12, _mutation=mutation)
+                if block is not None:
+                    assert_block_equals_loop(block, steps)
+                    assert block_rng.n_drawn == loop_rng.n_drawn
 
     def test_crosses_the_real_block_boundary(self):
         p, q = stateless_pair(0.7, vocab_size=3)
@@ -452,12 +486,13 @@ class TestSpeculativeSteps:
 
     def test_every_pair_takes_the_block_path(self, monkeypatch):
         # No window and no policy sends a block back to the scalar step: with
-        # it refusing to run, windowless pairs and an argmax-lenient pair
-        # still equal the scalar loop, computed before the patch.
+        # it refusing to run, windowless pairs and a lenient pair still equal
+        # the scalar loop, computed before the patch, and argmax-lenient
+        # decoding is refused rather than handed to it.
         cases = [("copy", "copy", SpecConfig(gamma=3)),
                  ("ngram2a", "copy", SpecConfig(gamma=3, policy=SamplingPolicy(top_p=0.8))),
                  ("ngram3a", "ngram2b",
-                  SpecConfig(gamma=3, policy=SamplingPolicy(argmax=True), lenience=0.5))]
+                  SpecConfig(gamma=3, policy=SamplingPolicy(temperature=0.7), lenience=0.5))]
         prefix = [4, 1, 2, 4, 1, 2]
         expected = [scalar_steps(ZOO[t], ZOO[d], prefix, cfg, RandomStream(5), 80)
                     for t, d, cfg in cases]
@@ -469,6 +504,9 @@ class TestSpeculativeSteps:
         for (t, d, cfg), steps in zip(cases, expected):
             block = speculative_steps(ZOO[t], ZOO[d], prefix, cfg, RandomStream(5), 80)
             assert_block_equals_loop(block, steps)
+        argmax_lenient = SpecConfig(gamma=3, policy=SamplingPolicy(argmax=True), lenience=0.5)
+        assert block_or_refusal(ZOO["ngram3a"], ZOO["ngram2b"], prefix, argmax_lenient,
+                                RandomStream(5), 80) is None
 
     def test_windowless_block_builds_no_prefix_wide_array(self):
         # Rows share the prefix, so a None window costs the distinct tails,
@@ -531,6 +569,29 @@ class TestSpeculativeSteps:
         empty = speculative_steps(p, q, [0], config, RandomStream(0), 0)
         assert empty.drafts.shape == (0, 2) and empty.tokens_at(0).shape == (0,)
 
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_argmax_lenient_refused_before_any_draw_or_call(self, n):
+        # Argmax below lenience 1 has no law to fit, so the block kernel
+        # refuses it before it draws a variate or asks either model anything.
+        asked = []
+
+        class Asked(StatelessModel):
+            def __getattribute__(self, name):
+                value = super().__getattribute__(name)
+                if callable(value) and not name.startswith("_"):
+                    asked.append(name)
+                return value
+
+        target, draft = Asked(np.array([0.2, 0.3, 0.5])), Asked(np.array([0.5, 0.3, 0.2]))
+        config = SpecConfig(gamma=2, policy=SamplingPolicy(argmax=True), lenience=0.5)
+        rng = RecordingStream(0)
+        with pytest.raises(ValueError, match="argmax-lenient"):
+            speculative_steps(target, draft, [0], config, rng, n)
+        assert rng.n_drawn == 0 and rng.calls == []
+        assert asked == []
+        speculative_steps(target, draft, [0], SpecConfig(gamma=2), rng, 1)
+        assert rng.n_drawn == 5 and asked  # the recording sees a run that is not refused
+
 
 class BadAfterPrompt(LanguageModel):
     """Good scores at the one-token prompt and ``bad`` ones at every longer
@@ -556,15 +617,67 @@ class TestBadTargetScores:
     @pytest.mark.parametrize("policy, lenience", [
         (IDENTITY_POLICY, 1.0),
         (SamplingPolicy(temperature=0.7, top_k=2), 0.6),
-        (SamplingPolicy(argmax=True), 0.5),  # argmax-lenient: raw and argmax views
+        (SamplingPolicy(argmax=True), 0.5),  # argmax-lenient: raw and argmax views, one kernel
     ], ids=["identity", "temperature-top-k", "argmax-lenient"])
     def test_raises_named_error(self, bad, named, policy, lenience):
         draft = StatelessModel(np.array([0.2, 0.3, 0.5]))
         config = SpecConfig(gamma=2, policy=policy, lenience=lenience)
         with pytest.raises(named):
             speculative_step(BadAfterPrompt(bad), draft, [0], config, RandomStream(0))
+        if policy.is_argmax and lenience < 1.0:  # the block kernel refuses, asking nothing
+            assert block_or_refusal(BadAfterPrompt(bad), draft, [0], config, RandomStream(0),
+                                    8) is None
+            return
         with pytest.raises(named):
             speculative_steps(BadAfterPrompt(bad), draft, [0], config, RandomStream(0), 8)
+
+
+class TestSpecConfig:
+    @pytest.mark.parametrize("name, value", [
+        ("gamma", 2.0), ("max_new_tokens", 2.5), ("seed", 1.5), ("seed", "1"),
+    ])
+    def test_non_integral_integer_field_is_named(self, name, value):
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            SpecConfig(**{"gamma": 2, name: value})
+
+    def test_numpy_integers_pass(self):
+        config = SpecConfig(gamma=np.int64(2), seed=np.uint32(3), max_new_tokens=np.int8(5))
+        p, q = stateless_pair(0.5)
+        plain = SpecConfig(gamma=2, seed=3, max_new_tokens=5)
+        assert decode(p, q, [0], config).tokens == decode(p, q, [0], plain).tokens
+
+
+def _ngram_pair_v4():
+    corpus = [int(u * 4) for u in RandomStream(17).uniform_block(200)]
+    return train_ngram(corpus, 3, 4), train_ngram(corpus, 2, 4)
+
+
+class TestRequestTokens:
+    # Prompt (or injected BOS) and stop tokens are checked once against the
+    # target's vocabulary, before any step, for both decoders.
+    @pytest.mark.parametrize("draft", ["bigram", "copy"])
+    @pytest.mark.parametrize("prompt, bos, stop, named", [
+        ([9, -2], None, None, r"\[9, -2\]"),
+        ([], 77, None, r"\[77\]"),
+        ([0, 1], None, 99, r"\[99\]"),
+        ([0, 4], None, -1, r"\[4, -1\]"),
+        ([0, 1.5], None, 2.5, r"\[1.5, 2.5\]"),
+    ], ids=["prompt", "bos", "stop", "both", "non-integer"])
+    def test_not_a_token_id_raises(self, draft, prompt, bos, stop, named):
+        target, bigram = _ngram_pair_v4()
+        config = SpecConfig(gamma=3, max_new_tokens=8, stop_token=stop)
+        message = rf"tokens {named} are not token ids in \[0, 4\)"
+        with pytest.raises(ValueError, match=message):
+            decode(target, bigram if draft == "bigram" else CopyModel(4), prompt, config,
+                   bos_token=bos)
+        with pytest.raises(ValueError, match=message):
+            standard_decode(target, prompt, config, bos_token=bos)
+
+    def test_vocab_edges_pass(self):
+        target, draft = _ngram_pair_v4()
+        config = SpecConfig(gamma=3, max_new_tokens=8, stop_token=3)
+        assert decode(target, draft, np.array([0, 3]), config).tokens
+        assert standard_decode(target, [], config, bos_token=0).tokens
 
 
 class TestDecode:
@@ -714,11 +827,8 @@ class TestStandardDecode:
 
 def lenient_rejects_each(p, lenience):
     """``_lenient_rejects`` for every token of ``p``, asked one float at a time
-    (as the step asks) and as one array (as a block asks); both must agree."""
-    scalar = [_lenient_rejects(float(x), float(p.max()), lenience) for x in p]
-    block = _lenient_rejects(p, np.full(len(p), p.max()), lenience)
-    assert block.tolist() == scalar
-    return scalar
+    as ``speculative_step`` asks."""
+    return [_lenient_rejects(float(x), float(p.max()), lenience) for x in p]
 
 
 class TestArgmaxLenientAccept:

@@ -11,7 +11,8 @@ splits [0, 1)^(2*gamma+1) into cells on which that function is constant:
 
 Under argmax at l < 1 a draft is judged on the raw target instead, whatever
 its acceptance variate, and a rejection is corrected from p; the oracle
-splits the same way from its own copy of that rule.
+splits the same way from its own copy of that rule. Only the scalar kernel
+runs that rule: the block kernel refuses it, since it has no law to fit.
 
 It runs the kernel at each cell's midpoint through a scripted stream, weights
 the emitted tokens by the cell's volume, and recurses into the next step from
@@ -227,6 +228,12 @@ def test_first_k_tokens_within_lenient_bound(kernel, policy, gamma, lenience):
     config = SpecConfig(gamma=gamma, policy=POLICIES[policy], lenience=lenience)
     oracle = Oracle(target, draft, config, KERNELS[kernel])
     prompt = [0, 1]
+    if kernel == "block" and config.policy.is_argmax:
+        stream = ScriptedStream([0.5] * (2 * gamma + 1))
+        with pytest.raises(ValueError, match="argmax-lenient"):
+            speculative_steps(target, draft, prompt, config, stream, 1)
+        assert stream.n_drawn == 0
+        return
     law = oracle.law(prompt, 3)
     assert abs(sum(law.values()) - 1.0) <= 1e-12
     mass = defaultdict(float)  # the law's mass on each head of its sequences
