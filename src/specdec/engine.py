@@ -42,6 +42,7 @@ __all__ = [
     "MAX_GAMMA",
     "MAX_BLOCK",
     "check_pair",
+    "check_tokens",
     "SpecConfig",
     "DraftedToken",
     "StepTrace",
@@ -155,12 +156,10 @@ def check_pair(target: LanguageModel, draft: LanguageModel, gamma: int = 0) -> N
                          f"got ({gamma}+1) * {target.vocab_size}")
 
 
-def _tail(prefix: Sequence[int], window: int | None) -> list[int]:
-    """The trailing ``window`` tokens of ``prefix`` as a new list (all of it
-    for ``None``); a window of 0 gives ``[]``, not ``prefix[-0:]``."""
-    if window is None:
-        return list(prefix)
-    return list(prefix[-window:]) if window else []
+def check_tokens(tokens: Sequence, vocab: int, what: str) -> None:
+    """Raise a ``ValueError`` naming every one of ``tokens`` that is not an integer in [0, vocab)."""
+    if bad := [t for t in tokens if not (isinstance(t, (int, np.integer)) and 0 <= t < vocab)]:
+        raise ValueError(f"{what} tokens {bad} are not token ids in [0, {vocab})")
 
 
 def _rejects(u, p_x, q_x, lenience):
@@ -186,9 +185,13 @@ def speculative_step(
 ) -> tuple[list[int], StepTrace]:
     """One draft/verify step; returns 1..gamma+1 appended tokens and its trace.
 
-    ``kept`` tells a whole-prefix draft that ``kept`` leading tokens of the
-    list ``prefix`` are unchanged since its last call: the step then drafts
-    into ``prefix``, declaring each call's fork point, and cuts it back.
+    The step works on one list: the draft drafts into it, each call declaring
+    its fork point through ``next_distribution_kept``, and the target's
+    gamma+1 candidates are slices of it, each cut to the target's window.
+    ``kept`` says that ``kept`` leading tokens of the list ``prefix`` are
+    unchanged since the draft's last call: the step then drafts into
+    ``prefix`` itself and cuts it back. Without ``kept`` it drafts into one
+    copy of ``prefix``, and the draft compares contents.
 
     ``_mutation`` injects a named, deliberately broken variant (see
     ``MUTATIONS``) so statistical tests can prove they would catch an
@@ -197,6 +200,8 @@ def speculative_step(
     if _mutation is not None and _mutation not in MUTATIONS:
         raise ValueError(f"unknown mutation {_mutation!r}")
     check_pair(target, draft, config.gamma)
+    if kept is not None and not hasattr(prefix, "append"):
+        raise TypeError(f"a kept count needs a list to draft into, got {type(prefix).__name__}")
     gamma, lenience, policy = config.gamma, config.lenience, config.policy
 
     # Argmax-lenient mode judges drafts on the raw target distribution
@@ -206,28 +211,19 @@ def speculative_step(
     # The step's variates, one row as in _step_block (see the module docstring).
     u = rng.uniform_block(2 * gamma + 1).tolist()
 
-    # Each model sees only the tail of the prefix it declares it reads, so
-    # the per-step cost does not grow with the prefix for windowed models.
-    whole = draft.context_window is None
-    target_base = _tail(prefix, target.context_window)
-    base = prefix if whole and kept is not None else _tail(prefix, draft.context_window)
-    drafts: list[int] = []
+    seq = prefix if kept is not None else list(prefix)
+    n0, window = len(seq), target.context_window
+    start = 0 if window is None else max(0, n0 - window)  # the target reads seq[start:]
     q_dists: list[Distribution] = []
     try:
         for i in range(gamma):
             # A later call keeps all but the draft appended since the last one.
-            qd = (draft.next_distribution_kept(base, policy, len(base) - 1 if i else kept) if whole
-                  else draft.next_distribution(base, policy))
-            x = inverse_cdf(qd, u[i])
-            drafts.append(x)
-            q_dists.append(qd)
-            base.append(x)
+            q_dists.append(draft.next_distribution_kept(seq, policy, n0 + i - 1 if i else kept))
+            seq.append(inverse_cdf(q_dists[i], u[i]))
+        # The gamma+1 candidate prefixes of the one batched target call, in prefix order.
+        drafts, prefixes = seq[n0:], [seq[start:n0 + i] for i in range(gamma + 1)]
     finally:  # the caller's list leaves as it came, also when a draft call raised
-        if base is prefix:
-            del prefix[len(prefix) - len(drafts):]
-    # The single designated concurrency point: one batched target call
-    # covering all gamma+1 candidate prefixes, results in prefix order.
-    prefixes = [target_base + drafts[:i] for i in range(gamma + 1)]
+        del seq[n0:]
     if argmax_lenient:
         scores = target.evaluate_batch(prefixes)
         p_dists = standardize_rows(scores, policy)
@@ -370,7 +366,7 @@ def _tails(model, prefix, drafted) -> tuple[list[list[int]], np.ndarray, list[np
     compared; the prefix part is the same for every tail."""
     window, i = model.context_window, drafted.shape[1]
     read = i if window is None else min(i, window)
-    base = _tail(prefix, None if window is None else window - read)
+    base = list(prefix[0 if window is None else max(0, len(prefix) - window + read):])
     if read == 0:
         return [base], np.zeros(len(drafted), dtype=np.int64), [np.arange(len(drafted))]
     cols, group, members = _groups(drafted[:, i - read:])
@@ -454,9 +450,8 @@ def _generate(step, vocab, prompt, config, bos_token) -> DecodeResult:
         if bos_token is None:
             raise ValueError("empty prompt and no bos_token to inject")
         seq = [bos_token]
-    request = seq if config.stop_token is None else [*seq, config.stop_token]
-    if bad := [t for t in request if not (isinstance(t, (int, np.integer)) and 0 <= t < vocab)]:
-        raise ValueError(f"prompt or stop tokens {bad} are not token ids in [0, {vocab})")
+    check_tokens(seq if config.stop_token is None else [*seq, config.stop_token], vocab,
+                 "prompt or stop")
     start = len(seq)
     rng = RandomStream(config.seed)
     traces: list[StepTrace] = []

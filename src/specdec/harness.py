@@ -20,7 +20,7 @@ import numpy as np
 
 from .analysis import CostModel, beta, expected_tokens, trace_accept_rate, walltime_factor
 from .distmath import Distribution, IDENTITY_POLICY, normalize
-from .engine import DecodeResult, SpecConfig, StepTrace, decode, speculative_steps
+from .engine import DecodeResult, SpecConfig, StepTrace, check_tokens, decode, speculative_steps
 from .engine import speculative_step  # unused here, but the traced benchmark wraps it here
 from .models import LanguageModel, stateless_pair
 from .rng import RandomStream
@@ -202,6 +202,7 @@ def equivalence_test(
         raise ValueError("n_samples must be at least 10^4 for a meaningful test")
     if not context_set:
         raise ValueError("need at least one context")
+    check_tokens([t for c in context_set for t in c], target.vocab_size, "context")
     results: list[ContextResult] = []
     for ci, context in enumerate(context_set):
         rng = RandomStream(config.seed, stream=2 * ci)
@@ -323,8 +324,8 @@ def simulate_walltime(
     Acceptance is estimated from the traces of all runs and fed to the
     closed-form prediction, charged the same batch cost.
     """
-    if n_tokens < 1:
-        raise ValueError("n_tokens must be >= 1")
+    if n_tokens < 1 or n_runs < 1:
+        raise ValueError(f"n_tokens and n_runs must be >= 1, got {n_tokens} and {n_runs}")
     batch_cost = cost.batch_cost(config.gamma)
     runs: list[RunStats] = []
     first_step_tokens: list[int] = []
@@ -392,6 +393,7 @@ def rejection_comparison(
     Raises ``RuntimeError`` if the paper-level ordering fails: rejection
     sampling never accepts more often than speculative sampling does.
     """
+    check_tokens([t for c in contexts for t in c], target.vocab_size, "context")
     rows = []
     for context in contexts:
         b, r, bad = _rejection_row(target.next_distribution(list(context), IDENTITY_POLICY),

@@ -1,6 +1,9 @@
 """The ``context_window`` contract: a model that declares a window gives
-bitwise-identical scores on the tail of a prefix, and the engine, which
-passes each model only its tail, decodes exactly as with full prefixes."""
+bitwise-identical scores on the tail of a prefix, and the engine, which cuts
+each target candidate and each block row to the tail its model reads,
+decodes exactly as with full prefixes. A scalar step's draft drafts into the
+step's one list, whatever its window, and the target's candidates are slices
+of that list."""
 
 from __future__ import annotations
 
@@ -56,6 +59,31 @@ class FullPrefix(LanguageModel):
 
     def next_distribution_batch(self, prefixes, policy):
         return self.inner.next_distribution_batch(prefixes, policy)
+
+
+class Recorder(FullPrefix):
+    """``inner`` behind the declared ``window`` (``inner``'s own by default):
+    records each ``next_distribution_kept`` call's list object, its length
+    and the declared count, and a copy of each batch of prefixes."""
+
+    def __init__(self, inner: LanguageModel, window="inner"):
+        super().__init__(inner)
+        self.context_window = inner.context_window if window == "inner" else window
+        self.calls: list[tuple[list[int], int, int | None]] = []
+        self.batches: list[list[list[int]]] = []
+
+    def next_distribution_kept(self, prefix, policy, kept):
+        self.calls.append((prefix, len(prefix), kept))
+        return self.inner.next_distribution_kept(prefix, policy, kept)
+
+    def next_distribution_batch(self, prefixes, policy):
+        self.batches.append([list(p) for p in prefixes])
+        return self.inner.next_distribution_batch(prefixes, policy)
+
+
+def _lists(calls) -> list[list[int]]:
+    """The distinct list objects among recorded calls, in order of first use."""
+    return list({id(p): p for p, _, _ in calls}.values())
 
 
 class OverclaimingCopy(CopyModel):
@@ -178,39 +206,29 @@ class TestEngineWindowsAreInvisible:
                 assert out_w[1] == out_f[1]
                 assert rng_w.n_drawn == rng_f.n_drawn == 2 * cfg.gamma + 1
 
-    def test_overclaiming_draft_changes_decode(self, monkeypatch):
-        # The engine trusts the declared window: a model that reads more
+    def test_overclaiming_target_changes_decode(self, monkeypatch):
+        # The engine trusts the declared window: a target that reads more
         # than it declares decodes differently, which the contract forbids.
-        target = _ngram(3, seed=7)
-        draft = OverclaimingCopy(VOCAB, min_match=1)
+        # Only the target's candidates are cut, so only a target can show it.
+        draft = _ngram(2, seed=8)
         cfg = CONFIGS["identity"]
         prompt = _corpus(22, 30)
-        windowed = _decode_run(monkeypatch, target, draft, prompt, cfg)
-        full = _decode_run(monkeypatch, target, FullPrefix(draft), prompt, cfg)
+        windowed = _decode_run(monkeypatch, OverclaimingCopy(VOCAB, min_match=1), draft,
+                               prompt, cfg)
+        full = _decode_run(monkeypatch, FullPrefix(OverclaimingCopy(VOCAB, min_match=1)),
+                           draft, prompt, cfg)
         assert windowed != full
 
-    def test_models_see_only_their_window(self):
-        # A window of 0 must reach the model as [], not as prefix[-0:].
-        seen: dict[str, set[int]] = {"target": set(), "draft": set()}
-
-        class Recording(FullPrefix):
-            def __init__(self, inner, role):
-                super().__init__(inner)
-                self.context_window = inner.context_window
-                self.role = role
-
-            def next_distribution(self, prefix, policy):
-                seen[self.role].add(len(prefix))
-                return self.inner.next_distribution(prefix, policy)
-
-            def next_distribution_batch(self, prefixes, policy):
-                seen[self.role].update(len(p) for p in prefixes)
-                return self.inner.next_distribution_batch(prefixes, policy)
-
-        cfg = SpecConfig(gamma=3)
-        speculative_step(Recording(_ngram(3), "target"), Recording(_ngram(1), "draft"),
-                         _corpus(23, 50), cfg, RandomStream(0))
-        assert seen == {"target": {2, 3, 4, 5}, "draft": {0, 1, 2}}
+    @pytest.mark.parametrize("target_order, target_lengths", [(3, {2, 3, 4, 5}),
+                                                              (1, {0, 1, 2, 3})],
+                             ids=["window-2-target", "window-0-target"])
+    def test_models_see_only_their_window(self, target_order, target_lengths):
+        # A target's window of 0 must reach it as [], not as prefix[-0:]; a
+        # draft, window 0 or not, reads the step's list of 50 tokens and its drafts.
+        target, draft = Recorder(_ngram(target_order)), Recorder(_ngram(1))
+        speculative_step(target, draft, _corpus(23, 50), SpecConfig(gamma=3), RandomStream(0))
+        assert {len(p) for batch in target.batches for p in batch} == target_lengths
+        assert {n for _, n, _ in draft.calls} == {50, 51, 52}
 
     def test_block_asks_each_distinct_window_once(self):
         # speculative_steps asks a model once per position, on each distinct
@@ -263,8 +281,65 @@ class TestEngineWindowsAreInvisible:
         with pytest.raises(ValueError, match="argmax-lenient"):
             asked((2, 1), lenient)
 
+    @pytest.mark.parametrize("windows", [(2, 1), (None, None)], ids=["windowed", "whole-prefix"])
+    def test_block_takes_a_tuple_or_array_prefix(self, windows):
+        # The block joins its rows' drafts to a list of the prefix's tail, so
+        # an array prefix is not added to them elementwise.
+        prompt, cfg = _corpus(27, 12), SpecConfig(gamma=3)
+        target, draft = (FullPrefix(m) for m in (_ngram(3), CopyModel(VOCAB, min_match=1)))
+        target.context_window, draft.context_window = windows
+        blocks = [engine.speculative_steps(target, draft, p, cfg, RandomStream(3), 50)
+                  for p in (prompt, tuple(prompt), np.array(prompt))]
+        assert all(np.array_equal(a, b) for blk in blocks[1:] for a, b in zip(blocks[0], blk))
+
     def test_prefix_is_not_mutated(self):
         target, draft = _ngram(3, seed=7), _ngram(1, seed=8)
         prefix = [0, 1, 2]
         speculative_step(target, draft, prefix, SpecConfig(gamma=3), RandomStream(0))
         assert prefix == [0, 1, 2]
+
+
+class TestOneListPerStep:
+    @pytest.mark.parametrize("inner", ["ngram2", "copy", "ngram1"])
+    def test_decode_drafts_into_its_own_list(self, inner):
+        # Every draft call, windowed or not, gets decode's one list, which
+        # ends as its prompt plus its output, and declares all but the last token kept.
+        draft = Recorder({"ngram2": _ngram(2, seed=8), "ngram1": _ngram(1, seed=8),
+                          "copy": CopyModel(VOCAB, min_match=1)}[inner])
+        prompt = _corpus(24, 40)
+        cfg = SpecConfig(gamma=3, seed=2, max_new_tokens=60)
+        res = decode(_ngram(3, seed=7), draft, prompt, cfg)
+        (seq,) = _lists(draft.calls)
+        assert seq is not prompt and prompt == _corpus(24, 40)
+        assert seq == prompt + res.tokens
+        assert len(draft.calls) == cfg.gamma * len(res.traces)
+        assert all(kept == n - 1 for _, n, kept in draft.calls)
+
+    @pytest.mark.parametrize("window", [None, 0, 2, 60])
+    @pytest.mark.parametrize("kept", [None, 39])
+    def test_target_candidates_are_slices_of_the_list(self, window, kept):
+        inner = {None: CopyModel(VOCAB, min_match=1), 0: _ngram(1)}.get(window, _ngram(3))
+        target, cfg = Recorder(inner, window), SpecConfig(gamma=3)
+        prefix = _corpus(26, 40)
+        _, trace = speculative_step(target, _ngram(2, seed=8), prefix, cfg, RandomStream(1),
+                                    kept=kept)
+        seq = prefix + [d.token for d in trace.drafted]
+        start = 0 if window is None else max(0, 40 - window)
+        assert target.batches == [[seq[start:40 + i] for i in range(cfg.gamma + 1)]]
+        assert prefix == _corpus(26, 40)
+
+    def test_without_a_count_the_draft_gets_a_copy(self):
+        draft = Recorder(CopyModel(VOCAB, min_match=1))
+        prefix = _corpus(25, 30)
+        speculative_step(_ngram(3), draft, prefix, SpecConfig(gamma=3), RandomStream(0))
+        assert prefix == _corpus(25, 30)
+        (copy,) = _lists(draft.calls)
+        assert copy is not prefix
+        assert [(n, kept) for _, n, kept in draft.calls] == [(30, None), (31, 30), (32, 31)]
+
+    def test_a_count_needs_a_list(self):
+        rng = RandomStream(0)
+        with pytest.raises(TypeError, match="list to draft into, got tuple"):
+            speculative_step(_ngram(3), CopyModel(VOCAB), tuple(_corpus(25, 30)),
+                             SpecConfig(gamma=3), rng, kept=29)
+        assert rng.n_drawn == 0

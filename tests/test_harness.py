@@ -310,6 +310,13 @@ class TestSimulateWalltime:
         assert report.expected_speedup == walltime_factor(report.alpha_hat, 3, 0.02,
                                                           cost.batch_cost(3))
 
+    @pytest.mark.parametrize("n_tokens, n_runs", [(100, 0), (100, -1), (0, 1)])
+    def test_no_runs_or_tokens_rejected(self, n_tokens, n_runs):
+        target, draft = stateless_pair(0.5)
+        with pytest.raises(ValueError, match=f"got {n_tokens} and {n_runs}"):
+            simulate_walltime(target, draft, CostModel(), SpecConfig(gamma=2),
+                              n_tokens=n_tokens, n_runs=n_runs)
+
     def test_timeline_reflects_real_steps(self):
         target, draft = stateless_pair(0.5)
         report = simulate_walltime(target, draft, CostModel(), SpecConfig(gamma=2, seed=18),
@@ -460,3 +467,32 @@ def test_simulated_speedup_vs_expected_tokens_identity():
         target, draft, CostModel(c=0.0), SpecConfig(gamma=5, seed=17), n_tokens=20_000
     )
     assert report.empirical_speedup == pytest.approx(expected_tokens(0.8, 5), rel=0.02)
+
+
+class TestContextTokens:
+    # With V 2, a bigram pair would read an unseen context as uniform, so a
+    # context that holds no token id must be refused before any step is drawn.
+    @staticmethod
+    def bigram_pair():
+        corpus = [int(u * 2) for u in RandomStream(40).uniform_block(300)]
+        return train_ngram(corpus, 2, 2), train_ngram(corpus, 2, 2, smoothing_k=1.0)
+
+    @pytest.mark.parametrize("contexts, named", [([[7]], r"\[7\]"), ([[0], [1, -1]], r"\[-1\]"),
+                                                 ([[0.5]], r"\[0.5\]")],
+                             ids=["unseen", "negative", "non-integer"])
+    def test_equivalence_refuses(self, monkeypatch, contexts, named):
+        monkeypatch.setattr(harness, "speculative_steps", None)  # a step would raise TypeError
+        with pytest.raises(ValueError, match=rf"context tokens {named} are not token ids in "
+                                             r"\[0, 2\)"):
+            equivalence_test(*self.bigram_pair(), SpecConfig(gamma=2), 10_000, contexts)
+
+    @pytest.mark.parametrize("contexts, named", [([[9]], r"\[9\]"), ([[0], [1, 2]], r"\[2\]")],
+                             ids=["unseen", "second"])
+    def test_rejection_comparison_refuses(self, contexts, named):
+        with pytest.raises(ValueError, match=rf"context tokens {named} are not token ids in "
+                                             r"\[0, 2\)"):
+            rejection_comparison(*self.bigram_pair(), contexts)
+
+    def test_token_ids_pass(self):
+        target, draft = self.bigram_pair()
+        assert len(rejection_comparison(target, draft, [[0], [1, 0], np.array([1])])) == 3
