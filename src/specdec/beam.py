@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .distmath import IDENTITY_POLICY, Distribution
+from .engine import check_pair, check_tokens
 from .models import LanguageModel
 
 __all__ = ["Beam", "BeamStats", "standard_beam_search", "speculative_beam_search"]
@@ -51,23 +52,14 @@ class BeamStats:
         return self.accepted_steps / self.steps if self.steps else 1.0
 
 
-def _log_probs(d: Distribution) -> np.ndarray:
+def _step(beams: Sequence[Beam], dists: Sequence[Distribution], width: int) -> list[Beam]:
+    """The ``width`` best one-token extensions of ``beams`` under ``dists``: highest
+    score first, equal scores falling back to the smaller token sequence."""
     with np.errstate(divide="ignore"):
-        return np.log(d.probs)
-
-
-def _extend(beams: Sequence[Beam], dists: Sequence[Distribution]) -> list[Beam]:
-    out: list[Beam] = []
-    for b, d in zip(beams, dists):
-        logp = _log_probs(d)
-        for t in range(logp.shape[0]):
-            out.append(Beam(b.tokens + (t,), b.score + float(logp[t])))
-    return out
-
-
-def _select(candidates: list[Beam], width: int) -> list[Beam]:
-    # Highest score first; equal scores fall back to the smaller sequence.
-    return sorted(candidates, key=lambda b: (-b.score, b.tokens))[:width]
+        rows = [np.log(d.probs).tolist() for d in dists]
+    out = [Beam(b.tokens + (t,), b.score + lp) for b, row in zip(beams, rows)
+           for t, lp in enumerate(row)]
+    return sorted(out, key=lambda b: (-b.score, b.tokens))[:width]
 
 
 def standard_beam_search(
@@ -79,13 +71,14 @@ def standard_beam_search(
     """Textbook beam search under the target model alone."""
     if width < 1 or steps < 1:
         raise ValueError("width and steps must be >= 1")
+    check_tokens(prompt, target.vocab_size, "prompt")
     prompt_list = list(prompt)
     beams = [Beam((), 0.0)]
     for _ in range(steps):
         dists = target.next_distribution_batch(
             [prompt_list + list(b.tokens) for b in beams], IDENTITY_POLICY
         )
-        beams = _select(_extend(beams, dists), width)
+        beams = _step(beams, dists, width)
     return beams
 
 
@@ -108,6 +101,8 @@ def speculative_beam_search(
         raise ValueError("draft_width must be >= width")
     if width < 1 or gamma < 1 or steps < 1:
         raise ValueError("width, gamma and steps must be >= 1")
+    check_pair(target, draft)
+    check_tokens(prompt, target.vocab_size, "prompt")
     prompt_list = list(prompt)
 
     def seqs(beams: Sequence[Beam]) -> list[list[int]]:
@@ -127,7 +122,7 @@ def speculative_beam_search(
         dbeams = exact
         for _ in range(block):
             ddists = draft.next_distribution_batch(seqs(dbeams), IDENTITY_POLICY)
-            dbeams = _select(_extend(dbeams, ddists), draft_width)
+            dbeams = _step(dbeams, ddists, draft_width)
             levels.append(dbeams)
 
         # One batched target call over the roots and every draft level but the
@@ -141,8 +136,7 @@ def speculative_beam_search(
 
         # Replay the exact search against the draft's kept sets.
         for level in levels:
-            candidates = _extend(exact, [tdist[b.tokens] for b in exact])
-            exact = _select(candidates, width)
+            exact = _step(exact, [tdist[b.tokens] for b in exact], width)
             stats.steps += 1
             kept = {b.tokens for b in level}
             accepted = all(b.tokens in kept for b in exact)

@@ -341,9 +341,10 @@ def _verify_rejection(args: argparse.Namespace) -> tuple[bool, str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _at_least(args, "--vocab", 1)
-    if args.vocab > models.MAX_VOCAB:
-        raise CliError(f"--vocab must be at most {models.MAX_VOCAB}, got {args.vocab}")
+    if args.suite != "geometric":  # the one suite that reads no --vocab
+        _at_least(args, "--vocab", 1)
+        if args.vocab > models.MAX_VOCAB:
+            raise CliError(f"--vocab must be at most {models.MAX_VOCAB}, got {args.vocab}")
     # Each suite checks its flags, runs, and returns its verdict and line; the
     # header is printed only then, so a usage error leaves stdout empty. Too
     # few samples to test the law is a usage error too.

@@ -165,11 +165,10 @@ def normalize(raw: np.ndarray) -> Distribution:
 
 
 def _descending(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices into ``p.ravel()`` that sort each row in descending order (stable:
-    ties keep the lower token index), and the sorted values as a fresh array."""
+    """Indices into ``p.ravel()`` that sort each row of ``p`` in descending order
+    (stable: ties keep the lower token index), and the sorted values as a fresh array."""
     order = np.argsort(-p, axis=-1, kind="stable")
-    if p.ndim > 1:
-        order += np.arange(0, p.size, p.shape[-1])[:, None]
+    order += np.arange(0, p.size, p.shape[-1])[:, None]
     return order, p.reshape(-1)[order]
 
 

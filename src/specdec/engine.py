@@ -200,7 +200,7 @@ def speculative_step(
     if _mutation is not None and _mutation not in MUTATIONS:
         raise ValueError(f"unknown mutation {_mutation!r}")
     check_pair(target, draft, config.gamma)
-    if kept is not None and not hasattr(prefix, "append"):
+    if kept is not None and not isinstance(prefix, list):
         raise TypeError(f"a kept count needs a list to draft into, got {type(prefix).__name__}")
     gamma, lenience, policy = config.gamma, config.lenience, config.policy
 
@@ -249,8 +249,11 @@ def speculative_step(
     if _mutation == "accept_off_by_one":
         n += n < gamma  # deliberately accepts the rejected draft as well
 
-    d, source = _last_token_dist(p_dists[n], q_dists[n] if n < gamma else None, lenience,
-                                 _mutation, argmax_lenient)
+    if argmax_lenient and n < gamma:  # a lenient rejection takes the target's argmax
+        d, source = p_dists[n], "target_argmax"
+    else:
+        d, source = _last_token_dist(p_dists[n], q_dists[n] if n < gamma else None, lenience,
+                                     _mutation)
     final = drafts[n] if d is None else inverse_cdf(d, u[2 * gamma])
     drafted = tuple(map(DraftedToken, drafts, q_x, p_x))
     return drafts[:n] + [final], StepTrace(drafted, n, final, source, draft_calls=gamma)
@@ -377,10 +380,8 @@ def _prob_of(dists, group, tokens) -> np.ndarray:
     return np.stack([d.probs for d in dists])[group, tokens]
 
 
-def _last_token_dist(
-    p: Distribution, q: Distribution | None, lenience: float, mutation: str | None,
-    argmax_lenient: bool = False,
-) -> tuple[Distribution | None, str]:
+def _last_token_dist(p: Distribution, q: Distribution | None, lenience: float,
+                     mutation: str | None) -> tuple[Distribution | None, str]:
     """The distribution a step samples its last token from, and its source: the
     target's extra position ``p`` if every draft was accepted (``q`` None),
     else the correction for the rejected draft's ``p`` and ``q``. A ``None``
@@ -391,8 +392,6 @@ def _last_token_dist(
         return p, "residual"
     if mutation == "resample_q":
         return q, "residual"
-    if argmax_lenient:
-        return p, "target_argmax"
     try:
         return residual(p, q, lenience), "residual"
     except AllZeroError:

@@ -141,6 +141,8 @@ def exactness_check(pairs: int, vocab: int, seed: int) -> tuple[float, float]:
     """The oracle over ``pairs`` random pairs drawn from stream ``seed``: the
     worst max|out - p| at lenience 1, and the worst excess of out over p/l
     at a random lenience l in [0.05, 1)."""
+    if pairs < 1:
+        raise ValueError(f"pairs must be >= 1, got {pairs}")
     rng = RandomStream(seed)
     worst = worst_lenient = 0.0
     for _ in range(pairs):
@@ -369,7 +371,9 @@ def rejection_accept_probability(p: Distribution, q: Distribution) -> float:
 def rejection_check(pairs: int, vocab: int, seed: int) -> tuple[int, float]:
     """Over ``pairs`` random pairs drawn from stream ``seed``: how many times
     rejection sampling accepts more often than speculative sampling (beyond
-    1e-12), and the least margin beta - accept (1.0 with no pairs)."""
+    1e-12), and the least margin beta - accept."""
+    if pairs < 1:
+        raise ValueError(f"pairs must be >= 1, got {pairs}")
     rng, violations, worst_margin = RandomStream(seed), 0, 1.0
     for _ in range(pairs):
         b, r, bad = _rejection_row(*random_pair(rng, vocab))

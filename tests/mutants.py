@@ -29,7 +29,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 
 _ENGINE, _MODELS = "src/specdec/engine.py", "src/specdec/models.py"
-_HARNESS = "src/specdec/harness.py"
+_HARNESS, _BEAM = "src/specdec/harness.py", "src/specdec/beam.py"
 _REFUSAL = ('    if config.policy.is_argmax and config.lenience < 1.0:\n'
             '        raise ValueError("argmax-lenient decoding has no exact law to fit")\n')
 _BLOCK_DRAW = "    u = rng.uniform_block(rows * (2 * gamma + 1)).reshape(rows, 2 * gamma + 1)\n"
@@ -40,6 +40,11 @@ _DIGEST = "tests/test_decode_digests.py::test_decode_digest_unchanged"
 _REFUSED = ("tests/test_engine.py::TestSpeculativeSteps::"
             "test_argmax_lenient_refused_before_any_draw_or_call")
 _NO_RUNS = "tests/test_harness.py::TestSimulateWalltime::test_no_runs_or_tokens_rejected"
+_NO_PAIRS = "tests/test_harness.py::TestRandomPairSweeps::test_no_pairs_rejected"
+_BEAM_STD = "tests/test_beam.py::TestStandardBeamSearch::"
+_BEAM_REQ = "tests/test_beam.py::TestRequestChecks::"
+_PROMPT_CHECK = '    check_tokens(prompt, target.vocab_size, "prompt")\n'
+_PAIRS_CHECK = '    if pairs < 1:\n        raise ValueError(f"pairs must be >= 1, got {pairs}")\n'
 
 
 class Mutant(NamedTuple):
@@ -50,6 +55,46 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
+    # Helpers with one shape: beam search's _step, the lenient correction, _descending.
+    Mutant("beam-ties-by-score-alone", _BEAM,
+           (("key=lambda b: (-b.score, b.tokens)", "key=lambda b: -b.score"),),
+           (_BEAM_STD + "test_ties_across_beams_break_lexicographically",)),
+    Mutant("beam-keeps-one-more", _BEAM, (("[:width]", "[:width + 1]"),),
+           (_BEAM_STD + "test_ties_break_lexicographically",
+            "tests/test_beam.py::TestSpeculativeBeamSearch::"
+            "test_same_model_same_width_accepts_everything")),
+    Mutant("lenient-through-last-token-dist", _ENGINE,
+           (("    if argmax_lenient and n < gamma:", "    if False:"),),
+           ("tests/test_engine.py::TestSpeculativeStep::test_one_variate_block_per_step"
+            "[argmax-lenient-1]",
+            _DIGEST + "[ngram3/2-argmax-lenient]")),
+    Mutant("descending-no-row-offset", "src/specdec/distmath.py",
+           (("    order += np.arange(0, p.size, p.shape[-1])[:, None]\n", ""),),
+           ("tests/test_engine.py::TestSpeculativeSteps::test_block_equals_scalar_loop",
+            "tests/test_engine.py::TestSpeculativeSteps::test_every_pair_and_policy[None-1.0]")),
+    # Requests are checked before any model call or draw.
+    Mutant("beam-standard-prompt-unchecked", _BEAM,
+           (('>= 1")\n' + _PROMPT_CHECK, '>= 1")\n'),),
+           (_BEAM_REQ + "test_prompt_outside_vocab_refused[outside]",
+            _BEAM_REQ + "test_prompt_outside_vocab_refused[non-integer]")),
+    Mutant("beam-speculative-prompt-unchecked", _BEAM,
+           (("    check_pair(target, draft)\n" + _PROMPT_CHECK, "    check_pair(target, draft)\n"),),
+           (_BEAM_REQ + "test_prompt_outside_vocab_refused[outside]",
+            _BEAM_REQ + "test_prompt_outside_vocab_refused[non-integer]")),
+    Mutant("beam-pair-unchecked", _BEAM, (("    check_pair(target, draft)\n", ""),),
+           (_BEAM_REQ + "test_vocab_mismatch_refused",)),
+    Mutant("exactness-pairs-unchecked", _HARNESS,
+           ((_PAIRS_CHECK + "    rng = RandomStream(seed)\n", "    rng = RandomStream(seed)\n"),),
+           (_NO_PAIRS + "[0-exactness]", _NO_PAIRS + "[-3-exactness]")),
+    Mutant("rejection-pairs-unchecked", _HARNESS,
+           ((_PAIRS_CHECK + "    rng, violations", "    rng, violations"),),
+           (_NO_PAIRS + "[0-rejection]", _NO_PAIRS + "[-3-rejection]")),
+    Mutant("verify-vocab-for-every-suite", "src/specdec/cli.py",
+           (('    if args.suite != "geometric":', "    if True:"),),
+           ("tests/test_cli.py::TestVerify::test_geometric_ignores_vocab",)),
+    Mutant("kept-check-hasattr", _ENGINE,
+           (("not isinstance(prefix, list)", 'not hasattr(prefix, "append")'),),
+           (_ONE_LIST + "test_a_count_needs_a_list_not_a_deque",)),
     # One list per speculative step.
     Mutant("start-off-by-one", _ENGINE,
            (("max(0, n0 - window)", "max(0, n0 - window - 1)"),),

@@ -45,6 +45,13 @@ class TestStandardBeamSearch:
         # lexicographically smallest.
         assert [b.tokens for b in beams] == [(0, 0), (0, 1), (0, 2), (1, 0)]
 
+    def test_ties_across_beams_break_lexicographically(self):
+        # (1, 0) and (0, 1) score the same, and the root (1,) ranks above (0,),
+        # so only the tie rule puts (0, 1) ahead of (1, 0).
+        model = StatelessModel(np.array([0.3, 0.5, 0.2]))
+        beams = standard_beam_search(model, [0], width=2, steps=2)
+        assert [b.tokens for b in beams] == [(1, 1), (0, 1)]
+
     def test_deterministic(self):
         mp, _ = make_ngram_pair(5)
         a = standard_beam_search(mp, [1], width=3, steps=7)
@@ -62,6 +69,7 @@ class _CountingBatches:
 
     def __init__(self, model, sizes):
         self._model, self._sizes = model, sizes
+        self.vocab_size = model.vocab_size
 
     def next_distribution_batch(self, prefixes, policy):
         self._sizes.append(len(prefixes))
@@ -133,3 +141,34 @@ class TestSpeculativeBeamSearch:
     def test_beam_dataclass_equality(self):
         assert Beam((1, 2), -0.5) == Beam((1, 2), -0.5)
         assert Beam((1, 2), -0.5) != Beam((1, 2), -0.6)
+
+
+class _Unasked(StatelessModel):
+    """A stateless model that fails the test if it is ever asked for a distribution."""
+
+    def next_distribution_batch(self, prefixes, policy):
+        raise AssertionError("model asked before the request was checked")
+
+
+class TestRequestChecks:
+    # An unseen context falls back to uniform in an n-gram model, so a bad
+    # token would otherwise search as if it were a real one.
+    @pytest.mark.parametrize("prompt, named", [([99, -3], r"\[99, -3\]"), ([0, 1.5], r"\[1.5\]")],
+                             ids=["outside", "non-integer"])
+    def test_prompt_outside_vocab_refused(self, prompt, named):
+        target, draft = _Unasked(np.full(4, 0.25)), _Unasked(np.full(4, 0.25))
+        match = rf"prompt tokens {named} are not token ids in \[0, 4\)"
+        with pytest.raises(ValueError, match=match):
+            standard_beam_search(target, prompt, 2, 3)
+        with pytest.raises(ValueError, match=match):
+            speculative_beam_search(target, draft, prompt, 2, 2, 2, 3)
+
+    def test_vocab_mismatch_refused(self):
+        with pytest.raises(ValueError, match="vocab mismatch: target 4 vs draft 6"):
+            speculative_beam_search(_Unasked(np.full(4, 0.25)), _Unasked(np.full(6, 1 / 6)),
+                                    [0], 2, 2, 2, 3)
+
+    def test_last_token_id_passes(self):
+        mp, mq = make_ngram_pair(12, vocab=4)
+        spec, _ = speculative_beam_search(mp, mq, [3, 0], 2, 3, 2, steps=3)
+        assert spec == standard_beam_search(mp, [3, 0], 2, 3)

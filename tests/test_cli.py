@@ -386,6 +386,12 @@ class TestVerify:
         assert code == EXIT_OK
         assert "3.68" in out  # expected mean from the closed form
 
+    def test_geometric_ignores_vocab(self, capsys):
+        # The geometric suite builds its own two-token pair and never reads --vocab.
+        code, out, _ = run(capsys, ["verify", "--suite", "geometric", "--vocab", "0",
+                                    "--steps", "20000"])
+        assert code == EXIT_OK and "PASS" in out
+
     def test_rejection(self, capsys):
         code, out, _ = run(capsys, ["verify", "--suite", "rejection", "--pairs", "2000",
                                     "--seed", "5"])

@@ -7,6 +7,7 @@ of that list."""
 
 from __future__ import annotations
 
+import collections
 import itertools
 
 import numpy as np
@@ -343,3 +344,12 @@ class TestOneListPerStep:
             speculative_step(_ngram(3), CopyModel(VOCAB), tuple(_corpus(25, 30)),
                              SpecConfig(gamma=3), rng, kept=29)
         assert rng.n_drawn == 0
+
+    def test_a_count_needs_a_list_not_a_deque(self):
+        # A deque has append but no slices. A window-0 draft reads none of it,
+        # so only the check keeps its drafts from being left appended.
+        rng, prefix = RandomStream(0), collections.deque([0, 1, 2])
+        with pytest.raises(TypeError, match="list to draft into, got deque"):
+            speculative_step(_ngram(3), _ngram(1, seed=8), prefix, SpecConfig(gamma=3), rng,
+                             kept=2)
+        assert rng.n_drawn == 0 and list(prefix) == [0, 1, 2]

@@ -15,8 +15,10 @@ from specdec.engine import MUTATIONS, SpecConfig, decode, speculative_step, spec
 from specdec.harness import (
     equivalence_test,
     exact_step_distribution,
+    exactness_check,
     geometric_fit_test,
     rejection_accept_probability,
+    rejection_check,
     rejection_comparison,
     simulate_walltime,
 )
@@ -496,3 +498,19 @@ class TestContextTokens:
     def test_token_ids_pass(self):
         target, draft = self.bigram_pair()
         assert len(rejection_comparison(target, draft, [[0], [1, 0], np.array([1])])) == 3
+
+
+class TestRandomPairSweeps:
+    @pytest.mark.parametrize("check", [exactness_check, rejection_check],
+                             ids=["exactness", "rejection"])
+    @pytest.mark.parametrize("pairs", [0, -3])
+    def test_no_pairs_rejected(self, check, pairs):
+        # A sweep over no pairs would read as a clean pass.
+        with pytest.raises(ValueError, match=f"pairs must be >= 1, got {pairs}"):
+            check(pairs, 4, 0)
+
+    def test_one_pair_is_a_sweep(self):
+        worst, worst_lenient = exactness_check(1, 4, 0)
+        assert worst < 1e-12 and worst_lenient <= 1e-12
+        violations, worst_margin = rejection_check(1, 4, 0)
+        assert violations == 0 and 0.0 <= worst_margin <= 1.0

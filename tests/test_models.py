@@ -605,32 +605,28 @@ class TestIncrementalCopy:
             assert len(prompt) <= len(converted) <= len(prompt) + 2 * gamma * len(res.traces)
 
     def test_long_prompt_work_is_the_prompt_once_plus_gamma_per_step(self, monkeypatch):
-        # Counts the tokens that list() copies or compares in the engine and
-        # the model, and that chr() converts: _generate copies the prompt and
-        # the first call converts it; after that each step handles its own
-        # drafts and correction only. A draft handed the whole prefix instead
-        # copies and compares all 20k tokens at every step.
+        # Counts the tokens that chr() converts: the first call converts the
+        # prompt; after that each step converts its own drafts and correction
+        # only. Every draft call gets decode's own list and declares all but
+        # its last token kept, so nothing copies or compares the prefix. A
+        # draft handed the whole prefix anew converts all 20k tokens every step.
         handled = [0]
-
-        def counting_list(it=()):
-            out = list(it)
-            handled[0] += len(out)
-            return out
-
         monkeypatch.setattr(models, "chr", lambda t: handled.__setitem__(0, handled[0] + 1)
                             or chr(t), raising=False)
-        monkeypatch.setattr(models, "list", counting_list, raising=False)
-        monkeypatch.setattr(engine, "list", counting_list, raising=False)
         rng = RandomStream(8)
         vocab, gamma = 6, 4
         corpus = [int(u * vocab) for u in rng.uniform_block(2000)]
         target = train_ngram(corpus, order=3, vocab_size=vocab, smoothing_k=0.05)
         prompt = [int(u * vocab) for u in rng.uniform_block(20_000)]
-        for draft in (CopyModel(vocab), CopyModel(vocab, min_match=1)):
+        for draft in (_RecordingCopy(vocab), _RecordingCopy(vocab, min_match=1)):
             handled[0] = 0
             res = decode(target, draft, prompt, SpecConfig(gamma=gamma, max_new_tokens=300))
             assert len(res.tokens) == 300
             assert handled[0] <= 2 * len(prompt) + 4 * gamma * len(res.traces)
+            seq = draft.calls[0][0]
+            assert seq is not prompt and seq == prompt + res.tokens
+            assert len(draft.calls) == gamma * len(res.traces)
+            assert all(prefix is seq and kept == n - 1 for prefix, kept, n in draft.calls)
 
     @pytest.mark.parametrize("period", [1, 2, 4])
     def test_cyclic_prefixes_match_oracle_bitwise(self, period):
