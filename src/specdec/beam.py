@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .distmath import IDENTITY_POLICY, Distribution
-from .engine import check_pair, check_tokens
+from .engine import check_integers, check_pair, check_tokens
 from .models import LanguageModel
 
 __all__ = ["Beam", "BeamStats", "standard_beam_search", "speculative_beam_search"]
@@ -53,13 +53,16 @@ class BeamStats:
 
 
 def _step(beams: Sequence[Beam], dists: Sequence[Distribution], width: int) -> list[Beam]:
-    """The ``width`` best one-token extensions of ``beams`` under ``dists``: highest
-    score first, equal scores falling back to the smaller token sequence."""
+    """The ``width`` best one-token extensions of ``beams`` (all of one length) under ``dists``,
+    highest score first; rows in token order let a stable sort break ties to the smaller tokens."""
+    beams, dists = zip(*sorted(zip(beams, dists), key=lambda pair: pair[0].tokens))
     with np.errstate(divide="ignore"):
-        rows = [np.log(d.probs).tolist() for d in dists]
-    out = [Beam(b.tokens + (t,), b.score + lp) for b, row in zip(beams, rows)
-           for t, lp in enumerate(row)]
-    return sorted(out, key=lambda b: (-b.score, b.tokens))[:width]
+        block = np.log(np.stack([d.probs for d in dists]))
+    block += np.array([b.score for b in beams])[:, None]
+    top = np.argsort(-block, axis=None, kind="stable")[:width]
+    rows, cols = np.divmod(top, block.shape[1])
+    return [Beam(beams[r].tokens + (c,), s) for r, c, s in
+            zip(rows.tolist(), cols.tolist(), block.ravel()[top].tolist())]
 
 
 def standard_beam_search(
@@ -69,6 +72,7 @@ def standard_beam_search(
     steps: int,
 ) -> list[Beam]:
     """Textbook beam search under the target model alone."""
+    check_integers(width=width, steps=steps)
     if width < 1 or steps < 1:
         raise ValueError("width and steps must be >= 1")
     check_tokens(prompt, target.vocab_size, "prompt")
@@ -97,6 +101,7 @@ def speculative_beam_search(
     batched target call over at most ``w + u * (gamma - 1)`` sequences
     instead of one call per step.
     """
+    check_integers(width=width, draft_width=draft_width, gamma=gamma, steps=steps)
     if draft_width < width:
         raise ValueError("draft_width must be >= width")
     if width < 1 or gamma < 1 or steps < 1:

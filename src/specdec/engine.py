@@ -41,6 +41,7 @@ from .rng import RandomStream
 __all__ = [
     "MAX_GAMMA",
     "MAX_BLOCK",
+    "check_integers",
     "check_pair",
     "check_tokens",
     "SpecConfig",
@@ -83,9 +84,7 @@ class SpecConfig:
     stop_token: int | None = None
 
     def __post_init__(self):
-        for name in ("gamma", "seed", "max_new_tokens"):  # numpy integers pass too
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        check_integers(gamma=self.gamma, seed=self.seed, max_new_tokens=self.max_new_tokens)
         if not 1 <= self.gamma <= MAX_GAMMA:
             raise ValueError(f"gamma must lie in [1, {MAX_GAMMA}], got {self.gamma}")
         if not (0.0 < self.lenience <= 1.0):
@@ -154,6 +153,14 @@ def check_pair(target: LanguageModel, draft: LanguageModel, gamma: int = 0) -> N
     if (gamma + 1) * target.vocab_size > MAX_BLOCK:
         raise ValueError(f"(gamma+1) * vocab must be at most {MAX_BLOCK}, "
                          f"got ({gamma}+1) * {target.vocab_size}")
+
+
+def check_integers(**values) -> None:
+    """Raise a ``TypeError`` naming the first of ``values`` that is not an integer (numpy
+    integers pass)."""
+    for name, value in values.items():
+        if not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def check_tokens(tokens: Sequence, vocab: int, what: str) -> None:

@@ -22,7 +22,7 @@ from .analysis import CostModel, beta, expected_tokens, trace_accept_rate, wallt
 from .distmath import Distribution, IDENTITY_POLICY, normalize
 from .engine import DecodeResult, SpecConfig, StepTrace, check_tokens, decode, speculative_steps
 from .engine import speculative_step  # unused here, but the traced benchmark wraps it here
-from .models import LanguageModel, stateless_pair
+from .models import MAX_VOCAB, LanguageModel, stateless_pair
 from .rng import RandomStream
 
 __all__ = [
@@ -134,6 +134,8 @@ def exact_step_distribution(p: Distribution, q: Distribution, lenience: float = 
 
 def random_pair(rng: RandomStream, vocab: int) -> tuple[Distribution, Distribution]:
     """Two full-support random distributions, ``vocab`` variates each."""
+    if not 1 <= vocab <= MAX_VOCAB:
+        raise ValueError(f"vocab must lie in [1, {MAX_VOCAB}], got {vocab}")
     return normalize(rng.uniform_block(vocab) + 1e-12), normalize(rng.uniform_block(vocab) + 1e-12)
 
 

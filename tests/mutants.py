@@ -40,8 +40,11 @@ _DIGEST = "tests/test_decode_digests.py::test_decode_digest_unchanged"
 _REFUSED = ("tests/test_engine.py::TestSpeculativeSteps::"
             "test_argmax_lenient_refused_before_any_draw_or_call")
 _NO_RUNS = "tests/test_harness.py::TestSimulateWalltime::test_no_runs_or_tokens_rejected"
-_NO_PAIRS = "tests/test_harness.py::TestRandomPairSweeps::test_no_pairs_rejected"
+_SWEEPS = "tests/test_harness.py::TestRandomPairSweeps::"
+_NO_PAIRS = _SWEEPS + "test_no_pairs_rejected"
+_KERNEL = "tests/test_beam.py::TestStepKernel::"
 _BEAM_STD = "tests/test_beam.py::TestStandardBeamSearch::"
+_BEAM_SPEC = "tests/test_beam.py::TestSpeculativeBeamSearch::"
 _BEAM_REQ = "tests/test_beam.py::TestRequestChecks::"
 _PROMPT_CHECK = '    check_tokens(prompt, target.vocab_size, "prompt")\n'
 _PAIRS_CHECK = '    if pairs < 1:\n        raise ValueError(f"pairs must be >= 1, got {pairs}")\n'
@@ -55,14 +58,27 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
+    # Beam search's _step: one stable argsort over the block, rows in token order.
+    Mutant("beam-rows-in-given-order", _BEAM,
+           (("zip(*sorted(zip(beams, dists), key=lambda pair: pair[0].tokens))",
+             "zip(beams, dists)"),),
+           (_BEAM_STD + "test_ties_across_beams_break_lexicographically",
+            _KERNEL + "test_random_cases_match_the_sort_bitwise")),
+    Mutant("beam-sort-unstable", _BEAM, (('kind="stable"', 'kind="quicksort"'),),
+           (_KERNEL + "test_random_cases_match_the_sort_bitwise",)),
+    Mutant("beam-scores-without-roots", _BEAM,
+           (("    block += np.array([b.score for b in beams])[:, None]\n", ""),),
+           (_KERNEL + "test_random_cases_match_the_sort_bitwise",)),
+    Mutant("beam-builds-every-candidate", _BEAM,
+           (("[:width]\n", "\n"),
+            ("zip(rows.tolist(), cols.tolist(), block.ravel()[top].tolist())]",
+             "zip(rows.tolist(), cols.tolist(), block.ravel()[top].tolist())][:width]")),
+           (_KERNEL + "test_builds_only_the_beams_it_keeps[4-34-4]",
+            _KERNEL + "test_builds_only_the_beams_it_keeps[2-258-8]")),
     # Helpers with one shape: beam search's _step, the lenient correction, _descending.
-    Mutant("beam-ties-by-score-alone", _BEAM,
-           (("key=lambda b: (-b.score, b.tokens)", "key=lambda b: -b.score"),),
-           (_BEAM_STD + "test_ties_across_beams_break_lexicographically",)),
     Mutant("beam-keeps-one-more", _BEAM, (("[:width]", "[:width + 1]"),),
            (_BEAM_STD + "test_ties_break_lexicographically",
-            "tests/test_beam.py::TestSpeculativeBeamSearch::"
-            "test_same_model_same_width_accepts_everything")),
+            _BEAM_SPEC + "test_same_model_same_width_accepts_everything")),
     Mutant("lenient-through-last-token-dist", _ENGINE,
            (("    if argmax_lenient and n < gamma:", "    if False:"),),
            ("tests/test_engine.py::TestSpeculativeStep::test_one_variate_block_per_step"
@@ -83,6 +99,21 @@ MUTANTS = (
             _BEAM_REQ + "test_prompt_outside_vocab_refused[non-integer]")),
     Mutant("beam-pair-unchecked", _BEAM, (("    check_pair(target, draft)\n", ""),),
            (_BEAM_REQ + "test_vocab_mismatch_refused",)),
+    Mutant("beam-standard-counts-unchecked", _BEAM,
+           (("    check_integers(width=width, steps=steps)\n", ""),),
+           (_BEAM_REQ + "test_standard_non_integer_count_refused[width-2.5]",
+            _BEAM_REQ + "test_standard_non_integer_count_refused[steps-2.0]")),
+    Mutant("beam-speculative-counts-unchecked", _BEAM,
+           (("    check_integers(width=width, draft_width=draft_width, gamma=gamma, steps=steps)\n",
+             ""),),
+           tuple(_BEAM_REQ + f"test_speculative_non_integer_count_refused[{case}]"
+                 for case in ("width-2.5", "draft_width-4.0", "gamma-1.5", "steps-2.5"))),
+    Mutant("random-pair-vocab-unchecked", _HARNESS,
+           (("    if not 1 <= vocab <= MAX_VOCAB:\n", "    if False:\n"),),
+           (_SWEEPS + "test_vocab_outside_range_rejected[0-exactness]",
+            _SWEEPS + "test_vocab_outside_range_rejected[-2-rejection]",
+            _SWEEPS + "test_vocab_outside_range_rejected[1048577-exactness]",
+            _SWEEPS + "test_vocab_checked_before_any_draw")),
     Mutant("exactness-pairs-unchecked", _HARNESS,
            ((_PAIRS_CHECK + "    rng = RandomStream(seed)\n", "    rng = RandomStream(seed)\n"),),
            (_NO_PAIRS + "[0-exactness]", _NO_PAIRS + "[-3-exactness]")),

@@ -5,9 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from specdec import beam
 from specdec.beam import Beam, speculative_beam_search, standard_beam_search
+from specdec.distmath import Distribution
 from specdec.models import StatelessModel, random_model, train_ngram
 from specdec.rng import RandomStream
+from specdec.tokenizers import ByteTokenizer
 
 
 def make_ngram_pair(seed: int, vocab: int = 8, order: int = 2, length: int = 300):
@@ -18,6 +21,68 @@ def make_ngram_pair(seed: int, vocab: int = 8, order: int = 2, length: int = 300
         train_ngram(corpus_p, order=order, vocab_size=vocab),
         train_ngram(corpus_q, order=order, vocab_size=vocab),
     )
+
+
+def _reference_step(beams, dists, width):
+    """The sort-based kernel: build every one-token extension, sort by (-score, tokens)."""
+    with np.errstate(divide="ignore"):
+        rows = [np.log(d.probs).tolist() for d in dists]
+    out = [Beam(b.tokens + (t,), b.score + lp) for b, row in zip(beams, rows)
+           for t, lp in enumerate(row)]
+    return sorted(out, key=lambda b: (-b.score, b.tokens))[:width]
+
+
+def _bits(beams):
+    return [(b.tokens, b.score.hex()) for b in beams]
+
+
+def _random_case(rng: np.random.Generator):
+    """1-5 distinct beams of one length in shuffled order, V 1-11 and a width of 1-7.
+    Scores and probabilities come from small sets, so exact ties, -inf scores and
+    zero-probability tokens are common."""
+    vocab, length = int(rng.integers(1, 12)), int(rng.integers(0, 4))
+    n = min(int(rng.integers(1, 6)), 3 ** length)
+    tokens = sorted({tuple(int(t) for t in rng.integers(0, 3, length)) for _ in range(4 * n)})
+    tokens = [tokens[i] for i in rng.permutation(len(tokens))[:n]]
+    scores = rng.choice([0.0, np.log(0.5), np.log(0.25), -1.5, -np.inf], n).tolist()
+    dists = []
+    for _ in range(n):
+        counts = rng.choice([0.0, 1.0, 1.0, 2.0, 4.0], vocab)
+        counts[int(rng.integers(vocab))] += 1.0
+        dists.append(Distribution(counts / counts.sum()))
+    return [Beam(t, s) for t, s in zip(tokens, scores)], dists, int(rng.integers(1, 8))
+
+
+class TestStepKernel:
+    def test_random_cases_match_the_sort_bitwise(self):
+        rng = np.random.default_rng(31)
+        seen = {"tie": 0, "-inf": 0, "zero-prob": 0, "unsorted": 0, "past-all": 0}
+        for case in range(3000):
+            beams, dists, width = _random_case(rng)
+            want = _reference_step(beams, dists, width)
+            assert _bits(beam._step(beams, dists, width)) == _bits(want), f"case {case}"
+            scores = [b.score for b in want]
+            seen["tie"] += len(set(scores)) < len(scores)
+            seen["-inf"] += -np.inf in scores
+            seen["zero-prob"] += any((d.probs == 0).any() for d in dists)
+            seen["unsorted"] += [b.tokens for b in beams] != sorted(b.tokens for b in beams)
+            seen["past-all"] += width > len(beams) * dists[0].probs.size
+        assert min(seen.values()) > 100, seen
+
+    @pytest.mark.parametrize("n, vocab, width", [(1, 3, 2), (4, 34, 4), (2, 258, 8), (2, 3, 9)])
+    def test_builds_only_the_beams_it_keeps(self, monkeypatch, n, vocab, width):
+        built = []
+
+        class CountedBeam(Beam):
+            def __init__(self, tokens, score):
+                built.append(tokens)
+                super().__init__(tokens, score)
+
+        beams = [Beam((i,), -float(i)) for i in range(n)]
+        dists = [Distribution(np.full(vocab, 1.0 / vocab)) for _ in range(n)]
+        monkeypatch.setattr(beam, "Beam", CountedBeam)
+        kept = beam._step(beams, dists, width)
+        assert len(built) == len(kept) == min(width, n * vocab)
 
 
 class TestStandardBeamSearch:
@@ -138,6 +203,21 @@ class TestSpeculativeBeamSearch:
         assert spec == std
         assert spec[0].tokens == (1, 1, 1, 1)
 
+    @pytest.mark.parametrize("w,u,gamma", [(2, 4, 3), (3, 8, 2)])
+    def test_byte_vocabulary_with_smoothed_ties(self, monkeypatch, w, u, gamma):
+        # Add-k smoothing gives every unseen byte the same probability, and the prompt's
+        # last bytes are an unseen context, so the first step is a 258-way tie.
+        rng = RandomStream(31)
+        corpus = ByteTokenizer().encode(bytes(97 + int(6 * u) for u in rng.uniform_block(600)))
+        mp, mq = (train_ngram(corpus, order, ByteTokenizer.vocab_size, 0.01) for order in (3, 2))
+        for prompt in ([0, 1], [97, 98], [99]):
+            spec, _ = speculative_beam_search(mp, mq, prompt, w, u, gamma, steps=8)
+            std = standard_beam_search(mp, prompt, w, steps=8)
+            assert spec == std, f"beams differ at prompt {prompt}"
+            with monkeypatch.context() as m:
+                m.setattr(beam, "_step", _reference_step)
+                assert _bits(standard_beam_search(mp, prompt, w, steps=8)) == _bits(std)
+
     def test_beam_dataclass_equality(self):
         assert Beam((1, 2), -0.5) == Beam((1, 2), -0.5)
         assert Beam((1, 2), -0.5) != Beam((1, 2), -0.6)
@@ -167,6 +247,28 @@ class TestRequestChecks:
         with pytest.raises(ValueError, match="vocab mismatch: target 4 vs draft 6"):
             speculative_beam_search(_Unasked(np.full(4, 0.25)), _Unasked(np.full(6, 1 / 6)),
                                     [0], 2, 2, 2, 3)
+
+    @pytest.mark.parametrize("name, value", [("width", 2.5), ("steps", 2.0)])
+    def test_standard_non_integer_count_refused(self, name, value):
+        counts = {"width": 2, "steps": 3, name: value}
+        with pytest.raises(TypeError, match=rf"{name} must be an integer, got {value!r}"):
+            standard_beam_search(_Unasked(np.full(4, 0.25)), [0], **counts)
+
+    @pytest.mark.parametrize("name, value", [("width", 2.5), ("draft_width", 4.0),
+                                             ("gamma", 1.5), ("steps", 2.5)])
+    def test_speculative_non_integer_count_refused(self, name, value):
+        target, draft = _Unasked(np.full(4, 0.25)), _Unasked(np.full(4, 0.25))
+        counts = {"width": 2, "draft_width": 4, "gamma": 2, "steps": 3, name: value}
+        with pytest.raises(TypeError, match=rf"{name} must be an integer, got {value!r}"):
+            speculative_beam_search(target, draft, [0], **counts)
+
+    def test_numpy_integer_counts_pass(self):
+        mp, mq = make_ngram_pair(13, vocab=4)
+        plain = standard_beam_search(mp, [0], 2, 3)
+        assert standard_beam_search(mp, [0], np.int64(2), np.int32(3)) == plain
+        spec, _ = speculative_beam_search(mp, mq, [0], np.int64(2), np.int16(3), np.int64(2),
+                                          np.int32(3))
+        assert spec == plain
 
     def test_last_token_id_passes(self):
         mp, mq = make_ngram_pair(12, vocab=4)

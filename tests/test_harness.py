@@ -22,7 +22,7 @@ from specdec.harness import (
     rejection_comparison,
     simulate_walltime,
 )
-from specdec.models import StatelessModel, stateless_pair, train_ngram
+from specdec.models import MAX_VOCAB, StatelessModel, stateless_pair, train_ngram
 from specdec.rng import RandomStream
 
 from conftest import random_pair
@@ -508,6 +508,24 @@ class TestRandomPairSweeps:
         # A sweep over no pairs would read as a clean pass.
         with pytest.raises(ValueError, match=f"pairs must be >= 1, got {pairs}"):
             check(pairs, 4, 0)
+
+    @pytest.mark.parametrize("check", [exactness_check, rejection_check],
+                             ids=["exactness", "rejection"])
+    @pytest.mark.parametrize("vocab", [0, -2, MAX_VOCAB + 1])
+    def test_vocab_outside_range_rejected(self, check, vocab):
+        # Past the check, 0 and -2 fail inside numpy without naming vocab.
+        with pytest.raises(ValueError, match=rf"vocab must lie in \[1, {MAX_VOCAB}\], got {vocab}"):
+            check(1, vocab, 0)
+
+    def test_vocab_checked_before_any_draw(self):
+        rng = RandomStream(5)
+        with pytest.raises(ValueError, match="vocab"):
+            random_pair(rng, 0)
+        assert rng.uniform() == RandomStream(5).uniform()
+
+    def test_one_token_vocab_is_a_sweep(self):
+        assert exactness_check(2, 1, 0) == (0.0, 0.0)
+        assert rejection_check(2, 1, 0) == (0, 0.0)
 
     def test_one_pair_is_a_sweep(self):
         worst, worst_lenient = exactness_check(1, 4, 0)
