@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .distmath import IDENTITY_POLICY, Distribution
-from .engine import check_integers, check_pair, check_tokens
+from .distmath import IDENTITY_POLICY, Distribution, check_count
+from .engine import check_pair, check_tokens
 from .models import LanguageModel
 
 __all__ = ["Beam", "BeamStats", "standard_beam_search", "speculative_beam_search"]
@@ -72,9 +72,8 @@ def standard_beam_search(
     steps: int,
 ) -> list[Beam]:
     """Textbook beam search under the target model alone."""
-    check_integers(width=width, steps=steps)
-    if width < 1 or steps < 1:
-        raise ValueError("width and steps must be >= 1")
+    check_count("width", width, 1)
+    check_count("steps", steps, 1)
     check_tokens(prompt, target.vocab_size, "prompt")
     prompt_list = list(prompt)
     beams = [Beam((), 0.0)]
@@ -101,11 +100,10 @@ def speculative_beam_search(
     batched target call over at most ``w + u * (gamma - 1)`` sequences
     instead of one call per step.
     """
-    check_integers(width=width, draft_width=draft_width, gamma=gamma, steps=steps)
-    if draft_width < width:
-        raise ValueError("draft_width must be >= width")
-    if width < 1 or gamma < 1 or steps < 1:
-        raise ValueError("width, gamma and steps must be >= 1")
+    check_count("width", width, 1)
+    check_count("draft_width", draft_width, width)
+    check_count("gamma", gamma, 1)
+    check_count("steps", steps, 1)
     check_pair(target, draft)
     check_tokens(prompt, target.vocab_size, "prompt")
     prompt_list = list(prompt)

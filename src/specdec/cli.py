@@ -21,8 +21,8 @@ import numpy as np
 
 from . import analysis, harness, models
 from .beam import speculative_beam_search, standard_beam_search
-from .distmath import SamplingPolicy, normalize
-from .engine import MUTATIONS, DecodeResult, SpecConfig, check_pair, decode
+from .distmath import SamplingPolicy, check_count, normalize
+from .engine import MUTATIONS, DecodeResult, SpecConfig, check_pair, check_tokens, decode
 from .model_io import ModelFormatError, load_model, save_model
 from .models import CopyModel, LanguageModel, StatelessModel, random_model, stateless_pair, train_ngram
 from .rng import RandomStream
@@ -51,8 +51,7 @@ def _from_flags(build, *args, **kwargs):
 
 def _at_least(args: argparse.Namespace, flag: str, minimum: int) -> None:
     value = getattr(args, flag.removeprefix("--").replace("-", "_"))
-    if value < minimum:
-        raise CliError(f"{flag} must be at least {minimum}, got {value}")
+    _from_flags(check_count, flag, value, minimum)
 
 
 def _default_seed() -> int:
@@ -150,14 +149,6 @@ def _model_pair(args: argparse.Namespace) -> tuple[LanguageModel, LanguageModel]
     return target, draft
 
 
-def _prompt_tokens(prompt: list[int], vocab_size: int) -> list[int]:
-    """Prompt ids from either flag; an id outside the vocab is a usage error."""
-    bad = [t for t in prompt if not 0 <= t < vocab_size]
-    if bad:
-        raise CliError(f"prompt tokens {bad} outside vocab {vocab_size}")
-    return prompt
-
-
 def _policy_from_args(args: argparse.Namespace) -> SamplingPolicy:
     return _from_flags(
         SamplingPolicy,
@@ -249,7 +240,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
         prompt = _from_flags(tok.encode, args.prompt)
     else:
         prompt = []
-    prompt = _prompt_tokens(prompt, target.vocab_size)
+    _from_flags(check_tokens, prompt, target.vocab_size, "prompt")
     bos = tok.BOS if target.vocab_size >= tok.vocab_size else 0
 
     config = _from_flags(
@@ -435,7 +426,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_beam(args: argparse.Namespace) -> int:
     target, draft = _model_pair(args)
-    prompt = _prompt_tokens(_parse_list(args.prompt_tokens or "0", int), target.vocab_size)
+    prompt = _parse_list(args.prompt_tokens or "0", int)
+    _from_flags(check_tokens, prompt, target.vocab_size, "prompt")
     for flag in ("--width", "--gamma", "--steps"):
         _at_least(args, flag, 1)
     _at_least(args, "--draft-width", args.width)

@@ -26,6 +26,7 @@ __all__ = [
     "NonFiniteError",
     "PolicyConflictError",
     "VocabMismatchError",
+    "check_count",
     "normalize",
     "standardize",
     "standardize_rows",
@@ -62,6 +63,17 @@ class PolicyConflictError(ValueError):
 
 class VocabMismatchError(ValueError):
     """Two distributions or models disagree on vocabulary size."""
+
+
+def check_count(name: str, value, lo: int | None = None, hi: int | None = None) -> None:
+    """Raise a ``TypeError`` naming ``name`` unless ``value`` is an integer (numpy integers
+    pass), and a ``ValueError`` unless it is at least ``lo`` and at most ``hi``."""
+    if not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if hi is not None and not lo <= value <= hi:
+        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {value}")
+    if lo is not None and value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value}")
 
 
 class Distribution:
@@ -144,8 +156,10 @@ class SamplingPolicy:
             raise PolicyConflictError("temperature must be finite and non-negative")
         if self.is_argmax and (self.top_k is not None or self.top_p is not None):
             raise PolicyConflictError("argmax (temperature 0) excludes top-k/top-p")
-        if self.top_k is not None and self.top_k < 1:
-            raise PolicyConflictError("top_k must be a positive integer")
+        if self.top_k is not None:
+            check_count("top_k", self.top_k)
+            if self.top_k < 1:
+                raise PolicyConflictError("top_k must be a positive integer")
         if self.top_p is not None and not (0.0 < self.top_p <= 1.0):
             raise PolicyConflictError("top_p must lie in (0, 1]")
 

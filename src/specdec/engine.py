@@ -28,6 +28,7 @@ from .distmath import (
     IDENTITY_POLICY,
     SamplingPolicy,
     VocabMismatchError,
+    check_count,
     inverse_cdf,
     inverse_cdf_many,
     residual,
@@ -41,7 +42,6 @@ from .rng import RandomStream
 __all__ = [
     "MAX_GAMMA",
     "MAX_BLOCK",
-    "check_integers",
     "check_pair",
     "check_tokens",
     "SpecConfig",
@@ -84,13 +84,11 @@ class SpecConfig:
     stop_token: int | None = None
 
     def __post_init__(self):
-        check_integers(gamma=self.gamma, seed=self.seed, max_new_tokens=self.max_new_tokens)
-        if not 1 <= self.gamma <= MAX_GAMMA:
-            raise ValueError(f"gamma must lie in [1, {MAX_GAMMA}], got {self.gamma}")
+        check_count("gamma", self.gamma, 1, MAX_GAMMA)
+        check_count("seed", self.seed)
+        check_count("max_new_tokens", self.max_new_tokens, 1)
         if not (0.0 < self.lenience <= 1.0):
             raise ValueError("lenience must lie in (0, 1]")
-        if self.max_new_tokens < 1:
-            raise ValueError("max_new_tokens must be >= 1")
 
 
 class DraftedToken(NamedTuple):
@@ -153,14 +151,6 @@ def check_pair(target: LanguageModel, draft: LanguageModel, gamma: int = 0) -> N
     if (gamma + 1) * target.vocab_size > MAX_BLOCK:
         raise ValueError(f"(gamma+1) * vocab must be at most {MAX_BLOCK}, "
                          f"got ({gamma}+1) * {target.vocab_size}")
-
-
-def check_integers(**values) -> None:
-    """Raise a ``TypeError`` naming the first of ``values`` that is not an integer (numpy
-    integers pass)."""
-    for name, value in values.items():
-        if not isinstance(value, (int, np.integer)):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def check_tokens(tokens: Sequence, vocab: int, what: str) -> None:
@@ -297,8 +287,7 @@ def speculative_steps(target: LanguageModel, draft: LanguageModel, prefix: Seque
     """
     if _mutation is not None and _mutation not in MUTATIONS:
         raise ValueError(f"unknown mutation {_mutation!r}")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_count("n", n, 0)
     check_pair(target, draft, config.gamma)
     if config.policy.is_argmax and config.lenience < 1.0:
         raise ValueError("argmax-lenient decoding has no exact law to fit")

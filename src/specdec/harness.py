@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import CostModel, beta, expected_tokens, trace_accept_rate, walltime_factor
-from .distmath import Distribution, IDENTITY_POLICY, normalize
+from .distmath import Distribution, IDENTITY_POLICY, check_count, normalize
 from .engine import DecodeResult, SpecConfig, StepTrace, check_tokens, decode, speculative_steps
 from .engine import speculative_step  # unused here, but the traced benchmark wraps it here
 from .models import MAX_VOCAB, LanguageModel, stateless_pair
@@ -134,8 +134,7 @@ def exact_step_distribution(p: Distribution, q: Distribution, lenience: float = 
 
 def random_pair(rng: RandomStream, vocab: int) -> tuple[Distribution, Distribution]:
     """Two full-support random distributions, ``vocab`` variates each."""
-    if not 1 <= vocab <= MAX_VOCAB:
-        raise ValueError(f"vocab must lie in [1, {MAX_VOCAB}], got {vocab}")
+    check_count("vocab", vocab, 1, MAX_VOCAB)
     return normalize(rng.uniform_block(vocab) + 1e-12), normalize(rng.uniform_block(vocab) + 1e-12)
 
 
@@ -143,8 +142,8 @@ def exactness_check(pairs: int, vocab: int, seed: int) -> tuple[float, float]:
     """The oracle over ``pairs`` random pairs drawn from stream ``seed``: the
     worst max|out - p| at lenience 1, and the worst excess of out over p/l
     at a random lenience l in [0.05, 1)."""
-    if pairs < 1:
-        raise ValueError(f"pairs must be >= 1, got {pairs}")
+    check_count("pairs", pairs, 1)
+    check_count("seed", seed)
     rng = RandomStream(seed)
     worst = worst_lenient = 0.0
     for _ in range(pairs):
@@ -202,8 +201,7 @@ def equivalence_test(
     correct engine passes; mutated ones fail. Raises ``TooFewSamplesError``
     for too few samples; ``speculative_steps`` refuses argmax-lenient decoding.
     """
-    if n_samples < MIN_SAMPLES:
-        raise ValueError("n_samples must be at least 10^4 for a meaningful test")
+    check_count("n_samples", n_samples, MIN_SAMPLES)
     if not context_set:
         raise ValueError("need at least one context")
     check_tokens([t for c in context_set for t in c], target.vocab_size, "context")
@@ -235,8 +233,7 @@ def geometric_fit_test(
     P(gamma+1) = alpha^gamma. Also reports how far the sample mean sits
     from the closed-form expectation (2% is the conventional gate).
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    check_count("n_steps", n_steps, 1)
     target, draft = stateless_pair(alpha)
     config = SpecConfig(gamma=gamma, seed=seed)
     steps = speculative_steps(target, draft, [0], config, RandomStream(seed), n_steps)
@@ -328,8 +325,8 @@ def simulate_walltime(
     Acceptance is estimated from the traces of all runs and fed to the
     closed-form prediction, charged the same batch cost.
     """
-    if n_tokens < 1 or n_runs < 1:
-        raise ValueError(f"n_tokens and n_runs must be >= 1, got {n_tokens} and {n_runs}")
+    check_count("n_tokens", n_tokens, 1)
+    check_count("n_runs", n_runs, 1)
     batch_cost = cost.batch_cost(config.gamma)
     runs: list[RunStats] = []
     first_step_tokens: list[int] = []
@@ -374,8 +371,8 @@ def rejection_check(pairs: int, vocab: int, seed: int) -> tuple[int, float]:
     """Over ``pairs`` random pairs drawn from stream ``seed``: how many times
     rejection sampling accepts more often than speculative sampling (beyond
     1e-12), and the least margin beta - accept."""
-    if pairs < 1:
-        raise ValueError(f"pairs must be >= 1, got {pairs}")
+    check_count("pairs", pairs, 1)
+    check_count("seed", seed)
     rng, violations, worst_margin = RandomStream(seed), 0, 1.0
     for _ in range(pairs):
         b, r, bad = _rejection_row(*random_pair(rng, vocab))

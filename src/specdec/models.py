@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distmath import Distribution, SamplingPolicy, standardize, standardize_rows
+from .distmath import Distribution, SamplingPolicy, check_count, standardize, standardize_rows
 
 __all__ = [
     "MAX_VOCAB",
@@ -134,16 +134,14 @@ class NGramModel(LanguageModel):
         smoothing_k: float = 0.01,
         counts: dict[tuple[int, ...], dict[int, int]] | None = None,
     ):
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if not 1 <= vocab_size <= MAX_VOCAB:
-            raise ValueError(f"vocab_size must lie in [1, {MAX_VOCAB}], got {vocab_size}")
+        check_count("order", order, 1)
+        check_count("vocab_size", vocab_size, 1, MAX_VOCAB)
         if not 0 < smoothing_k < math.inf:  # also rejects NaN
             raise ValueError("smoothing_k must be positive and finite")
-        self.order = order
+        self.order = order = int(order)  # a numpy integer's arithmetic could wrap
         self.context_window = order - 1
         self.smoothing_k = float(smoothing_k)
-        self._vocab_size = vocab_size
+        self._vocab_size = vocab_size = int(vocab_size)
         self.counts: dict[tuple[int, ...], dict[int, int]] = counts if counts is not None else {}
         self._dense_cache: dict[tuple[int, ...], np.ndarray] = {}
         self._uniform = np.full(vocab_size, 1.0 / vocab_size)
@@ -184,6 +182,7 @@ def train_ngram(
     """Count the corpus's length-``order`` windows, every token range-checked, with one numpy
     sort over their int64 codes in base ``vocab_size``, renumbered where a fold could overflow."""
     model = NGramModel(order, vocab_size, smoothing_k)  # checks the arguments
+    order, vocab_size = model.order, model.vocab_size  # plain ints: no numpy overflow below
     if len(corpus) < order:
         raise CorpusTooShortError(f"corpus of {len(corpus)} tokens cannot train order {order}")
     try:
@@ -240,14 +239,12 @@ class CopyModel(LanguageModel):
     """
 
     def __init__(self, vocab_size: int, min_match: int = 2, copy_mass: float = 0.9):
-        if not 1 <= vocab_size <= MAX_VOCAB:
-            raise ValueError(f"vocab_size must lie in [1, {MAX_VOCAB}], got {vocab_size}")
-        if min_match < 1:
-            raise ValueError("min_match must be >= 1")
+        check_count("vocab_size", vocab_size, 1, MAX_VOCAB)
+        check_count("min_match", min_match, 1)
         if not (0.0 < copy_mass < 1.0):
             raise ValueError("copy_mass must lie in (0, 1)")
-        self._vocab_size = vocab_size
-        self.min_match = min_match
+        self._vocab_size = int(vocab_size)  # a numpy integer's arithmetic could wrap
+        self.min_match = int(min_match)
         self.copy_mass = copy_mass
         self._path: list[int] = []
         self._rev = ""  # _path reversed, one code point per token
@@ -321,8 +318,7 @@ def _copy_scores(model: CopyModel, token: int | None) -> np.ndarray:
 
 def random_model(vocab_size: int) -> StatelessModel:
     """Uniform proposal over the vocabulary: the weakest useful draft model."""
-    if not 1 <= vocab_size <= MAX_VOCAB:
-        raise ValueError(f"vocab_size must lie in [1, {MAX_VOCAB}], got {vocab_size}")
+    check_count("vocab_size", vocab_size, 1, MAX_VOCAB)
     return StatelessModel(np.full(vocab_size, 1.0 / vocab_size))
 
 
@@ -335,8 +331,7 @@ def stateless_pair(alpha: float, vocab_size: int = 2) -> tuple[StatelessModel, S
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError("alpha must lie in [0, 1]")
-    if vocab_size < 2:
-        raise ValueError("need vocab_size >= 2")
+    check_count("vocab_size", vocab_size, 2, MAX_VOCAB)
     p = np.zeros(vocab_size)
     q = np.zeros(vocab_size)
     p[0], p[1] = 1.0 - alpha / 2.0, alpha / 2.0

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import strategies as st
 
 from specdec.harness import random_pair  # noqa: F401  (imported by the test modules)
+from specdec.models import StatelessModel
 from specdec.rng import RandomStream
 
 
@@ -63,6 +64,27 @@ def paired_probs_strategy():
     return st.integers(min_value=2, max_value=16).flatmap(
         lambda n: st.tuples(probs_strategy(n, n), probs_strategy(n, n))
     )
+
+
+class Unasked(StatelessModel):
+    """A stateless model that fails the test when any of its methods is looked up,
+    so a request refused before any model call never reaches it."""
+
+    def __getattribute__(self, name):
+        value = super().__getattribute__(name)
+        if callable(value) and not name.startswith("_"):
+            raise AssertionError(f"model asked for {name} before the request was checked")
+        return value
+
+
+class NoDraws(RandomStream):
+    """A stream that fails the test when it is asked for a variate."""
+
+    def uniform(self):
+        raise AssertionError("variate drawn before the request was checked")
+
+    def uniform_block(self, n):
+        raise AssertionError("variate drawn before the request was checked")
 
 
 @pytest.fixture

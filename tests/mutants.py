@@ -29,6 +29,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 
 _ENGINE, _MODELS = "src/specdec/engine.py", "src/specdec/models.py"
+_DISTMATH = "src/specdec/distmath.py"
 _HARNESS, _BEAM = "src/specdec/harness.py", "src/specdec/beam.py"
 _REFUSAL = ('    if config.policy.is_argmax and config.lenience < 1.0:\n'
             '        raise ValueError("argmax-lenient decoding has no exact law to fit")\n')
@@ -47,7 +48,11 @@ _BEAM_STD = "tests/test_beam.py::TestStandardBeamSearch::"
 _BEAM_SPEC = "tests/test_beam.py::TestSpeculativeBeamSearch::"
 _BEAM_REQ = "tests/test_beam.py::TestRequestChecks::"
 _PROMPT_CHECK = '    check_tokens(prompt, target.vocab_size, "prompt")\n'
-_PAIRS_CHECK = '    if pairs < 1:\n        raise ValueError(f"pairs must be >= 1, got {pairs}")\n'
+_PAIRS_CHECK = '    check_count("pairs", pairs, 1)\n'
+_SEED_CHECK = '    check_count("seed", seed)\n'
+_STD_COUNTS = '    check_count("width", width, 1)\n    check_count("steps", steps, 1)\n'
+_CHECK_COUNT = "tests/test_distmath.py::TestCheckCount::"
+_NON_INTEGER = _SWEEPS + "test_non_integer_count_named"
 
 
 class Mutant(NamedTuple):
@@ -58,6 +63,31 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
+    # One count check: distmath.check_count, and the calls that name each count.
+    Mutant("check-count-any-type", _DISTMATH,
+           (("    if not isinstance(value, (int, np.integer)):\n", "    if False:\n"),),
+           (_CHECK_COUNT + "test_non_integer_is_named[2.5]",
+            _CHECK_COUNT + "test_non_integer_is_named[2]",
+            "tests/test_engine.py::TestSpecConfig::test_non_integral_integer_field_is_named"
+            "[gamma-2.0]")),
+    Mutant("check-count-no-hi", _DISTMATH,
+           (("not lo <= value <= hi:", "not lo <= value:"),),
+           (_CHECK_COUNT + "test_outside_lo_hi_is_named[9]",
+            "tests/test_models.py::TestStatelessAndUniform::"
+            "test_stateless_pair_vocab_outside_range_named[1048577]")),
+    Mutant("check-count-lo-exclusive", _DISTMATH, (("value < lo:", "value <= lo:"),),
+           (_CHECK_COUNT + "test_bounds_are_inclusive_and_numpy_integers_pass[1]",
+            _SWEEPS + "test_one_pair_is_a_sweep")),
+    Mutant("top-k-type-unchecked", _DISTMATH,
+           (('            check_count("top_k", self.top_k)\n', ""),),
+           ("tests/test_distmath.py::TestStandardize::test_top_k_must_be_an_integer[2.5]",
+            "tests/test_distmath.py::TestStandardize::test_top_k_must_be_an_integer[2]")),
+    Mutant("exactness-seed-unchecked", _HARNESS,
+           ((_SEED_CHECK + "    rng = RandomStream(seed)\n", "    rng = RandomStream(seed)\n"),),
+           (_NON_INTEGER + "[float-seed-exactness]", _NON_INTEGER + "[str-seed-exactness]")),
+    Mutant("rejection-seed-unchecked", _HARNESS,
+           ((_SEED_CHECK + "    rng, violations", "    rng, violations"),),
+           (_NON_INTEGER + "[float-seed-rejection]", _NON_INTEGER + "[str-seed-rejection]")),
     # Beam search's _step: one stable argsort over the block, rows in token order.
     Mutant("beam-rows-in-given-order", _BEAM,
            (("zip(*sorted(zip(beams, dists), key=lambda pair: pair[0].tokens))",
@@ -84,13 +114,13 @@ MUTANTS = (
            ("tests/test_engine.py::TestSpeculativeStep::test_one_variate_block_per_step"
             "[argmax-lenient-1]",
             _DIGEST + "[ngram3/2-argmax-lenient]")),
-    Mutant("descending-no-row-offset", "src/specdec/distmath.py",
+    Mutant("descending-no-row-offset", _DISTMATH,
            (("    order += np.arange(0, p.size, p.shape[-1])[:, None]\n", ""),),
            ("tests/test_engine.py::TestSpeculativeSteps::test_block_equals_scalar_loop",
             "tests/test_engine.py::TestSpeculativeSteps::test_every_pair_and_policy[None-1.0]")),
     # Requests are checked before any model call or draw.
     Mutant("beam-standard-prompt-unchecked", _BEAM,
-           (('>= 1")\n' + _PROMPT_CHECK, '>= 1")\n'),),
+           ((_STD_COUNTS + _PROMPT_CHECK, _STD_COUNTS),),
            (_BEAM_REQ + "test_prompt_outside_vocab_refused[outside]",
             _BEAM_REQ + "test_prompt_outside_vocab_refused[non-integer]")),
     Mutant("beam-speculative-prompt-unchecked", _BEAM,
@@ -99,27 +129,35 @@ MUTANTS = (
             _BEAM_REQ + "test_prompt_outside_vocab_refused[non-integer]")),
     Mutant("beam-pair-unchecked", _BEAM, (("    check_pair(target, draft)\n", ""),),
            (_BEAM_REQ + "test_vocab_mismatch_refused",)),
-    Mutant("beam-standard-counts-unchecked", _BEAM,
-           (("    check_integers(width=width, steps=steps)\n", ""),),
+    Mutant("beam-standard-counts-unchecked", _BEAM, ((_STD_COUNTS, ""),),
            (_BEAM_REQ + "test_standard_non_integer_count_refused[width-2.5]",
-            _BEAM_REQ + "test_standard_non_integer_count_refused[steps-2.0]")),
+            _BEAM_REQ + "test_standard_non_integer_count_refused[steps-2.0]",
+            _BEAM_REQ + "test_count_out_of_range_named[width]")),
     Mutant("beam-speculative-counts-unchecked", _BEAM,
-           (("    check_integers(width=width, draft_width=draft_width, gamma=gamma, steps=steps)\n",
-             ""),),
+           (('    check_count("width", width, 1)\n'
+             '    check_count("draft_width", draft_width, width)\n'
+             '    check_count("gamma", gamma, 1)\n    check_count("steps", steps, 1)\n', ""),),
            tuple(_BEAM_REQ + f"test_speculative_non_integer_count_refused[{case}]"
-                 for case in ("width-2.5", "draft_width-4.0", "gamma-1.5", "steps-2.5"))),
+                 for case in ("width-2.5", "draft_width-4.0", "gamma-1.5", "steps-2.5"))
+           + (_BEAM_REQ + "test_count_out_of_range_named[draft_width]",)),
     Mutant("random-pair-vocab-unchecked", _HARNESS,
-           (("    if not 1 <= vocab <= MAX_VOCAB:\n", "    if False:\n"),),
+           (('    check_count("vocab", vocab, 1, MAX_VOCAB)\n', ""),),
            (_SWEEPS + "test_vocab_outside_range_rejected[0-exactness]",
             _SWEEPS + "test_vocab_outside_range_rejected[-2-rejection]",
             _SWEEPS + "test_vocab_outside_range_rejected[1048577-exactness]",
-            _SWEEPS + "test_vocab_checked_before_any_draw")),
+            _SWEEPS + "test_vocab_checked_before_any_draw",
+            _SWEEPS + "test_random_pair_names_a_non_integer_vocab",
+            _NON_INTEGER + "[vocab-exactness]")),
     Mutant("exactness-pairs-unchecked", _HARNESS,
-           ((_PAIRS_CHECK + "    rng = RandomStream(seed)\n", "    rng = RandomStream(seed)\n"),),
-           (_NO_PAIRS + "[0-exactness]", _NO_PAIRS + "[-3-exactness]")),
+           ((_PAIRS_CHECK + _SEED_CHECK + "    rng = RandomStream(seed)\n",
+             _SEED_CHECK + "    rng = RandomStream(seed)\n"),),
+           (_NO_PAIRS + "[0-exactness]", _NO_PAIRS + "[-3-exactness]",
+            _NON_INTEGER + "[pairs-exactness]")),
     Mutant("rejection-pairs-unchecked", _HARNESS,
-           ((_PAIRS_CHECK + "    rng, violations", "    rng, violations"),),
-           (_NO_PAIRS + "[0-rejection]", _NO_PAIRS + "[-3-rejection]")),
+           ((_PAIRS_CHECK + _SEED_CHECK + "    rng, violations",
+             _SEED_CHECK + "    rng, violations"),),
+           (_NO_PAIRS + "[0-rejection]", _NO_PAIRS + "[-3-rejection]",
+            _NON_INTEGER + "[pairs-rejection]")),
     Mutant("verify-vocab-for-every-suite", "src/specdec/cli.py",
            (('    if args.suite != "geometric":', "    if True:"),),
            ("tests/test_cli.py::TestVerify::test_geometric_ignores_vocab",)),
@@ -177,7 +215,7 @@ MUTANTS = (
            ("tests/test_engine.py::TestSpeculativeSteps::test_block_equals_scalar_loop",
             "tests/test_engine.py::TestSpeculativeSteps::"
             "test_window_zero_pair_across_forced_blocks[1.0]")),
-    Mutant("residual-unclamped", "src/specdec/distmath.py",
+    Mutant("residual-unclamped", _DISTMATH,
            (("    np.maximum(raw, 0.0, out=raw)\n", ""),),
            ("tests/test_distmath.py::TestResidual::test_basic",
             "tests/test_distmath.py::TestResidual::test_support_exactly_where_p_exceeds_lq")),
@@ -191,8 +229,9 @@ MUTANTS = (
            ("tests/test_harness.py::TestContextTokens::test_equivalence_refuses[unseen]",
             "tests/test_harness.py::TestContextTokens::test_equivalence_refuses[non-integer]")),
     Mutant("simulate-runs-unchecked", _HARNESS,
-           (("if n_tokens < 1 or n_runs < 1:", "if n_tokens < 1:"),),
-           (_NO_RUNS + "[100-0]", _NO_RUNS + "[100--1]")),
+           (('    check_count("n_runs", n_runs, 1)\n', ""),),
+           (_NO_RUNS + "[100-0]", _NO_RUNS + "[100--1]",
+            "tests/test_harness.py::TestSimulateWalltime::test_non_integer_count_named[n_runs]")),
 )
 
 

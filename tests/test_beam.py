@@ -262,6 +262,21 @@ class TestRequestChecks:
         with pytest.raises(TypeError, match=rf"{name} must be an integer, got {value!r}"):
             speculative_beam_search(target, draft, [0], **counts)
 
+    @pytest.mark.parametrize("counts, message", [
+        ({"width": 0}, "width must be >= 1, got 0"),
+        ({"steps": -1}, "steps must be >= 1, got -1"),
+        ({"width": 3, "draft_width": 2}, "draft_width must be >= 3, got 2"),
+        ({"gamma": 0}, "gamma must be >= 1, got 0"),
+    ], ids=["width", "steps", "draft_width", "gamma"])
+    def test_count_out_of_range_named(self, counts, message):
+        target, draft = _Unasked(np.full(4, 0.25)), _Unasked(np.full(4, 0.25))
+        all_counts = {"width": 2, "draft_width": 4, "gamma": 2, "steps": 3, **counts}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            speculative_beam_search(target, draft, [0], **all_counts)
+        if set(counts) <= {"width", "steps"}:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                standard_beam_search(target, [0], **{"width": 2, "steps": 3, **counts})
+
     def test_numpy_integer_counts_pass(self):
         mp, mq = make_ngram_pair(13, vocab=4)
         plain = standard_beam_search(mp, [0], 2, 3)

@@ -735,7 +735,7 @@ class TestInputErrors:
         # every command that takes two models or raw prompt ids checks them
         (["beam", "--target", "uniform:4", "--draft", "uniform:6"], "vocab mismatch"),
         (["beam", "--target", "uniform:4", "--draft", "same", "--prompt-tokens=9,-2"],
-         "[9, -2] outside vocab 4"),
+         "prompt tokens [9, -2] are not token ids in [0, 4)"),
         (["simulate", "--target", "uniform:4", "--draft", "uniform:6", "--gamma", "2"],
          "vocab mismatch"),
         (["decode", "--target", "copy:4,2,0.9,7", "--draft", "same", "--prompt-tokens", "0"],
@@ -754,7 +754,7 @@ class TestInputErrors:
         (["verify", "--suite", "equivalence", "--gamma", "99999999999"], "gamma"),
         # a text prompt is range-checked as raw ids are
         (["decode", "--target", "uniform:3", "--draft", "same", "--prompt", "hi",
-          "--max-tokens", "3"], "[104, 105] outside vocab 3"),
+          "--max-tokens", "3"], "prompt tokens [104, 105] are not token ids in [0, 3)"),
     ])
     def test_bad_value_exits_2(self, capsys, argv, needle):
         code, out, err = run(capsys, argv)
@@ -782,7 +782,8 @@ class TestInputErrors:
                                       "--tokenizer", "word", "--vocab-file", str(vocab),
                                       "--prompt", "c"])
         assert code == EXIT_USAGE
-        assert out == "" and err.startswith("error:") and "[2] outside vocab 2" in err
+        assert out == "" and err.startswith("error:")
+        assert "prompt tokens [2] are not token ids in [0, 2)" in err
 
     @pytest.mark.parametrize("target", ["uniform:8", "trigram"])
     @pytest.mark.parametrize("temperature", ["nan", "inf", "-inf"])

@@ -4,6 +4,7 @@ residuals, and the min-overlap divergence."""
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from specdec.distmath import (
     PolicyConflictError,
     SamplingPolicy,
     VocabMismatchError,
+    check_count,
     inverse_cdf,
     inverse_cdf_many,
     normalize,
@@ -31,6 +33,34 @@ from specdec.distmath import (
 from specdec.rng import RandomStream
 
 from conftest import paired_probs_strategy, probs_strategy, random_pair
+
+
+class TestCheckCount:
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2", None, [2]])
+    def test_non_integer_is_named(self, value):
+        match = rf"^width must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(TypeError, match=match):
+            check_count("width", value, 1)
+
+    @pytest.mark.parametrize("value", [0, -3, np.int64(0)])
+    def test_below_lo_is_named(self, value):
+        with pytest.raises(ValueError, match=rf"^pairs must be >= 1, got {value}$"):
+            check_count("pairs", value, 1)
+
+    @pytest.mark.parametrize("value", [0, 9, np.int32(-1)])
+    def test_outside_lo_hi_is_named(self, value):
+        with pytest.raises(ValueError, match=rf"^vocab must lie in \[1, 8\], got {value}$"):
+            check_count("vocab", value, 1, 8)
+
+    @pytest.mark.parametrize("value", [1, 5, 8, np.int64(8), np.uint8(1)])
+    def test_bounds_are_inclusive_and_numpy_integers_pass(self, value):
+        check_count("vocab", value, 1, 8)
+        check_count("n", value, value)
+        check_count("seed", value)
+
+    @pytest.mark.parametrize("value", [-(2**70), 0, 2**70])
+    def test_type_only_takes_any_integer(self, value):
+        check_count("seed", value)
 
 
 class TestDistribution:
@@ -172,6 +202,22 @@ class TestStandardize:
     def test_top_k_exceeds_vocab(self):
         with pytest.raises(PolicyConflictError):
             standardize(np.array([0.5, 0.5]), SamplingPolicy(top_k=3))
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2"])
+    def test_top_k_must_be_an_integer(self, k):
+        # 2.5 would otherwise pass and fail later as a slice index.
+        with pytest.raises(TypeError, match=rf"^top_k must be an integer, got {k!r}$"):
+            SamplingPolicy(top_k=k)
+
+    @pytest.mark.parametrize("k", [0, -1, np.int64(0)])
+    def test_top_k_below_one_conflicts(self, k):
+        with pytest.raises(PolicyConflictError, match="top_k must be a positive integer"):
+            SamplingPolicy(top_k=k)
+
+    def test_numpy_top_k_passes(self):
+        p = np.array([0.5, 0.3, 0.2])
+        assert standardize(p, SamplingPolicy(top_k=np.int64(2))) == standardize(
+            p, SamplingPolicy(top_k=2))
 
     @given(probs_strategy())
     @settings(max_examples=100, deadline=None)

@@ -30,6 +30,7 @@ from specdec.distmath import (
     residual,
 )
 from specdec.engine import (
+    MAX_GAMMA,
     MUTATIONS,
     SpecConfig,
     _lenient_rejects,
@@ -49,7 +50,7 @@ from specdec.models import (
 )
 from specdec.rng import RandomStream
 
-from conftest import random_pair
+from conftest import NoDraws, Unasked, random_pair
 
 
 class CountingModel(LanguageModel):
@@ -562,8 +563,16 @@ class TestSpeculativeSteps:
         config = SpecConfig(gamma=2)
         with pytest.raises(ValueError, match="mutation"):
             speculative_steps(p, q, [0], config, RandomStream(0), 3, _mutation="nope")
-        with pytest.raises(ValueError, match="n must be"):
+        with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
             speculative_steps(p, q, [0], config, RandomStream(0), -1)
+        unasked = Unasked(np.array([0.5, 0.5]))
+        for n in (2.5, 3.0, "3"):  # refused before any draw or model call
+            with pytest.raises(TypeError, match=f"^n must be an integer, got {n!r}$"):
+                speculative_steps(unasked, unasked, [0], config, NoDraws(0), n)
+        plain = speculative_steps(p, q, [0], config, RandomStream(0), 5)
+        numpy_n = speculative_steps(p, q, [0], config, RandomStream(0), np.int64(5))
+        assert numpy_n.tokens_at(0).tolist() == plain.tokens_at(0).tolist()
+        assert numpy_n.accepted_n.tolist() == plain.accepted_n.tolist()
         with pytest.raises(VocabMismatchError):
             speculative_steps(p, StatelessModel(np.ones(3) / 3), [0], config, RandomStream(0), 3)
         empty = speculative_steps(p, q, [0], config, RandomStream(0), 0)
@@ -638,6 +647,16 @@ class TestSpecConfig:
     ])
     def test_non_integral_integer_field_is_named(self, name, value):
         with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            SpecConfig(**{"gamma": 2, name: value})
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("gamma", 0, rf"gamma must lie in \[1, {MAX_GAMMA}\], got 0"),
+        ("gamma", MAX_GAMMA + 1, rf"gamma must lie in \[1, {MAX_GAMMA}\], got {MAX_GAMMA + 1}"),
+        ("max_new_tokens", 0, "max_new_tokens must be >= 1, got 0"),
+        ("max_new_tokens", np.int64(-2), "max_new_tokens must be >= 1, got -2"),
+    ])
+    def test_out_of_range_field_is_named(self, name, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             SpecConfig(**{"gamma": 2, name: value})
 
     def test_numpy_integers_pass(self):

@@ -25,7 +25,17 @@ from specdec.harness import (
 from specdec.models import MAX_VOCAB, StatelessModel, stateless_pair, train_ngram
 from specdec.rng import RandomStream
 
-from conftest import random_pair
+from conftest import NoDraws, Unasked, random_pair
+
+
+@pytest.fixture
+def untouched(monkeypatch):
+    """Fails the test if the harness draws a variate, runs a step or decodes."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran before the request was checked")
+    monkeypatch.setattr(harness, "RandomStream", NoDraws)
+    monkeypatch.setattr(harness, "speculative_steps", refuse)
+    monkeypatch.setattr(harness, "decode", refuse)
 
 
 class TestExactStepDistribution:
@@ -77,6 +87,21 @@ def model_pair():
 
 
 class TestEquivalence:
+    @pytest.mark.parametrize("n, error, message", [
+        (10_000.0, TypeError, "n_samples must be an integer, got 10000.0"),
+        (harness.MIN_SAMPLES - 1, ValueError, "n_samples must be >= 10000, got 9999"),
+    ])
+    def test_sample_count_checked_first(self, untouched, n, error, message):
+        model = Unasked(np.array([0.5, 0.5]))
+        with pytest.raises(error, match=f"^{message}$"):
+            equivalence_test(model, model, SpecConfig(gamma=2), n, [[0]])
+
+    def test_numpy_sample_count_passes(self, model_pair):
+        mp, mq = model_pair
+        config = SpecConfig(gamma=2, seed=4)
+        plain = equivalence_test(mp, mq, config, 10_000, [[0]])
+        assert equivalence_test(mp, mq, config, np.int64(10_000), [[0]]).p_value == plain.p_value
+
     def test_honest_engine_passes(self, model_pair):
         mp, mq = model_pair
         report = equivalence_test(mp, mq, SpecConfig(gamma=2, seed=1), 50_000, [[0]])
@@ -257,6 +282,16 @@ class TestGeometricFit:
         with pytest.raises(ValueError, match="n_steps must be >= 1"):
             geometric_fit_test(0.8, gamma=5, n_steps=n_steps)
 
+    @pytest.mark.parametrize("n_steps", [2000.5, 2000.0])
+    def test_non_integer_steps_named(self, untouched, n_steps):
+        with pytest.raises(TypeError, match=f"^n_steps must be an integer, got {n_steps}$"):
+            geometric_fit_test(0.7, 2, n_steps)
+
+    def test_numpy_steps_pass(self):
+        plain = geometric_fit_test(0.7, 2, 2000, seed=3)
+        numpy_steps = geometric_fit_test(0.7, 2, np.int32(2000), seed=np.int64(3))
+        assert numpy_steps.extras == plain.extras and numpy_steps.p_value == plain.p_value
+
 
 class TestSimulateWalltime:
     def test_free_draft_same_model_gives_gamma_plus_one(self):
@@ -315,9 +350,27 @@ class TestSimulateWalltime:
     @pytest.mark.parametrize("n_tokens, n_runs", [(100, 0), (100, -1), (0, 1)])
     def test_no_runs_or_tokens_rejected(self, n_tokens, n_runs):
         target, draft = stateless_pair(0.5)
-        with pytest.raises(ValueError, match=f"got {n_tokens} and {n_runs}"):
+        name, value = ("n_runs", n_runs) if n_runs < 1 else ("n_tokens", n_tokens)
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
             simulate_walltime(target, draft, CostModel(), SpecConfig(gamma=2),
                               n_tokens=n_tokens, n_runs=n_runs)
+
+    @pytest.mark.parametrize("counts, name", [({"n_runs": 1.5}, "n_runs"),
+                                              ({"n_tokens": 100.0}, "n_tokens"),
+                                              ({"n_tokens": 0.5, "n_runs": 0}, "n_tokens")],
+                             ids=["n_runs", "n_tokens", "n_tokens-first"])
+    def test_non_integer_count_named(self, untouched, counts, name):
+        model = Unasked(np.array([0.5, 0.5]))
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got {counts[name]}$"):
+            simulate_walltime(model, model, CostModel(), SpecConfig(gamma=2), **counts)
+
+    def test_numpy_counts_pass(self):
+        target, draft = stateless_pair(0.5)
+        config = SpecConfig(gamma=2, seed=5)
+        plain = simulate_walltime(target, draft, CostModel(), config, n_tokens=100, n_runs=2)
+        numpy_counts = simulate_walltime(target, draft, CostModel(), config,
+                                         n_tokens=np.int64(100), n_runs=np.int32(2))
+        assert numpy_counts.runs == plain.runs
 
     def test_timeline_reflects_real_steps(self):
         target, draft = stateless_pair(0.5)
@@ -522,6 +575,26 @@ class TestRandomPairSweeps:
         with pytest.raises(ValueError, match="vocab"):
             random_pair(rng, 0)
         assert rng.uniform() == RandomStream(5).uniform()
+
+    @pytest.mark.parametrize("check", [exactness_check, rejection_check],
+                             ids=["exactness", "rejection"])
+    @pytest.mark.parametrize("name, counts", [("pairs", (2.5, 3, 0)), ("vocab", (2, 2.5, 0)),
+                                              ("seed", (3, 4, 2.7)), ("seed", (3, 4, "2"))],
+                             ids=["pairs", "vocab", "float-seed", "str-seed"])
+    def test_non_integer_count_named(self, untouched, check, name, counts):
+        # A float seed would otherwise be cut to an int and sweep seed 2's pairs.
+        value = counts[("pairs", "vocab", "seed").index(name)]
+        with pytest.raises(TypeError, match=rf"^{name} must be an integer, got {value!r}$"):
+            check(*counts)
+
+    def test_random_pair_names_a_non_integer_vocab(self):
+        rng = NoDraws(5)
+        with pytest.raises(TypeError, match=r"^vocab must be an integer, got 3\.0$"):
+            random_pair(rng, 3.0)
+
+    def test_numpy_counts_pass(self):
+        for check in (exactness_check, rejection_check):
+            assert check(np.int64(3), np.int32(4), np.uint8(2)) == check(3, 4, 2)
 
     def test_one_token_vocab_is_a_sweep(self):
         assert exactness_check(2, 1, 0) == (0.0, 0.0)

@@ -24,6 +24,7 @@ from specdec.models import (
     CopyModel,
     CorpusTooShortError,
     LanguageModel,
+    NGramModel,
     StatelessModel,
     random_model,
     stateless_pair,
@@ -803,6 +804,41 @@ class TestStatelessAndUniform:
     def test_empty_vocab_rejected(self, make, vocab):
         with pytest.raises(ValueError, match="vocab_size"):
             make(vocab)
+
+    @pytest.mark.parametrize("build, name, value", [
+        (lambda: random_model(4.0), "vocab_size", 4.0),
+        (lambda: CopyModel(4.0), "vocab_size", 4.0),
+        (lambda: CopyModel(4, min_match=1.5), "min_match", 1.5),
+        (lambda: NGramModel(2.0, 3), "order", 2.0),
+        (lambda: NGramModel(2, "3"), "vocab_size", "3"),
+        (lambda: train_ngram([0, 1, 2, 1], 2.0, 3), "order", 2.0),
+        (lambda: stateless_pair(0.5, 3.0), "vocab_size", 3.0),
+    ], ids=["uniform", "copy-vocab", "copy-min-match", "ngram-order", "ngram-vocab", "train",
+            "stateless-pair"])
+    def test_non_integer_count_named(self, build, name, value):
+        # CopyModel(4, min_match=1.5) would otherwise construct and fail at its first evaluate.
+        with pytest.raises(TypeError, match=rf"^{name} must be an integer, got {value!r}$"):
+            build()
+
+    @pytest.mark.parametrize("vocab", [1, MAX_VOCAB + 1])
+    def test_stateless_pair_vocab_outside_range_named(self, vocab):
+        with pytest.raises(ValueError,
+                           match=rf"^vocab_size must lie in \[2, {MAX_VOCAB}\], got {vocab}$"):
+            stateless_pair(0.5, vocab)
+
+    def test_numpy_counts_pass(self):
+        corpus = [0, 1, 2, 1, 0, 2, 2, 1]
+        plain = train_ngram(corpus, 2, 3)
+        assert train_ngram(corpus, np.int64(2), np.int32(3)).counts == plain.counts
+        ngram = NGramModel(np.int8(3), np.int8(100))  # stored as ints, whose products never wrap
+        assert type(ngram.order) is type(ngram.vocab_size) is int and ngram.context_window == 2
+        copy, numpy_copy = CopyModel(4, min_match=2), CopyModel(np.int8(4), min_match=np.int8(2))
+        seq = [i % 3 for i in range(300)]  # a match past 127 tokens would wrap an int8
+        for n in range(1, len(seq) + 1):
+            assert np.array_equal(copy.evaluate(seq[:n]), numpy_copy.evaluate(seq[:n])), n
+        assert random_model(np.int16(4)).evaluate(()).tolist() == [0.25] * 4
+        for a, b in zip(stateless_pair(0.5, 3), stateless_pair(0.5, np.int64(3))):
+            assert a.evaluate(()).tolist() == b.evaluate(()).tolist()
 
     def test_uniform_draft_alpha_is_positive(self):
         target = StatelessModel(np.array([0.9, 0.1]))
